@@ -14,15 +14,15 @@ times the allotted bandwidth, times the per-station transmit share.
 
 :func:`build_metro_scene` / :func:`run_metro_scene` then put a large
 slice of that claim on the simulator: a fixed-density uniform disk of
-up to 10^5+ stations whose gain structure is built *chunked* (never an
-O(M^2) array) into a horizon-culled
-:class:`~repro.propagation.sparse.SparseGainField`, driven through the
-real :class:`~repro.net.medium.Medium` physics with the paper's hashed
-transmit/receive schedules and per-station clock offsets.  The link
-budget is calibrated against the sparse field's *culling-inclusive*
-interference bound, so the zero-collision outcome survives the
-approximation by construction.  Everything here is wall-clock-free;
-``repro.analysis.perf`` owns the timing.
+up to 10^5+ stations whose gain structure is built in cache-sized tiles,
+one gain per station pair and never an O(M^2) array, into a
+horizon-culled :class:`~repro.propagation.sparse.SparseGainField`,
+driven through the real :class:`~repro.net.medium.Medium` physics with
+the paper's hashed transmit/receive schedules and per-station clock
+offsets.  The link budget is calibrated against the sparse field's
+*culling-inclusive* interference bound, so the zero-collision outcome
+survives the approximation by construction.  Everything here is
+wall-clock-free; ``repro.analysis.perf`` owns the timing.
 """
 
 from __future__ import annotations
@@ -197,8 +197,11 @@ class MetroScene:
     """A built, calibrated metro-scale scene, ready to simulate.
 
     Construction never materialises an O(M^2) array: the gain structure
-    is streamed into a CSR sparse field in ``(M, chunk)`` slabs, and
-    every design quantity below is derived from that field.
+    is built into a CSR sparse field in cache-sized tiles, holding
+    O(nnz) output plus O(chunk x tile) transient memory, and every
+    design quantity below is derived from that field.  The exact culled
+    account still costs Theta(M^2) pair work while the horizon covers
+    the city.
 
     Attributes:
         placement: station positions (fixed legacy density by default).
@@ -329,7 +332,7 @@ def build_metro_scene(
     chunk_columns: int = DEFAULT_CHUNK_COLUMNS,
     model: Optional[PropagationModel] = None,
 ) -> MetroScene:
-    """Build a metro scene at fixed density, chunked end to end.
+    """Build a metro scene at fixed density, straight from geometry.
 
     The disk radius grows as ``sqrt(M / (pi * density))`` so the
     population scales the city, not the crowding; at ~14 km radius
@@ -373,18 +376,20 @@ def build_metro_scene(
     # Traffic sink and power control: each station talks to its
     # strongest stored neighbour.  Free space is monotone in distance,
     # so argmax gain == nearest station.
-    nearest = np.zeros(station_count, dtype=np.intp)
-    gain_to_nearest = np.zeros(station_count)
-    for station in range(station_count):
-        rows, vals = gain_field.column(station)
-        if rows.size == 0:
-            raise ValueError(
-                f"station {station} has no stored neighbours; the cull "
-                "threshold is too aggressive for this density"
-            )
-        best = int(np.argmax(vals))
-        nearest[station] = rows[best]
-        gain_to_nearest[station] = vals[best]
+    sizes = gain_field.column_sizes()
+    if not sizes.all():
+        station = int(np.argmin(sizes))
+        raise ValueError(
+            f"station {station} has no stored neighbours; the cull "
+            "threshold is too aggressive for this density"
+        )
+    # Segment maximum per column, then its first occurrence, as argmax.
+    starts = gain_field.indptr[:-1]
+    strongest = np.maximum.reduceat(gain_field.vals, starts)
+    hits = np.flatnonzero(gain_field.vals == np.repeat(strongest, sizes))
+    best = hits[np.searchsorted(hits, starts)]
+    nearest = gain_field.rows[best].astype(np.intp)
+    gain_to_nearest = gain_field.vals[best]
 
     # Section 6 power control with the network builder's cap: nobody
     # radiates more than twice the power the weakest usable link needs.

@@ -112,9 +112,10 @@ def run_perf_scenario(
 class MetroPerfSample:
     """One timed metro-scale run over the sparse medium.
 
-    Build and simulation are timed separately: the chunked CSR build
-    is a one-off O(M x chunk)-memory pass, while the simulation's
-    events/s is the figure comparable against the dense medium's.
+    Build and simulation are timed separately: the tiled CSR build is
+    a one-off Theta(M^2) pass holding O(nnz) output plus O(chunk x
+    tile) transient memory, while the simulation's events/s is the
+    figure comparable against the dense medium's.
 
     Attributes:
         stations: network size M.
@@ -122,7 +123,7 @@ class MetroPerfSample:
         duration_slots: simulated arrival horizon in slots.
         seed: scene seed (traffic uses the perf convention ``seed``
             with placement at ``seed + stations``).
-        build_wall_s: wall-clock time of the chunked scene build.
+        build_wall_s: wall-clock time of the scene build.
         wall_s: wall-clock time of the simulation run alone.
         events: simulation events processed.
         events_per_s: simulation throughput, ``events / wall_s``.

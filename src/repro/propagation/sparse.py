@@ -29,9 +29,12 @@ Two distinct mechanisms shrink a column, with different standing:
   *bit-identical* to the dense one: exact zeros are the only dropped
   entries, and adding ``0.0`` to a non-negative float is the identity.
 
-The chunked builder (:meth:`SparseGainField.from_placement`) streams the
-pairwise geometry in ``(M, chunk)`` slabs so a million-station scene
-never materialises an O(M^2) array.
+The builder (:meth:`SparseGainField.from_placement`) never materialises
+an O(M^2) array: it walks the station pairs in cache-sized tiles,
+computing each pair's gain once for both directions, and holds O(nnz)
+output plus O(chunk x tile) transient memory.  Because ``culled_in_sum``
+is exact, it still does Theta(M^2) pair work while the horizon covers
+the placement; ``chunk_columns`` fixes that sum's grouping.
 """
 
 from __future__ import annotations
@@ -46,11 +49,15 @@ from repro.propagation.models import PropagationModel
 
 __all__ = ["SparseGainField", "DEFAULT_CHUNK_COLUMNS"]
 
-#: Default number of transmitter columns per build slab.  At 10^5
-#: stations a slab is ``(10^5, 128)`` floats (~100 MB transient), small
-#: enough to stream comfortably and large enough to amortise numpy
-#: dispatch.
+#: Default number of stations per build chunk.  It fixes the grouping
+#: of ``culled_in_sum`` (one partial per transmitter chunk), so changing
+#: it moves that sum's last few ulps.
 DEFAULT_CHUNK_COLUMNS = 128
+
+#: Transmitter chunks per build tile.  At the default chunk a tile is
+#: ``(128, 512)`` floats (512 KiB): it stays in cache across the tile's
+#: passes and amortises numpy dispatch.
+_TILE_CHUNKS = 4
 
 
 @dataclass(frozen=True)
@@ -288,66 +295,117 @@ class SparseGainField:
         horizon_m: Optional[float] = None,
         chunk_columns: int = DEFAULT_CHUNK_COLUMNS,
     ) -> "SparseGainField":
-        """Chunked build straight from geometry: O(M x chunk) memory.
+        """Tiled build straight from geometry, one gain per station pair.
 
-        Streams transmitters in slabs of ``chunk_columns``: for each
-        slab the distances from every receiver are formed, mapped
-        through the propagation model, horizon-zeroed, and split into
-        kept CSR entries plus the two culled accounts.  The stored
-        entries (``rows``/``vals``) and ``culled_out_max`` are
-        bit-identical for every chunk size — each entry's gain is
-        computed by the same scalar arithmetic regardless of slab
-        boundaries, and the out-max is column-local.  ``culled_in_sum``
-        accumulates across slabs, so its grouping (and hence its last
-        few ulps) follows the chunk size; it is an error *bound*
-        account, not simulated state, so replay determinism is
-        unaffected as long as one chunk size is used per scene build
-        (the default is fixed at :data:`DEFAULT_CHUNK_COLUMNS`).
+        Gains depend on distance alone and ``(a - b)**2 == (b - a)**2``
+        exactly, so each unordered pair is mapped through the
+        propagation model once and serves both directions.  Stations
+        are cut into chunks of ``chunk_columns``.  A tile pairs one
+        receiver chunk with a few transmitter chunks at or after it,
+        small enough to stay in cache; tiles are visited receiver chunk
+        outer, transmitter chunk inner, both ascending.  One sort on the
+        (transmitter, receiver) key then assembles the CSR.
+
+        ``culled_in_sum`` is exact, so every pair inside the horizon is
+        visited: the build does Theta(M^2) pair work while the horizon
+        covers the placement, and holds O(nnz) output plus
+        O(chunk x tile) transient memory.  The stored entries and
+        ``culled_out_max`` do not depend on ``chunk_columns``.
+        ``culled_in_sum`` does, in its last few ulps: the chunk size
+        fixes its grouping, one partial per transmitter chunk added in
+        chunk order, each partial a contiguous row sum.  It is an error
+        *bound* account, not simulated state, so replay determinism
+        holds as long as one chunk size is used per scene build (the
+        default is fixed at :data:`DEFAULT_CHUNK_COLUMNS`).
         """
         if cull_gain < 0.0:
             raise ValueError("cull gain must be non-negative")
         if chunk_columns < 1:
             raise ValueError("need at least one column per chunk")
-        positions = placement.positions
         count = placement.count
-        x = positions[:, 0]
-        y = positions[:, 1]
-        row_pieces = []
-        val_pieces = []
-        sizes = np.zeros(count, dtype=np.int64)
+        x = np.ascontiguousarray(placement.positions[:, 0])
+        y = np.ascontiguousarray(placement.positions[:, 1])
+        mask_horizon = False
+        if horizon_m is not None:
+            # Rounding is monotone, so no pair distance computed below
+            # exceeds the bounding-box diagonal computed the same way.
+            span_x = x.max() - x.min()
+            span_y = y.max() - y.min()
+            diagonal = np.sqrt(span_x * span_x + span_y * span_y)
+            mask_horizon = bool(diagonal > horizon_m)
         culled_in_sum = np.zeros(count)
         culled_out_max = np.zeros(count)
+        key_pieces = []
+        val_pieces = []
+        tile_width = chunk_columns * _TILE_CHUNKS
         for begin in range(0, count, chunk_columns):
             end = min(begin + chunk_columns, count)
-            width = end - begin
-            dx = x[:, None] - x[None, begin:end]
-            dy = y[:, None] - y[None, begin:end]
-            distance = np.sqrt(dx * dx + dy * dy)
-            gains = np.asarray(model.power_gain(distance), dtype=float)
-            # Zero the self-gain diagonal (Type 3 is handled locally).
-            gains[np.arange(begin, end), np.arange(width)] = 0.0
-            if horizon_m is not None:
-                gains[distance > horizon_m] = 0.0
-            positive = gains > 0.0
-            kept = positive & (gains >= cull_gain)
-            culled_gains = np.where(positive & ~kept, gains, 0.0)
-            culled_in_sum += culled_gains.sum(axis=1)
-            culled_out_max[begin:end] = culled_gains.max(axis=0)
-            cols, receivers = np.nonzero(kept.T)
-            sizes[begin:end] = np.bincount(cols, minlength=width)
-            row_pieces.append(receivers.astype(np.int32))
-            val_pieces.append(gains.T[cols, receivers])
-        indptr = np.zeros(count + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
+            for left in range(begin, count, tile_width):
+                right = min(left + tile_width, count)
+                dx = np.subtract.outer(x[begin:end], x[left:right])
+                dy = np.subtract.outer(y[begin:end], y[left:right])
+                dx *= dx
+                dy *= dy
+                dx += dy
+                distance = np.sqrt(dx, out=dx)
+                gains = np.asarray(model.power_gain(distance), dtype=float)
+                # Each pair from column ``mirror`` on also yields the
+                # reverse link; the diagonal block before it already
+                # holds both directions.
+                mirror = left
+                if left == begin:
+                    # Zero the self-gains (Type 3 is handled locally).
+                    own = np.arange(end - begin)
+                    gains[own, own] = 0.0
+                    mirror = end
+                if mask_horizon:
+                    gains[distance > horizon_m] = 0.0
+                if cull_gain > 0.0:
+                    kept = gains >= cull_gain
+                    culled = np.where(kept, 0.0, gains)
+                    # Row stations add one partial per transmitter chunk,
+                    # stations from ``mirror`` on one for the row chunk;
+                    # the tile order keeps each receiver's partials in
+                    # chunk order.
+                    for lo in range(0, right - left, chunk_columns):
+                        part = culled[:, lo : lo + chunk_columns]
+                        culled_in_sum[begin:end] += part.sum(axis=1)
+                    # A contiguous copy makes the mirrored partials row
+                    # sums too, in the same summation order.
+                    mirrored = culled[:, mirror - left :].T.copy()
+                    culled_in_sum[mirror:right] += mirrored.sum(axis=1)
+                    outgoing = culled_out_max[left:right]
+                    np.maximum(outgoing, culled.max(axis=0), out=outgoing)
+                    outgoing = culled_out_max[begin:end]
+                    np.maximum(outgoing, culled.max(axis=1), out=outgoing)
+                else:
+                    kept = gains > 0.0
+                flat = np.flatnonzero(kept)
+                vals = gains.ravel()[flat]
+                receiver, transmitter = np.divmod(flat, right - left)
+                receiver += begin
+                transmitter += left
+                reverse = transmitter >= mirror
+                key_pieces.append(transmitter * count + receiver)
+                key_pieces.append(receiver[reverse] * count + transmitter[reverse])
+                val_pieces.append(vals)
+                val_pieces.append(vals[reverse])
+        # Drop each input as soon as it is copied: the peak stays at a
+        # few nnz-long arrays.
+        keys = np.concatenate(key_pieces)
+        vals = np.concatenate(val_pieces)
+        del key_pieces, val_pieces
+        order = np.argsort(keys)
+        keys = keys[order]
+        vals = vals[order]
+        del order
+        # Column j starts at the first key at or above j * M.
+        indptr = np.searchsorted(keys, np.arange(count + 1) * count)
         return cls(
             count=count,
-            indptr=indptr,
-            rows=(
-                np.concatenate(row_pieces)
-                if row_pieces
-                else np.zeros(0, dtype=np.int32)
-            ),
-            vals=np.concatenate(val_pieces) if val_pieces else np.zeros(0),
+            indptr=indptr.astype(np.int64),
+            rows=np.remainder(keys, count, out=keys).astype(np.int32),
+            vals=vals,
             cull_gain=float(cull_gain),
             culled_in_sum=culled_in_sum,
             culled_out_max=culled_out_max,

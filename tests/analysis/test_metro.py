@@ -94,7 +94,7 @@ class TestMetroScene:
         assert scene.sir_threshold == again.sir_threshold
 
     def test_nearest_is_strongest_stored_neighbour(self, scene):
-        for station in (0, 17, STATIONS - 1):
+        for station in range(STATIONS):
             rows, vals = scene.gain_field.column(station)
             assert scene.nearest[station] == rows[np.argmax(vals)]
 
@@ -122,6 +122,12 @@ class TestMetroScene:
             build_metro_scene(1)
         with pytest.raises(ValueError):
             build_metro_scene(10, clock_offset_span_slots=1.0)
+
+    def test_rejects_a_cull_that_empties_every_column(self):
+        # No gain reaches 10^12 times the characteristic-length gain, so
+        # every column is empty and the first station is named.
+        with pytest.raises(ValueError, match="station 0 has no stored neighbours"):
+            build_metro_scene(20, cull_fraction=1e12)
 
 
 class TestMetroRun:

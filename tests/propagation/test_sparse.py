@@ -1,18 +1,64 @@
 """Tests for the horizon-culled CSR gain field."""
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.metro import build_metro_scene
 from repro.propagation.geometry import uniform_disk
 from repro.propagation.matrix import PropagationMatrix
-from repro.propagation.models import FreeSpace
+from repro.propagation.models import (
+    AttenuatedFreeSpace,
+    FreeSpace,
+    PathLossExponent,
+)
 from repro.propagation.sparse import SparseGainField
+
+#: The five arrays that make up a built field, in hashing order.
+FIELD_ARRAYS = ("indptr", "rows", "vals", "culled_in_sum", "culled_out_max")
+
+MODELS = {
+    "free-space": FreeSpace(near_field_clamp=1e-6),
+    "exponent-3": PathLossExponent(exponent=3.0, near_field_clamp=1e-6),
+    "attenuated": AttenuatedFreeSpace(epsilon=0.01, near_field_clamp=1e-6),
+}
 
 
 def make_matrix(count=12, seed=0, radius=100.0):
     placement = uniform_disk(count, radius=radius, seed=seed)
     model = FreeSpace(near_field_clamp=1e-6)
     return placement, model, PropagationMatrix.from_placement(placement, model)
+
+
+def field_bytes(field):
+    """Each array's dtype and raw bytes: equality here is byte identity."""
+    return [
+        (getattr(field, name).dtype.str, getattr(field, name).tobytes())
+        for name in FIELD_ARRAYS
+    ]
+
+
+def chunk_grouped_reference(gains, distances, cull, horizon, chunk):
+    """``from_dense`` with ``culled_in_sum`` grouped as the builder
+    groups it: one row-slice sum per chunk of transmitters, added in
+    chunk order."""
+    field = SparseGainField.from_dense(
+        gains,
+        cull_gain=cull,
+        horizon_m=horizon,
+        distances=None if horizon is None else distances,
+    )
+    if horizon is not None:
+        gains = np.where(distances > horizon, 0.0, gains)
+    culled = np.where((gains > 0.0) & (gains < cull), gains, 0.0)
+    grouped = np.zeros(len(gains))
+    for begin in range(0, len(gains), chunk):
+        grouped += culled[:, begin : begin + chunk].sum(axis=1)
+    return dataclasses.replace(field, culled_in_sum=grouped)
 
 
 class TestFromDense:
@@ -89,7 +135,7 @@ class TestFromPlacement:
         ]
         for other in fields[1:]:
             # Stored entries and the column-local out-max are bit-equal;
-            # the culled-in sums accumulate across slabs, so only their
+            # the culled-in sums accumulate across chunks, so only their
             # grouping (last few ulps) can move with the chunk size.
             assert np.array_equal(fields[0].rows, other.rows)
             assert np.array_equal(fields[0].vals, other.vals)
@@ -99,6 +145,53 @@ class TestFromPlacement:
             assert np.allclose(
                 fields[0].culled_in_sum, other.culled_in_sum, rtol=1e-12
             )
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        count=st.integers(min_value=2, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**16),
+        chunk=st.sampled_from([1, 7, 128]),
+        model_name=st.sampled_from(sorted(MODELS)),
+        culled=st.booleans(),
+        horizon=st.sampled_from([None, "short", "wide"]),
+    )
+    def test_matches_chunk_grouped_dense_bytes(
+        self, count, seed, chunk, model_name, culled, horizon
+    ):
+        # Many chunks per scene: cross-chunk accumulation order, the
+        # mirrored direction and ragged last chunks are all exercised.
+        placement = uniform_disk(count, radius=5000.0, seed=seed)
+        model = MODELS[model_name]
+        distances = placement.distances()
+        gains = PropagationMatrix.from_placement(placement, model).gains
+        cull = float(np.median(gains[gains > 0])) if culled else 0.0
+        # "short" masks pairs; "wide" exceeds the bounding-box diagonal.
+        horizon_m = {
+            None: None,
+            "short": 0.5 * float(distances.max()),
+            "wide": 3.0 * float(distances.max()),
+        }[horizon]
+        built = SparseGainField.from_placement(
+            placement,
+            model,
+            cull_gain=cull,
+            horizon_m=horizon_m,
+            chunk_columns=chunk,
+        )
+        reference = chunk_grouped_reference(
+            gains, distances, cull, horizon_m, chunk
+        )
+        assert field_bytes(built) == field_bytes(reference)
+
+    def test_metro_field_digest_is_pinned(self):
+        # Pinned from an independent (slab-by-slab) build of the same
+        # scene; any change to gains, entry order or summation grouping
+        # moves it.
+        field = build_metro_scene(2000, 2029).gain_field
+        digest = hashlib.md5()
+        for _, raw in field_bytes(field):
+            digest.update(raw)
+        assert digest.hexdigest() == "80cf753dbd3c8f3db84564dc8bdd5bbe"
 
     def test_horizon_matches_dense_path(self):
         placement, model, matrix = make_matrix(count=20, seed=2, radius=8000.0)

@@ -102,7 +102,7 @@ def metro_best_of(
     """Best (minimum simulation wall-clock) of ``rounds`` metro runs.
 
     Scenes above 10^4 stations are built once per round regardless —
-    the chunked build dominates there, so callers typically pass
+    the scene build dominates there, so callers typically pass
     ``rounds=1`` for the 10^5 scenario.
     """
     samples = [
@@ -242,7 +242,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         notes["metro_selection"] = (
             "minimum simulation wall-clock run per scenario; the scene "
             "is rebuilt each round and build_wall_s reports that round's "
-            "chunked CSR construction time"
+            "CSR construction time"
         )
     if args.baseline:
         notes["speedup_vs_baseline"] = speedups(
