@@ -214,8 +214,9 @@ class TrackerBatch:
         self._noise = np.zeros(capacity)
         self._min_sir = np.zeros(capacity)
         self._failed_at = np.zeros(capacity)
-        # Scratch buffers reused by :meth:`update` (contents meaningless
-        # between calls) so the hot path allocates nothing.
+        # Scratch buffers reused by :meth:`update` and
+        # :meth:`update_where` (contents meaningless between calls) so
+        # neither hot-path update allocates its working arrays.
         self._scratch_sir = np.zeros(capacity)
         self._scratch_denominator = np.zeros(capacity)
         self._scratch_mask = np.zeros(capacity, dtype=bool)
@@ -353,20 +354,26 @@ class TrackerBatch:
             return ()
         if interference_power_w.shape != (touched,):
             raise ValueError(f"expected {touched} interference powers")
-        denominator = interference_power_w + self._noise[positions]
-        mask = denominator > 0.0
-        current = np.full(touched, math.inf)
+        # positions are distinct dense slots, so touched <= count and
+        # the scratch buffers are long enough.
+        denominator = self._scratch_denominator[:touched]
+        np.add(interference_power_w, self._noise[positions], out=denominator)
+        mask = self._scratch_mask[:touched]
+        np.greater(denominator, 0.0, out=mask)
+        current = self._scratch_sir[:touched]
+        current.fill(math.inf)
         np.divide(
             self._signal[positions], denominator, out=current, where=mask
         )
         np.minimum(self._min_sir[positions], current, out=current)
         self._min_sir[positions] = current
-        newly = (current < self._threshold[positions]) & np.isnan(
-            self._failed_at[positions]
-        )
-        if not newly.any():
-            return ()
+        newly = self._scratch_newly[:touched]
+        np.less(current, self._threshold[positions], out=newly)
+        np.isnan(self._failed_at[positions], out=mask)
+        newly &= mask
         failed_positions = positions[newly]
+        if failed_positions.size == 0:
+            return ()
         self._failed_at[failed_positions] = now
         return tuple(self._tags[int(i)] for i in failed_positions)
 

@@ -44,7 +44,10 @@ unchanged (the resync recomputes over the same stored structure).
 Significance culling under-reports interference by a *provably
 bounded* amount — :meth:`Medium.field_error_bound_w` witnesses the
 bound at any instant — and a cull threshold of zero makes sparse mode
-bit-identical to dense.
+bit-identical to dense.  The witness stays exact and drift-free: each
+burst's term is cached when it begins and dropped when it ends, and
+the bound is a C-level sum of the cached terms in active-set order,
+so no per-transmit Python loop walks the active set.
 """
 
 from __future__ import annotations
@@ -237,6 +240,11 @@ class Medium:
         )
         self._seq = count()
         self._active: Dict[int, Transmission] = {}
+        # Sparse mode: each in-flight burst's culling-bound term
+        # ``P_j * culled_out_max[j]``, keyed by seq and inserted/removed
+        # in lockstep with _active so the two share one order (dense
+        # mode culls nothing and never caches a term).
+        self._bound_terms: Dict[int, float] = {}
         # Power currently radiated per station; lets interference_at be
         # one vectorised dot product instead of a loop over the active
         # set (the simulator's hot path).
@@ -344,11 +352,17 @@ class Medium:
 
     def _column(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
         """Sparse mode: one transmitter's CSR column as (receivers,
-        gains) views, reading the medium's live (possibly faded) gains."""
+        gains), reading the medium's live (possibly faded) gains.
+
+        The stored int32 receivers are cast to ``intp`` here, once per
+        column: every fancy index with an int32 array would otherwise
+        make the same cast itself, and a burst indexes with its column
+        several times (scatter, touched-mask set and reset).
+        """
         assert self.sparse is not None
         lo = int(self.sparse.indptr[source])
         hi = int(self.sparse.indptr[source + 1])
-        return self.sparse.rows[lo:hi], self._svals[lo:hi]
+        return self.sparse.rows[lo:hi].astype(np.intp), self._svals[lo:hi]
 
     def _pair_gain(self, receiver: int, source: int) -> float:
         """Power gain from ``source`` to ``receiver`` under either
@@ -381,19 +395,15 @@ class Medium:
         receiver ``i`` by exactly ``sum_{j active} P_j * g_ij^culled``,
         and every culled ``g_ij`` is at most the transmitter's
         ``culled_out_max[j]`` recorded at build time, so the bound is
-        ``sum_{j active} P_j * culled_out_max[j]`` — computed exactly
-        from the active set on demand (no incremental float drift in
-        the witness itself).  Dense mode culls nothing: 0.0.
+        ``sum_{j active} P_j * culled_out_max[j]``.  Each burst's term
+        is cached when it begins and dropped when it ends, and the
+        bound is summed afresh from the cached terms, in active-set
+        order, by the builtin ``sum`` — still exact and drift-free (no
+        running total is kept), and a C-level loop rather than a Python
+        walk of the active set.  Dense mode culls nothing and caches no
+        terms: 0.0.
         """
-        if self.sparse is None:
-            return 0.0
-        culled_out_max = self.sparse.culled_out_max
-        return float(
-            sum(
-                tx.power_w * float(culled_out_max[tx.source])
-                for tx in self._active.values()
-            )
-        )
+        return float(sum(self._bound_terms.values()))
 
     def interference_at(self, receiver: int, exclude_seq: Optional[int]) -> float:
         """Interference-plus-nothing power at a receiver, excluding one
@@ -564,8 +574,36 @@ class Medium:
                     f"gains @ powers recompute (max abs error {worst:.3e} W "
                     f"after {self._field_changes} field changes)"
                 )
+            if self.sparse is not None:
+                self._check_bound_terms()
         self._interference = exact
         self._field_changes = 0
+
+    def _check_bound_terms(self) -> None:
+        """Sanitizer: the cached culling-bound terms must cover exactly
+        the active set, in its order, and sum to the from-scratch bound."""
+        assert self.sparse is not None
+        # Order matters too: the cached sum equals the from-scratch one
+        # bit for bit only when both add the same terms in the same order.
+        if list(self._bound_terms) != list(self._active):
+            raise SanitizerError(
+                "cached culling-bound terms do not match the active set "
+                f"({len(self._bound_terms)} terms, {len(self._active)} "
+                "transmissions in flight)"
+            )
+        culled_out_max = self.sparse.culled_out_max
+        exact = float(
+            sum(
+                tx.power_w * float(culled_out_max[tx.source])
+                for tx in self._active.values()
+            )
+        )
+        cached = float(sum(self._bound_terms.values()))
+        if cached != exact:
+            raise SanitizerError(
+                f"cached culling-error bound {cached!r} W differs from the "
+                f"exact active-set sum {exact!r} W"
+            )
 
     def _apply_axpy(self, source: int, power_w: float) -> None:
         """Add one transmitter's contribution to the incremental field.
@@ -596,6 +634,10 @@ class Medium:
 
     def _begin(self, tx: Transmission) -> None:
         self._active[tx.seq] = tx
+        if self.sparse is not None:
+            self._bound_terms[tx.seq] = tx.power_w * float(
+                self.sparse.culled_out_max[tx.source]
+            )
         self._tx_count[tx.source] += 1
         self._powers[tx.source] += tx.power_w
         self._apply_axpy(tx.source, tx.power_w)
@@ -709,7 +751,7 @@ class Medium:
         touched[tx.source] = True
         touched[tx.destination] = True
         receivers = batch.receivers
-        positions = np.nonzero(touched[receivers])[0]
+        positions = touched[receivers].nonzero()[0]
         touched[rows] = False
         touched[tx.source] = False
         touched[tx.destination] = False
@@ -777,6 +819,7 @@ class Medium:
             # from the field — the stale end timer has nothing to do.
             return False
         del self._active[tx.seq]
+        self._bound_terms.pop(tx.seq, None)
         self._tx_count[tx.source] -= 1
         self._powers[tx.source] -= tx.power_w
         if abs(self._powers[tx.source]) < 1e-18:
@@ -930,6 +973,7 @@ class Medium:
         aborted = [tx for tx in self._active.values() if tx.source == station]
         for tx in aborted:
             del self._active[tx.seq]
+            self._bound_terms.pop(tx.seq, None)
             self._tx_count[tx.source] -= 1
             self._powers[tx.source] -= tx.power_w
             if abs(self._powers[tx.source]) < 1e-18:

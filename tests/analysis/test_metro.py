@@ -158,3 +158,37 @@ class TestMetroRun:
             run_metro_scene(scene, load=0.0)
         with pytest.raises(ValueError):
             run_metro_scene(scene, duration_slots=0.0)
+
+
+class TestMetroRunPinned:
+    """One 2,000-station run pinned to its exact outcome: events,
+    deliveries, the culling witness's peak and the replay digest.  Any
+    change to the sparse medium's hot path must leave all of them as
+    they are."""
+
+    @pytest.fixture(scope="class")
+    def pinned_scene(self):
+        return build_metro_scene(2000, 2029)
+
+    def test_outcome(self, pinned_scene):
+        result = run_metro_scene(
+            pinned_scene, load=0.05, duration_slots=20.0, traffic_seed=29
+        )
+        assert result.events == 4962
+        assert result.transmitted == 1665
+        assert result.deliveries == 1665
+        assert result.losses_total == 0
+        assert result.unscheduled == 350
+        assert result.max_field_error_bound_w == pytest.approx(
+            0.3018974855026905, rel=1e-12
+        )
+
+    def test_digest(self, pinned_scene):
+        result = run_metro_scene(
+            pinned_scene,
+            load=0.05,
+            duration_slots=20.0,
+            traffic_seed=29,
+            env=Environment(sanitize=True),
+        )
+        assert result.digest == "659074a04f02ca8fd4766a943bdcd568"

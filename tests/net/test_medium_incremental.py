@@ -132,15 +132,12 @@ def assert_field_matches(medium, peak_scale=0.0):
     return peak_scale
 
 
-ops_strategy = st.lists(
-    st.tuples(
-        st.integers(min_value=0, max_value=STATIONS - 1),
-        st.floats(min_value=1e-3, max_value=100.0),
-        st.integers(min_value=-1, max_value=8),
-    ),
-    min_size=1,
-    max_size=30,
+op_fields = (
+    st.integers(min_value=0, max_value=STATIONS - 1),
+    st.floats(min_value=1e-3, max_value=100.0),
+    st.integers(min_value=-1, max_value=8),
 )
+ops_strategy = st.lists(st.tuples(*op_fields), min_size=1, max_size=30)
 
 
 class TestIncrementalField:
@@ -196,6 +193,35 @@ class TestIncrementalField:
         with pytest.raises(SanitizerError, match="drifted"):
             medium._end(tx)
 
+    @pytest.mark.parametrize(
+        "corruption, message", [("term", "differs"), ("missing", "do not match")]
+    )
+    def test_sanitizer_resync_detects_corrupt_bound_term(self, corruption, message):
+        gains = make_gains(0)
+        cull = float(np.median(gains[gains > 0]))
+        env, medium = build_medium(resync_events=1, sanitize=True, cull_gain=cull)
+        first, second = (
+            Transmission(
+                seq=k,
+                source=2 * k,
+                destination=2 * k + 1,
+                packet=packet(2 * k, 2 * k + 1),
+                power_w=1.0,
+                start=0.0,
+                duration=1.0,
+            )
+            for k in range(2)
+        )
+        medium._begin(first)
+        # Corrupt the cached culling-bound terms behind the medium's back;
+        # the next resync must notice before the witness is trusted.
+        if corruption == "term":
+            medium._bound_terms[first.seq] += 1.0
+        else:
+            del medium._bound_terms[first.seq]
+        with pytest.raises(SanitizerError, match=message):
+            medium._begin(second)
+
     def test_transmit_counter_tracks_activity(self):
         env, medium = build_medium()
         tx = Transmission(
@@ -219,9 +245,19 @@ class TestIncrementalField:
             build_medium(resync_events=0)
 
 
+drive_ops_strategy = st.lists(
+    st.tuples(*op_fields, st.booleans()), min_size=1, max_size=30
+)
+
+
 def drive_pair(dense, sparse, ops, check):
-    """Replay one begin/end interleaving through two mediums in
+    """Replay one begin/end/abort interleaving through two mediums in
     lockstep, invoking ``check(dense, sparse)`` after every step.
+
+    ``ops`` is a list of (station, power, end_index, abort) actions, as
+    for :func:`apply_ops` plus a final flag: when set, every burst
+    ``station`` has in flight is cut short through
+    ``abort_transmissions_from`` (the fault path's removal route).
 
     Both mediums keep the default 4096-change resync cadence and the
     op sequences stay far below it, so the incremental paths — whose
@@ -231,7 +267,7 @@ def drive_pair(dense, sparse, ops, check):
     """
     seq = 0
     active = []
-    for station, power, end_index in ops:
+    for station, power, end_index, abort in ops:
         if not dense.is_station_transmitting(station):
             destination = (station + 1) % STATIONS
             template = Transmission(
@@ -253,6 +289,11 @@ def drive_pair(dense, sparse, ops, check):
             dense._end(template)
             sparse._end(template)
             check(dense, sparse)
+        if abort:
+            dense.abort_transmissions_from(station)
+            sparse.abort_transmissions_from(station)
+            active = [tx for tx in active if tx.source != station]
+            check(dense, sparse)
     for template in active:
         dense._end(template)
         sparse._end(template)
@@ -264,7 +305,7 @@ class TestSparseEquivalence:
     under-reporting with significance culling on."""
 
     @settings(max_examples=40, deadline=None)
-    @given(ops=ops_strategy, seed=st.integers(min_value=0, max_value=7))
+    @given(ops=drive_ops_strategy, seed=st.integers(min_value=0, max_value=7))
     def test_cull_nothing_is_bit_identical(self, ops, seed):
         _, dense = build_medium(seed=seed)
         _, sparse = build_medium(seed=seed, cull_gain=0.0)
@@ -278,7 +319,7 @@ class TestSparseEquivalence:
         assert np.all(sparse._interference == 0.0)
 
     @settings(max_examples=40, deadline=None)
-    @given(ops=ops_strategy, seed=st.integers(min_value=0, max_value=7))
+    @given(ops=drive_ops_strategy, seed=st.integers(min_value=0, max_value=7))
     def test_culled_error_stays_within_bound(self, ops, seed):
         gains = make_gains(seed)
         cull = float(np.median(gains[gains > 0]))
@@ -293,6 +334,13 @@ class TestSparseEquivalence:
             scale = float(np.max(d._interference)) + 1e-30
             assert np.all(shortfall >= -1e-9 * scale)
             assert np.all(shortfall <= bound * (1.0 + 1e-9) + 1e-12 * scale)
+            # The witness is exact: the from-scratch active-set sum, to
+            # the last bit, through begins, ends and aborts alike.
+            field = s.sparse
+            assert bound == sum(
+                tx.power_w * float(field.culled_out_max[tx.source])
+                for tx in s.active_transmissions
+            )
 
         drive_pair(dense, sparse, ops, check)
         assert sparse.field_error_bound_w() == 0.0  # idle again
