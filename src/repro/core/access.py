@@ -20,6 +20,19 @@ This module implements the sender-side computation:
   in a manner that interferes excessively with the receptions at its
   neighbor").
 
+A sender compares nearly the same stretch of the same schedules on
+each search, so each view derives a designation's windows once, into a
+*window table*: the schedule's merged runs from a base slot on, each
+run's start and end mapped to global time by the view's ``to_global``.
+Searches and the public window streams walk the tables; only a
+stream's first window, clipped at the query instant, is mapped per
+query.  A neighbour view's tables are keyed on its model's fitted
+``(intercept, slope)`` and rebuilt when a refit in place changes it;
+any table is rebuilt from the query's slot when a query falls before
+its base, past its last run or far past its first.  A cached float is
+the one a fresh derivation computes, by the same expression, so the
+tables never change a search's result.
+
 Because the receive windows a station publishes are a *commitment to
 listen*, a sender that transmits only inside such an overlap can never
 cause a Type 3 collision at the addressee; Type 2 is absorbed by the
@@ -30,8 +43,10 @@ transmission beyond the data packet itself is needed at any hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence
+from array import array
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from typing import Callable, Iterator, Optional, Sequence, Tuple
 
 from repro.clock.clock import Clock
 from repro.clock.sync import NeighborClockModel
@@ -48,6 +63,15 @@ __all__ = [
 DEFAULT_SEARCH_SLOTS = 10_000
 """Default search horizon, in slots, before giving up on a neighbour."""
 
+#: Runs a window table derives at a time: about 75 slots of schedule at
+#: the default duty cycle, the next several searches' worth.
+_CHUNK_RUNS = 16
+
+#: A query this many runs (about 1,200 slots) past its table's first
+#: run rebuilds the table from the query's slot, so a long
+#: simulation's tables stay bounded.
+_STALE_RUNS = 256
+
 
 class NoTransmitWindowError(RuntimeError):
     """No suitable overlap exists within the search horizon.
@@ -57,6 +81,28 @@ class NoTransmitWindowError(RuntimeError):
     degenerate schedule parameter or clocks so close that the schedules
     are correlated (Section 7.1's "unfortunate phase offsets").
     """
+
+
+class _WindowTable:
+    """One designation's merged schedule runs, from slot ``base`` on.
+
+    ``starts`` and ``ends`` hold each run's first slot and the slot
+    after its last (the first run starts no earlier than ``base``);
+    ``lo`` and ``hi`` hold ``to_global`` of their local start times.
+    ``key`` is the model fit the times were mapped with.  The arrays
+    only ever grow, so a stream holding a table stays valid after the
+    view swaps in a rebuilt one.
+    """
+
+    __slots__ = ("key", "base", "starts", "ends", "lo", "hi")
+
+    def __init__(self, key: Optional[Tuple[float, float]], base: int) -> None:
+        self.key = key
+        self.base = base
+        self.starts = array("q")
+        self.ends = array("q")
+        self.lo = array("d")
+        self.hi = array("d")
 
 
 @dataclass(frozen=True)
@@ -72,11 +118,25 @@ class ScheduleView:
     clock; for a neighbour they are composed with the sender's fitted
     clock model, so any model error shows up as window misalignment —
     which the ``guard`` margin in :func:`find_transmit_window` absorbs.
+    The mappings must stay fixed, except through the model's fit: the
+    window tables are rebuilt when that fit changes.
     """
 
     schedule: Schedule
     to_global: Callable[[float], float]
     to_local: Callable[[float], float]
+    #: The neighbour model the mappings go through; its fit keys the
+    #: window tables.  ``None`` for fixed mappings.
+    _model: Optional[NeighborClockModel] = field(
+        default=None, repr=False, compare=False
+    )
+    #: The window tables, indexed by designation (1 = receive).  Pure
+    #: cache: excluded from equality and never observable.  A shared
+    #: empty pair until the first search, so building a network's
+    #: thousands of views allocates nothing more.
+    _tables: Tuple[Optional[_WindowTable], Optional[_WindowTable]] = field(
+        default=(None, None), init=False, repr=False, compare=False
+    )
 
     @classmethod
     def own(cls, schedule: Schedule, clock: Clock) -> "ScheduleView":
@@ -103,14 +163,89 @@ class ScheduleView:
         def to_global(neighbor_local: float) -> float:
             return own_clock.true_time(model.own_reading_for(neighbor_local))
 
-        return cls(schedule, to_global, to_local)
+        return cls(schedule, to_global, to_local, model)
+
+    def _extend(self, table: _WindowTable, want: int) -> None:
+        """Append the next :data:`_CHUNK_RUNS` runs of designation ``want``
+        (1 = receive), found and mapped as :meth:`Schedule.windows` and
+        ``to_global`` would."""
+        find = self.schedule._find_designation
+        slot_time = self.schedule.slot_time
+        to_global = self.to_global
+        other = 1 - want
+        index = table.ends[-1] + 1 if table.ends else table.base
+        for _ in range(_CHUNK_RUNS):
+            run_start = find(index, want)
+            run_end = find(run_start + 1, other)
+            table.starts.append(run_start)
+            table.ends.append(run_end)
+            table.lo.append(to_global(run_start * slot_time))
+            table.hi.append(to_global(run_end * slot_time))
+            index = run_end + 1
+
+    def _rebuild(
+        self, want: int, key: Optional[Tuple[float, float]], base: int
+    ) -> _WindowTable:
+        table = _WindowTable(key, base)
+        self._extend(table, want)
+        tables = (self._tables[0], table) if want else (table, self._tables[1])
+        object.__setattr__(self, "_tables", tables)
+        return table
+
+    def _first_window(
+        self, from_global: float, want: int
+    ) -> Tuple[_WindowTable, int, float]:
+        """The table of designation ``want``, the position in it of the
+        first window ending after ``from_global``, and that window's
+        start clipped at ``from_global``.
+
+        The clip is computed as :meth:`Schedule.windows` computes it,
+        from the first wanted slot at or after the query's, and mapped
+        through ``to_global``: the round trip need not return
+        ``from_global`` exactly.
+        """
+        start_local = self.to_local(from_global)
+        schedule = self.schedule
+        slot_time = schedule.slot_time
+        index = schedule.slot_index(start_local)
+        model = self._model
+        key = None if model is None else model._fitted()
+        table = self._tables[want]
+        if table is None or table.key != key or index < table.base:
+            table = self._rebuild(want, key, index)
+        ends = table.ends
+        position = bisect_right(ends, index)
+        if position == len(ends) or position > _STALE_RUNS:
+            table = self._rebuild(want, key, index)
+            ends = table.ends
+            position = 0
+        # Schedule.windows skips a run that ends by the query instant.
+        while ends[position] * slot_time <= start_local:
+            position += 1
+            if position == len(ends):
+                self._extend(table, want)
+        run_start = max(table.starts[position], index)
+        return table, position, self.to_global(max(run_start * slot_time, start_local))
 
     def _windows_global(
         self, from_global: float, receive: bool
     ) -> Iterator[Interval]:
-        start_local = self.to_local(from_global)
-        for lo, hi in self.schedule.windows(start_local, receive=receive):
-            yield (self.to_global(lo), self.to_global(hi))
+        want = 1 if receive else 0
+        model = self._model
+        table, position, lo = self._first_window(from_global, want)
+        while True:
+            yield (lo, table.hi[position])
+            position += 1
+            if model is not None and model._fitted() != table.key:
+                # Refitted while this stream was suspended: map the rest
+                # with the new fit, from the run after the last one.
+                table = self._rebuild(
+                    want, model._fitted(), table.ends[position - 1] + 1
+                )
+                position = 0
+            elif position == len(table.ends):
+                self._extend(table, want)
+            lo = table.lo[position]
 
     def transmit_windows(self, from_global: float) -> Iterator[Interval]:
         """Merged transmit windows in global time, from ``from_global``."""
@@ -125,85 +260,124 @@ class ScheduleView:
         return self.schedule.is_receiving_at(self.to_local(global_time))
 
 
-def _shrunk(windows: Iterator[Interval], guard: float) -> Iterator[Interval]:
-    """Shrink each window by ``guard`` at both ends, dropping empties."""
-    for lo, hi in windows:
-        if hi - lo > 2.0 * guard:
-            yield (lo + guard, hi - guard)
-
-
 def _bounded_windows(
     view: ScheduleView,
     from_global: float,
-    receive: bool,
+    want: int,
     guard: float,
     horizon: float,
     offset: float = 0.0,
 ) -> Iterator[Interval]:
-    """One schedule view's windows mapped to global time, shifted by
-    ``offset``, shrunk by ``guard``, and terminated at ``horizon``.
-
-    This fuses the ``Schedule.windows -> _windows_global -> _shifted ->
-    _shrunk -> _until`` generator chain of the overlap search into a
-    single frame — same arithmetic in the same order, one generator
-    resume per window instead of five.  The stream ends before the
-    first surviving window that starts at or beyond ``horizon`` (the
-    :func:`_until` rule).
-    """
-    schedule = view.schedule
-    to_global = view.to_global
-    start_local = view.to_local(from_global)
-    # Inlined Schedule.windows run-finding (same floats, no nested
-    # generator): merged maximal runs of the wanted designation.
-    find = schedule._find_designation
-    slot_time = schedule.slot_time
-    want = 1 if receive else 0
-    other = 1 - want
+    """One view's windows of designation ``want`` (1 = receive) from
+    ``from_global``, shifted by ``offset``, shrunk by ``guard`` at both
+    ends (dropping those it empties), and ended before the first that
+    starts at or beyond ``horizon``."""
+    table, position, lo = view._first_window(from_global, want)
+    lows, highs = table.lo, table.hi
     double_guard = 2.0 * guard
-    index = schedule.slot_index(start_local)
+    hi = highs[position]
     while True:
-        run_start = find(index, want)
-        run_end = find(run_start + 1, other)
-        window_end = run_end * slot_time
-        if window_end > start_local:
-            lo = to_global(max(run_start * slot_time, start_local))
-            hi = to_global(window_end)
-            if offset != 0.0:
-                lo += offset
-                hi += offset
-            if hi - lo > double_guard:
-                lo += guard
-                if lo >= horizon:
-                    return
-                yield (lo, hi - guard)
-        index = run_end + 1
+        if offset != 0.0:
+            lo += offset
+            hi += offset
+        if hi - lo > double_guard:
+            lo += guard
+            if lo >= horizon:
+                return
+            yield (lo, hi - guard)
+        position += 1
+        if position == len(lows):
+            view._extend(table, want)
+        lo = lows[position]
+        hi = highs[position]
 
 
-def _first_fit_overlap(
-    a: Iterator[Interval],
-    b: Iterator[Interval],
+def _earliest_overlap(
+    sender: ScheduleView,
+    receiver: ScheduleView,
     duration: float,
-    not_before: float,
+    earliest: float,
+    guard: float,
+    horizon: float,
+    offset: float,
 ) -> Optional[Interval]:
-    """``first_fitting(intersect(a, b), duration, not_before)`` in one
-    loop — the avoid-free fast path of the overlap search.  Same
-    comparisons in the same order as the generic pipeline, without the
-    intersect generator between the streams and the fit test."""
-    current_a = next(a, None)
-    current_b = next(b, None)
-    while current_a is not None and current_b is not None:
-        start = max(current_a[0], current_b[0])
-        end = min(current_a[1], current_b[1])
+    """``first_fitting(intersect(a, b), duration, earliest)`` over the
+    sender's and receiver's :func:`_bounded_windows` streams ``a`` and
+    ``b``, as one loop over their window tables: the same comparisons
+    in the same order (``max``/``min`` written out with their tie rule,
+    which keeps the sign of a zero), with no generator between them."""
+    s_table, s_position, s_lo = sender._first_window(earliest, 0)
+    r_table, r_position, r_lo = receiver._first_window(earliest, 1)
+    s_lows, s_highs = s_table.lo, s_table.hi
+    r_lows, r_highs = r_table.lo, r_table.hi
+    s_hi = s_highs[s_position]
+    r_hi = r_highs[r_position]
+    double_guard = 2.0 * guard
+    # The first window of each stream, through the guard.
+    while not s_hi - s_lo > double_guard:
+        s_position += 1
+        if s_position == len(s_lows):
+            sender._extend(s_table, 0)
+        s_lo = s_lows[s_position]
+        s_hi = s_highs[s_position]
+    a_lo = s_lo + guard
+    if a_lo >= horizon:
+        return None
+    a_hi = s_hi - guard
+    if offset != 0.0:
+        r_lo += offset
+        r_hi += offset
+    while not r_hi - r_lo > double_guard:
+        r_position += 1
+        if r_position == len(r_lows):
+            receiver._extend(r_table, 1)
+        r_lo = r_lows[r_position]
+        r_hi = r_highs[r_position]
+        if offset != 0.0:
+            r_lo += offset
+            r_hi += offset
+    b_lo = r_lo + guard
+    if b_lo >= horizon:
+        return None
+    b_hi = r_hi - guard
+    while True:
+        start = b_lo if b_lo > a_lo else a_lo
+        end = b_hi if b_hi < a_hi else a_hi
         if start < end:
-            candidate = max(start, not_before)
+            candidate = earliest if earliest > start else start
             if end - candidate >= duration:
                 return (candidate, candidate + duration)
-        # Advance whichever interval ends first.
-        if current_a[1] <= current_b[1]:
-            current_a = next(a, None)
+        # Advance whichever window ends first, to its stream's next
+        # window that survives the guard.
+        if a_hi <= b_hi:
+            while True:
+                s_position += 1
+                if s_position == len(s_lows):
+                    sender._extend(s_table, 0)
+                s_lo = s_lows[s_position]
+                s_hi = s_highs[s_position]
+                if s_hi - s_lo > double_guard:
+                    break
+            a_lo = s_lo + guard
+            if a_lo >= horizon:
+                return None
+            a_hi = s_hi - guard
         else:
-            current_b = next(b, None)
-    return None
+            while True:
+                r_position += 1
+                if r_position == len(r_lows):
+                    receiver._extend(r_table, 1)
+                r_lo = r_lows[r_position]
+                r_hi = r_highs[r_position]
+                if offset != 0.0:
+                    r_lo += offset
+                    r_hi += offset
+                if r_hi - r_lo > double_guard:
+                    break
+            b_lo = r_lo + guard
+            if b_lo >= horizon:
+                return None
+            b_hi = r_hi - guard
 
 
 def _shifted(windows: Iterator[Interval], offset: float) -> Iterator[Interval]:
@@ -277,9 +451,8 @@ def find_transmit_window(
     if propagation_delay < 0.0:
         raise ValueError("propagation delay must be non-negative")
 
-    # Bound the INPUT streams at the horizon: downstream operators pull
-    # from their sources until they can yield, so feeding them
-    # unbounded streams would loop forever whenever the combination is
+    # The sender's and receiver's windows end at the horizon: the
+    # search would otherwise walk forever whenever the combination is
     # empty (e.g. two stations with identical clocks, whose transmit
     # and receive windows are exact complements — the Section 7.1
     # failure mode the random offsets exist to prevent).
@@ -287,40 +460,27 @@ def find_transmit_window(
     # Receiver-side windows are shifted back by the propagation delay:
     # a burst transmitted during the shifted window arrives during the
     # published one.
-    sender_stream = _bounded_windows(sender, earliest, False, guard, horizon)
-    receiver_stream = _bounded_windows(
-        receiver, earliest, True, guard, horizon, -propagation_delay
-    )
+    offset = -propagation_delay
     if avoid:
-        candidates: Iterator[Interval] = intersect(sender_stream, receiver_stream)
+        candidates: Iterator[Interval] = intersect(
+            _bounded_windows(sender, earliest, 0, guard, horizon),
+            _bounded_windows(receiver, earliest, 1, guard, horizon, offset),
+        )
         for neighbor in avoid:
             candidates = subtract(
                 candidates,
-                _grown(
-                    _shifted(
-                        neighbor.receive_windows(earliest), -propagation_delay
-                    ),
-                    guard,
-                ),
+                _grown(_shifted(neighbor.receive_windows(earliest), offset), guard),
             )
         window = first_fitting(candidates, duration, not_before=earliest)
     else:
-        window = _first_fit_overlap(
-            sender_stream, receiver_stream, duration, earliest
+        window = _earliest_overlap(
+            sender, receiver, duration, earliest, guard, horizon, offset
         )
     if window is None:
         raise NoTransmitWindowError(
             f"no {duration}-long overlap within {search_slots} slots of {earliest}"
         )
     return window
-
-
-def _until(stream: Iterator[Interval], horizon: float) -> Iterator[Interval]:
-    """Pass intervals through until one starts at or beyond ``horizon``."""
-    for lo, hi in stream:
-        if lo >= horizon:
-            return
-        yield (lo, hi)
 
 
 def overlap_fraction(p: float) -> float:

@@ -96,7 +96,8 @@ class ShepardMac(MacProtocol):
             if candidate is None:
                 # Every queued neighbour is schedule-unreachable; these
                 # packets can never leave.  Drop them so the loop does
-                # not spin (record_unreachable already counted them).
+                # not spin.  record_unreachable counted the failed
+                # searches, not these packets, which no counter records.
                 station.drop_all_queued()
                 continue
             start, next_hop, packet = candidate

@@ -298,7 +298,12 @@ class LinkBudget:
 
 @dataclass
 class NetworkResult:
-    """Aggregate outcome of one simulated run."""
+    """Aggregate outcome of one simulated run.
+
+    ``unreachable_drops`` sums the stations' failed window searches
+    (:class:`~repro.net.station.StationStats`); it is not a count of
+    dropped packets.
+    """
 
     duration: float
     originated: int

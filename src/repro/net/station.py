@@ -50,7 +50,14 @@ __all__ = ["Station", "StationStats"]
 
 @dataclass
 class StationStats:
-    """Counters one station accumulates over a run."""
+    """Counters one station accumulates over a run.
+
+    ``unreachable_drops`` counts failed window searches, not packets: a
+    queue head whose next hop has no schedule overlap within the search
+    horizon adds one on every search that finds none.  The packets
+    discarded when every queued next hop is unreachable
+    (:meth:`Station.drop_all_queued`) are not counted by any field.
+    """
 
     originated: int = 0
     forwarded: int = 0

@@ -1,17 +1,26 @@
 """Tests for the collision-free channel access computation."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.clock.clock import Clock
-from repro.clock.sync import exact_model
+from repro.clock.sync import ClockSample, NeighborClockModel, exact_model
 from repro.core.access import (
+    DEFAULT_SEARCH_SLOTS,
     NoTransmitWindowError,
     ScheduleView,
     expected_wait_slots,
     find_transmit_window,
     overlap_fraction,
+)
+from repro.core.intervals import (
+    clip,
+    first_fitting,
+    intersect,
+    subtract,
+    total_length,
 )
 from repro.core.schedule import Schedule
 
@@ -246,3 +255,310 @@ class TestClosedForms:
     def test_overlap_fraction_bounds(self):
         with pytest.raises(ValueError):
             overlap_fraction(0.0)
+
+
+# -- reference: the search as a per-query generator pipeline -----------------
+#
+# Every window is derived afresh on each query: Schedule.windows, mapped
+# through the view, shifted, shrunk, cut at the horizon, then
+# intersect / subtract / first_fitting.  The window tables must return
+# the same floats, bit for bit.
+
+
+def _reference_windows(view, from_global, receive):
+    start_local = view.to_local(from_global)
+    for lo, hi in view.schedule.windows(start_local, receive=receive):
+        yield (view.to_global(lo), view.to_global(hi))
+
+
+def _reference_shifted(windows, offset):
+    if offset == 0.0:
+        yield from windows
+        return
+    for lo, hi in windows:
+        yield (lo + offset, hi + offset)
+
+
+def _reference_shrunk(windows, guard):
+    for lo, hi in windows:
+        if hi - lo > 2.0 * guard:
+            yield (lo + guard, hi - guard)
+
+
+def _reference_until(windows, horizon):
+    for lo, hi in windows:
+        if lo >= horizon:
+            return
+        yield (lo, hi)
+
+
+def _reference_grown(windows, guard):
+    pending = None
+    for lo, hi in windows:
+        lo, hi = lo - guard, hi + guard
+        if pending is None:
+            pending = (lo, hi)
+        elif lo <= pending[1]:
+            pending = (pending[0], max(pending[1], hi))
+        else:
+            yield pending
+            pending = (lo, hi)
+    if pending is not None:
+        yield pending
+
+
+def reference_find(
+    sender,
+    receiver,
+    duration,
+    earliest,
+    guard=0.0,
+    avoid=(),
+    search_slots=DEFAULT_SEARCH_SLOTS,
+    propagation_delay=0.0,
+):
+    horizon = earliest + search_slots * sender.schedule.slot_time
+    offset = -propagation_delay
+    sender_stream = _reference_until(
+        _reference_shrunk(_reference_windows(sender, earliest, False), guard),
+        horizon,
+    )
+    receiver_stream = _reference_until(
+        _reference_shrunk(
+            _reference_shifted(_reference_windows(receiver, earliest, True), offset),
+            guard,
+        ),
+        horizon,
+    )
+    candidates = intersect(sender_stream, receiver_stream)
+    for neighbor in avoid:
+        candidates = subtract(
+            candidates,
+            _reference_grown(
+                _reference_shifted(
+                    _reference_windows(neighbor, earliest, True), offset
+                ),
+                guard,
+            ),
+        )
+    window = first_fitting(candidates, duration, not_before=earliest)
+    if window is None:
+        raise NoTransmitWindowError("no overlap")
+    return window
+
+
+def _bits(values):
+    """Floats as hex strings: equal only if bit-identical (sign of zero too)."""
+    return tuple(float(v).hex() for v in values)
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return ("window", _bits(search(*args, **kwargs)))
+    except (NoTransmitWindowError, RuntimeError) as exc:
+        return ("raised", type(exc).__name__)
+
+
+def _first_windows(stream, count):
+    return [_bits(next(stream)) for _ in range(count)]
+
+
+def _jittered_model(own_clock, neighbor_clock, samples):
+    model = NeighborClockModel()
+    for when, jitter in samples:
+        model.add_sample(
+            ClockSample(
+                own_clock.reading(when), neighbor_clock.reading(when) + jitter
+            )
+        )
+    return model
+
+
+_clocks = st.builds(
+    Clock,
+    offset=st.floats(min_value=-1e3, max_value=1e5),
+    rate_error=st.floats(min_value=-5e-5, max_value=5e-5),
+)
+_samples = st.lists(
+    st.tuples(
+        st.integers(min_value=-2000, max_value=0).map(float),
+        st.floats(min_value=-0.02, max_value=0.02),
+    ),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda sample: sample[0],
+)
+#: Moves of the query instant, in slots: forward, backward, far past
+#: any table's end, or onto one of the views' own slot boundaries.
+_moves = st.one_of(
+    st.tuples(st.just("step"), st.floats(min_value=0.0, max_value=3.0)),
+    st.tuples(st.just("step"), st.floats(min_value=-20.0, max_value=0.0)),
+    st.tuples(st.just("step"), st.floats(min_value=50.0, max_value=3000.0)),
+    st.tuples(st.just("snap"), st.integers(min_value=0, max_value=1)),
+    st.tuples(st.just("sample"), st.floats(min_value=-0.02, max_value=0.02)),
+    st.tuples(st.just("refit"), _samples),
+)
+
+
+class TestWindowTablesMatchReference:
+    """The table-driven search against the per-query pipeline it
+    replaced: the same windows and the same errors, bit for bit, over
+    query sequences that reuse, outrun and invalidate the tables."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        slot_time=st.sampled_from([1.0, 0.3, 2.5]),
+        sender_clock=_clocks,
+        receiver_clock=_clocks,
+        receiver_samples=st.one_of(st.none(), _samples),
+        avoid_specs=st.one_of(
+            st.just([]), st.lists(st.tuples(_clocks, _samples), min_size=1, max_size=3)
+        ),
+        guard=st.one_of(
+            st.just(0.0),
+            st.floats(min_value=1e-6, max_value=0.2),
+            st.floats(min_value=0.2, max_value=0.6),
+        ),
+        delay=st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.5)),
+        duration=st.floats(min_value=0.05, max_value=1.0),
+        search_slots=st.integers(min_value=1, max_value=50),
+        start=st.one_of(
+            st.sampled_from([0.0, -0.0]), st.floats(min_value=-50.0, max_value=5e3)
+        ),
+        moves=st.lists(_moves, min_size=20, max_size=30),
+    )
+    def test_query_sequence(
+        self,
+        slot_time,
+        sender_clock,
+        receiver_clock,
+        receiver_samples,
+        avoid_specs,
+        guard,
+        delay,
+        duration,
+        search_slots,
+        start,
+        moves,
+    ):
+        schedule = Schedule(slot_time=slot_time, receive_fraction=0.3, key=99)
+        sender = ScheduleView.own(schedule, sender_clock)
+        models = []
+
+        def neighbor(clock, samples):
+            model = _jittered_model(sender_clock, clock, samples)
+            models.append((clock, model))
+            return ScheduleView.of_neighbor(schedule, sender_clock, model)
+
+        if receiver_samples is None:
+            receiver = ScheduleView.own(schedule, receiver_clock)
+        else:
+            receiver = neighbor(receiver_clock, receiver_samples)
+        avoid = [neighbor(clock, samples) for clock, samples in avoid_specs]
+        views = [sender, receiver, *avoid]
+        arguments = dict(
+            guard=guard,
+            avoid=avoid,
+            search_slots=search_slots,
+            propagation_delay=delay,
+        )
+        earliest = start
+        for step, (kind, value) in enumerate(moves):
+            if kind == "step":
+                earliest += value * slot_time
+            elif kind == "snap":
+                view = views[value]
+                local = view.schedule.slot_index(view.to_local(earliest))
+                earliest = view.to_global((local + 1) * slot_time)
+            elif models and kind == "sample":
+                # A rolling refit in place (the online rendezvous).
+                neighbor_clock, model = models[step % len(models)]
+                model.add_sample(
+                    ClockSample(
+                        sender_clock.reading(earliest),
+                        neighbor_clock.reading(earliest) + value,
+                    )
+                )
+            elif models and kind == "refit":
+                # A fault recovery: reset, then refill.
+                neighbor_clock, model = models[step % len(models)]
+                model.reset()
+                for when, jitter in value:
+                    model.add_sample(
+                        ClockSample(
+                            sender_clock.reading(earliest + when),
+                            neighbor_clock.reading(earliest + when) + jitter,
+                        )
+                    )
+            got = _outcome(
+                find_transmit_window, sender, receiver, duration, earliest, **arguments
+            )
+            want = _outcome(
+                reference_find, sender, receiver, duration, earliest, **arguments
+            )
+            assert got == want, (step, earliest)
+            for view in views:
+                for receive in (False, True):
+                    stream = (
+                        view.receive_windows(earliest)
+                        if receive
+                        else view.transmit_windows(earliest)
+                    )
+                    assert _first_windows(stream, 4) == _first_windows(
+                        _reference_windows(view, earliest, receive), 4
+                    ), (step, earliest)
+
+    def test_stream_follows_a_refit_while_suspended(self):
+        own_clock = Clock(offset=17.25, rate_error=2e-5)
+        neighbor_clock = Clock(offset=4321.5, rate_error=-3e-5)
+        model = _jittered_model(
+            own_clock, neighbor_clock, [(-300.0, 0.01), (-100.0, -0.004)]
+        )
+        view = ScheduleView.of_neighbor(SCHEDULE, own_clock, model)
+        reference_view = ScheduleView.of_neighbor(SCHEDULE, own_clock, model)
+        stream = view.receive_windows(12.5)
+        reference = _reference_windows(reference_view, 12.5, True)
+        assert _first_windows(stream, 20) == _first_windows(reference, 20)
+        model.add_sample(
+            ClockSample(own_clock.reading(50.0), neighbor_clock.reading(50.0) + 0.01)
+        )
+        assert _first_windows(stream, 40) == _first_windows(reference, 40)
+
+    @pytest.mark.parametrize("walk_first", [False, True])
+    def test_t1_query_pattern(self, walk_first):
+        # T1 searches from 300 random arrivals on fresh views, so most
+        # arrivals land past the end of the tables.  With walk_first
+        # the same views first walk 20,000 slots of overlap (T1's
+        # overlap measurement), so the arrivals land inside filled
+        # tables, most of them far past their first runs.
+        rng = np.random.default_rng(3)
+        sender_clock = Clock(offset=float(rng.uniform(0.0, 1e5)))
+        receiver_clock = Clock(offset=float(rng.uniform(0.0, 1e5)))
+        sender = ScheduleView.own(SCHEDULE, sender_clock)
+        receiver = ScheduleView.own(SCHEDULE, receiver_clock)
+        if walk_first:
+            horizon = 20_000 * SCHEDULE.slot_time
+            walked = total_length(
+                clip(
+                    intersect(
+                        sender.transmit_windows(0.0), receiver.receive_windows(0.0)
+                    ),
+                    0.0,
+                    horizon,
+                )
+            )
+            reference_walk = total_length(
+                clip(
+                    intersect(
+                        _reference_windows(sender, 0.0, False),
+                        _reference_windows(receiver, 0.0, True),
+                    ),
+                    0.0,
+                    horizon,
+                )
+            )
+            assert walked.hex() == reference_walk.hex()
+        for arrival in rng.uniform(0.0, 300 * 20.0, size=300):
+            got = _outcome(find_transmit_window, sender, receiver, 0.25, float(arrival))
+            want = _outcome(reference_find, sender, receiver, 0.25, float(arrival))
+            assert got == want, arrival

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.reception import required_sir
+from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.net.network import NetworkConfig, build_network
 from repro.net.traffic import PoissonTraffic
 from repro.propagation.geometry import uniform_disk
+from repro.sim.sanitizer import sanitized
 from repro.sim.streams import RandomStreams
 
 
@@ -150,3 +152,43 @@ class TestConfigVariants:
         network = loaded_network(count=40, seed=11)
         counts = network.routing_neighbor_counts()
         assert max(counts) <= 8  # the paper's observed bound
+
+
+class TestNetworkRunPinned:
+    """One dense 120-station run pinned to its exact outcome and replay
+    digest.  Online rendezvous refits every neighbour clock model in
+    place every five slots, and a clock step with a model reset and
+    refill lands mid-run, so the window search's reuse of derived
+    windows is pinned across every kind of model change."""
+
+    @pytest.fixture(scope="class")
+    def pinned_run(self):
+        with sanitized(True):
+            network = standard_network(
+                120,
+                127,
+                config=NetworkConfig(
+                    rendezvous_jitter=0.01,
+                    rendezvous_count=4,
+                    rendezvous_refresh_slots=5.0,
+                ),
+                trace=False,
+            )
+            add_uniform_poisson(network, 0.5, 99)
+            slot_time = network.budget.slot_time
+            network.run(20 * slot_time)
+            network.apply_clock_step(3, offset_slots=0.37, rate_error_delta_ppm=20.0)
+            network.refit_clock_models(3, np.random.default_rng(5))
+            result = network.run(20 * slot_time)
+        return network, result
+
+    def test_outcome(self, pinned_run):
+        network, result = pinned_run
+        assert network.env.events_processed == 33_042
+        assert result.transmissions == 3_692
+        assert result.hop_deliveries == 3_672
+        assert result.losses_total == 20
+
+    def test_digest(self, pinned_run):
+        network, _ = pinned_run
+        assert network.env.replay_digest() == "5bb64f0f85ea145447d47970312c8da5"
