@@ -270,8 +270,9 @@ def _bounded_windows(
 ) -> Iterator[Interval]:
     """One view's windows of designation ``want`` (1 = receive) from
     ``from_global``, shifted by ``offset``, shrunk by ``guard`` at both
-    ends (dropping those it empties), and ended before the first that
-    starts at or beyond ``horizon``."""
+    ends (dropping those it empties), and ended at the first whose
+    shrunk start is at or beyond ``horizon``, kept or dropped: window
+    starts only grow, so no later window could be yielded."""
     table, position, lo = view._first_window(from_global, want)
     lows, highs = table.lo, table.hi
     double_guard = 2.0 * guard
@@ -280,11 +281,11 @@ def _bounded_windows(
         if offset != 0.0:
             lo += offset
             hi += offset
+        start = lo + guard
+        if start >= horizon:
+            return
         if hi - lo > double_guard:
-            lo += guard
-            if lo >= horizon:
-                return
-            yield (lo, hi - guard)
+            yield (start, hi - guard)
         position += 1
         if position == len(lows):
             view._extend(table, want)
@@ -305,7 +306,9 @@ def _earliest_overlap(
     sender's and receiver's :func:`_bounded_windows` streams ``a`` and
     ``b``, as one loop over their window tables: the same comparisons
     in the same order (``max``/``min`` written out with their tie rule,
-    which keeps the sign of a zero), with no generator between them."""
+    which keeps the sign of a zero), with no generator between them.
+    Each skip past windows the guard empties stops at the horizon too,
+    so a guard no window survives cannot walk the schedule forever."""
     s_table, s_position, s_lo = sender._first_window(earliest, 0)
     r_table, r_position, r_lo = receiver._first_window(earliest, 1)
     s_lows, s_highs = s_table.lo, s_table.hi
@@ -315,6 +318,8 @@ def _earliest_overlap(
     double_guard = 2.0 * guard
     # The first window of each stream, through the guard.
     while not s_hi - s_lo > double_guard:
+        if s_lo + guard >= horizon:
+            return None
         s_position += 1
         if s_position == len(s_lows):
             sender._extend(s_table, 0)
@@ -328,6 +333,8 @@ def _earliest_overlap(
         r_lo += offset
         r_hi += offset
     while not r_hi - r_lo > double_guard:
+        if r_lo + guard >= horizon:
+            return None
         r_position += 1
         if r_position == len(r_lows):
             receiver._extend(r_table, 1)
@@ -356,7 +363,7 @@ def _earliest_overlap(
                     sender._extend(s_table, 0)
                 s_lo = s_lows[s_position]
                 s_hi = s_highs[s_position]
-                if s_hi - s_lo > double_guard:
+                if s_hi - s_lo > double_guard or s_lo + guard >= horizon:
                     break
             a_lo = s_lo + guard
             if a_lo >= horizon:
@@ -372,7 +379,7 @@ def _earliest_overlap(
                 if offset != 0.0:
                     r_lo += offset
                     r_hi += offset
-                if r_hi - r_lo > double_guard:
+                if r_hi - r_lo > double_guard or r_lo + guard >= horizon:
                     break
             b_lo = r_lo + guard
             if b_lo >= horizon:

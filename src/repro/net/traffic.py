@@ -104,7 +104,10 @@ class PoissonTraffic(TrafficSource):
             yield env.timeout(self.start_at - env.now)
         while self.limit is None or self.generated < self.limit:
             yield env.timeout(float(self.rng.exponential(1.0 / self.rate)))
-            destination = int(self.rng.choice(self.destinations))
+            # The draw rng.choice(self.destinations) makes, without
+            # converting the list to an array on every packet.
+            index = int(self.rng.integers(len(self.destinations)))
+            destination = int(self.destinations[index])
             self._emit(env, sink, destination)
 
 
@@ -198,5 +201,6 @@ class HotspotTraffic(TrafficSource):
             if float(self.rng.random()) < self.hotspot_fraction:
                 destination = self.hotspot
             else:
-                destination = int(self.rng.choice(self.destinations))
+                index = int(self.rng.integers(len(self.destinations)))
+                destination = int(self.destinations[index])
             self._emit(env, sink, destination)

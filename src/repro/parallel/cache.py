@@ -29,10 +29,10 @@ Durability discipline:
   and published with ``os.replace``; two processes racing to write the
   same key both leave one complete entry (last rename wins, and both
   bodies are identical by determinism).
-* **Torn-record recovery.**  A read that finds an unparseable,
-  digest-mismatching, or internally inconsistent entry *quarantines* it
-  (moved aside for inspection, counted in stats) and reports a miss —
-  corruption is never fatal and never served.
+* **Torn-record recovery.**  A read that finds an entry that is not
+  UTF-8, unparseable, digest-mismatching, or internally inconsistent
+  *quarantines* it (moved aside for inspection, counted in stats) and
+  reports a miss — corruption is never fatal and never served.
 * **Divergence is a hard error.**  When an independent recomputation
   (or a checkpoint journal) disagrees with a stored entry,
   :exc:`CacheDivergenceError` is raised; a stale row is never silently
@@ -54,8 +54,8 @@ from repro.parallel.checkpoint import (
 from repro.parallel.task import (
     TaskResult,
     TaskSpec,
+    _json_digest,
     execute_task,
-    payload_digest,
     spec_digest,
     spec_identity,
 )
@@ -84,6 +84,16 @@ class CacheDivergenceError(RuntimeError):
 
 def _entry_digest(key: str, spec: Dict[str, Any], record: Dict[str, Any]) -> str:
     return record_digest({"key": key, "spec": spec, "record": record})
+
+
+def _payload_matches(payload: Any, stored: Any) -> bool:
+    """Whether a decoded payload hashes to its stored payload digest."""
+    if type(payload) is not dict:
+        return False
+    try:
+        return _json_digest(payload) == stored
+    except ValueError:  # a NaN or Infinity token
+        return False
 
 
 def resolve_cache(cache: Any) -> Optional["ResultCache"]:
@@ -183,10 +193,18 @@ class ResultCache:
     # -- read/write ----------------------------------------------------
 
     def _load_entry(self, key: str) -> Optional[Dict[str, Any]]:
-        """A verified entry body, or ``None`` (absent or quarantined)."""
+        """A verified entry body, or ``None`` (absent or quarantined).
+
+        The entry must decode as UTF-8 JSON, carry its own key, match
+        its seal, and hold a payload that hashes to its payload digest.
+        The payload is hashed as decoded: a genuine :meth:`put` wrote it
+        canonical, and canonical JSON decodes to canonical values.  A
+        ``NaN`` or ``Infinity`` token, which :meth:`put` never writes,
+        fails that hash and quarantines the entry.
+        """
         path = self._entry_path(key)
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "rb") as handle:
                 raw = handle.read()
         except FileNotFoundError:
             return None
@@ -195,12 +213,13 @@ class ResultCache:
             self._quarantine(path)
             return None
         try:
-            entry = json.loads(raw)
+            entry = json.loads(raw.decode("utf-8"))
             stored_key = entry["key"]
             spec = entry["spec"]
             record = entry["record"]
             digest = entry["digest"]
-        except (json.JSONDecodeError, KeyError, TypeError):
+            payload = record["payload"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
             self.corrupt += 1
             self._quarantine(path)
             return None
@@ -208,9 +227,8 @@ class ResultCache:
             stored_key != key
             or _entry_digest(stored_key, spec, record) != digest
             or (
-                record.get("payload") is not None
-                and payload_digest(record["payload"])
-                != record.get("payload_digest")
+                payload is not None
+                and not _payload_matches(payload, record.get("payload_digest"))
             )
         ):
             self.corrupt += 1

@@ -19,8 +19,8 @@ File format, one JSON object per line:
   mixing results.
 * records: ``{"record": {...TaskResult fields...}, "digest": <BLAKE2b
   of the canonical record JSON>}`` — a torn or corrupt tail (the run
-  was killed mid-write) is detected by the digest and dropped; every
-  verified prefix record is kept.
+  was killed mid-write, or a line is not even UTF-8) is detected and
+  dropped; every verified prefix record is kept.
 """
 
 from __future__ import annotations
@@ -130,13 +130,15 @@ class ResultJournal:
     def _load_existing(self) -> List[Dict[str, Any]]:
         if not os.path.exists(self.path):
             return []
-        with open(self.path, "r", encoding="utf-8") as handle:
+        # Bytes, decoded line by line: a byte that is not UTF-8 corrupts
+        # its own line only, and a corrupt line ends the verified prefix.
+        with open(self.path, "rb") as handle:
             lines = handle.read().splitlines()
         if not lines:
             return []
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError:
+            header = json.loads(lines[0].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError):
             raise ValueError(
                 f"{self.path} is not a task journal (unparseable header)"
             ) from None
@@ -156,10 +158,10 @@ class ResultJournal:
         records: List[Dict[str, Any]] = []
         for line in lines[1:]:
             try:
-                entry = json.loads(line)
+                entry = json.loads(line.decode("utf-8"))
                 record = entry["record"]
                 digest = entry["digest"]
-            except (json.JSONDecodeError, KeyError, TypeError):
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError):
                 break  # torn tail: the run died mid-write
             if record_digest(record) != digest:
                 break  # corrupt tail

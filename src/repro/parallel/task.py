@@ -150,10 +150,37 @@ def resolve_function(dotted: str) -> Callable[..., Any]:
 _NONFINITE = {"nan": "nan", "inf": "inf", "-inf": "-inf"}
 
 
+#: Exact built-in types that are already canonical.  Subclasses (an
+#: ``IntEnum``, a ``str`` subclass) are not in it: they take the full
+#: chain, whose ``isinstance`` tests give them the same JSON as before.
+_ATOMS = frozenset({str, int, bool, type(None)})
+
+
 def _plain(value: Any) -> Any:
     """Canonicalise a value for digesting: numpy scalars to Python
     scalars, arrays to nested lists, tuples to lists, mappings keyed by
-    ``str``, and non-finite floats to an explicit marker mapping."""
+    ``str``, and non-finite floats to an explicit marker mapping.
+
+    The exact built-in types a payload is made of are dispatched on
+    first, without the ``Mapping`` ABC check; everything else goes
+    through :func:`_plain_other` and canonicalises to the same JSON.
+    """
+    cls = type(value)
+    if cls in _ATOMS:
+        return value
+    if cls is float:
+        if math.isfinite(value):
+            return value
+    elif cls is dict:
+        return {str(key): _plain(sub) for key, sub in value.items()}
+    elif cls is list or cls is tuple:
+        return [_plain(element) for element in value]
+    return _plain_other(value)
+
+
+def _plain_other(value: Any) -> Any:
+    """:func:`_plain` for numpy values, sequence and mapping subclasses,
+    non-finite floats, and anything else (its ``repr``)."""
     if type(value).__module__.partition(".")[0] == "numpy":
         if getattr(value, "ndim", 0) > 0:
             return _plain(value.tolist())
@@ -178,6 +205,16 @@ def canonicalize(value: Any) -> Any:
     return _plain(value)
 
 
+def _json_digest(value: Any) -> str:
+    """BLAKE2b over ``value``'s canonical JSON: sorted keys, and no
+    ``NaN``/``Infinity`` tokens (``ValueError`` instead).  ``value`` must
+    already be canonical, as :func:`_plain` output or JSON decoded from
+    it is; the recipe behind :func:`payload_digest` and
+    :func:`spec_digest`."""
+    canonical = json.dumps(value, sort_keys=True, allow_nan=False)
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
 def payload_digest(payload: Mapping[str, Any]) -> str:
     """Deterministic fingerprint of a payload (canonical JSON, BLAKE2b).
 
@@ -189,15 +226,12 @@ def payload_digest(payload: Mapping[str, Any]) -> str:
     rather than digest inconsistently.
     """
     try:
-        canonical = json.dumps(
-            _plain(dict(payload)), sort_keys=True, allow_nan=False
-        )
+        return _json_digest(_plain(dict(payload)))
     except ValueError as exc:
         raise ValueError(
             "payload contains a non-finite float that survived "
             "canonicalisation; digests would be platform-dependent"
         ) from exc
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
 
 
 def spec_identity(spec: "TaskSpec") -> Dict[str, Any]:
@@ -221,8 +255,7 @@ def spec_identity(spec: "TaskSpec") -> Dict[str, Any]:
 def spec_digest(spec: "TaskSpec") -> str:
     """BLAKE2b fingerprint of :func:`spec_identity` — the
     content-addressed store key of a task's result."""
-    canonical = json.dumps(spec_identity(spec), sort_keys=True, allow_nan=False)
-    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+    return _json_digest(spec_identity(spec))
 
 
 def report_to_payload(report: Any) -> Dict[str, Any]:

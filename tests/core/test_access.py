@@ -1,5 +1,7 @@
 """Tests for the collision-free channel access computation."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -214,6 +216,41 @@ class TestFindTransmitWindow:
             find_transmit_window(
                 sender, receiver, 0.25, earliest=0.0, search_slots=500
             )
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    @pytest.mark.parametrize(
+        "avoid, search_slots", [(True, 100), (False, 100), (False, 10**6)]
+    )
+    def test_guard_that_empties_every_window_ends_at_the_horizon(
+        self, avoid, search_slots
+    ):
+        # A 0.6 guard on 0.05 slots keeps only runs longer than 24 slots;
+        # the receiver never has one.  Both searches used to skip
+        # emptied windows without looking at the horizon, and ran on.
+        schedule = Schedule(slot_time=0.05, receive_fraction=0.3, key=99)
+        sender = ScheduleView.own(schedule, Clock(offset=12.3))
+        receiver = ScheduleView.own(schedule, Clock(offset=456.7))
+        neighbor = ScheduleView.own(schedule, Clock(offset=89.1))
+
+        def stalled(signum, frame):
+            raise TimeoutError("window search did not stop at its horizon")
+
+        previous = signal.signal(signal.SIGALRM, stalled)
+        signal.alarm(60)
+        try:
+            with pytest.raises(NoTransmitWindowError):
+                find_transmit_window(
+                    sender,
+                    receiver,
+                    0.01,
+                    earliest=0.0,
+                    guard=0.6,
+                    avoid=[neighbor] if avoid else [],
+                    search_slots=search_slots,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -98,3 +98,58 @@ class TestHotspotTraffic:
                 destinations=[1], size_bits=10.0,
                 rng=np.random.default_rng(0),
             )
+
+
+class TestDestinationDraw:
+    """The generators draw a destination by index, the draw
+    ``rng.choice`` makes over the candidate list: the same destinations
+    and the same generator state afterwards, so every seeded run keeps
+    its traffic."""
+
+    @pytest.mark.parametrize("size", [1, 2, 7, 499, 512, 4096])
+    def test_index_draw_is_the_choice_draw(self, size):
+        candidates = list(range(100, 100 + size))
+        by_choice = np.random.default_rng(size)
+        by_index = np.random.default_rng(size)
+        chosen = [int(by_choice.choice(candidates)) for _ in range(300)]
+        indexed = [
+            candidates[int(by_index.integers(len(candidates)))]
+            for _ in range(300)
+        ]
+        assert indexed == chosen
+        assert by_index.bit_generator.state == by_choice.bit_generator.state
+
+    def test_poisson_stream_unchanged(self):
+        candidates = list(range(1, 500))
+        rng = np.random.default_rng(11)
+        source = PoissonTraffic(
+            origin=0, rate=10.0, destinations=[0, *candidates], size_bits=10.0,
+            rng=rng, limit=200,
+        )
+        packets = collect(source)
+        reference = np.random.default_rng(11)
+        expected = []
+        for _ in range(200):
+            reference.exponential(1.0 / 10.0)
+            expected.append(int(reference.choice(candidates)))
+        assert [p.destination for p in packets] == expected
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_hotspot_stream_unchanged(self):
+        candidates = list(range(1, 40))
+        rng = np.random.default_rng(12)
+        source = HotspotTraffic(
+            origin=0, rate=10.0, hotspot=40, hotspot_fraction=0.3,
+            destinations=candidates, size_bits=10.0, rng=rng, limit=200,
+        )
+        packets = collect(source)
+        reference = np.random.default_rng(12)
+        expected = []
+        for _ in range(200):
+            reference.exponential(1.0 / 10.0)
+            if float(reference.random()) < 0.3:
+                expected.append(40)
+            else:
+                expected.append(int(reference.choice(candidates)))
+        assert [p.destination for p in packets] == expected
+        assert rng.bit_generator.state == reference.bit_generator.state

@@ -380,6 +380,95 @@ class TestCorruption:
             cache.verify(recompute=1)
 
 
+    def test_non_utf8_byte_is_quarantined_miss(self, cache):
+        specs = self.populate(cache)
+        path = entry_paths(cache)[0]
+        raw = bytearray(open(path, "rb").read())
+        raw[len(raw) // 2] = 0xFF  # never valid in UTF-8
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        hits = [cache.get(spec) for spec in specs]
+        assert hits.count(None) == 1
+        assert cache.corrupt == 1
+        assert cache.stats()["quarantined"] == 1
+        assert not os.path.exists(path)
+
+    def test_verify_and_warm_run_survive_a_non_utf8_byte(self, cache):
+        specs = self.populate(cache, count=3)
+        path = entry_paths(cache)[1]
+        raw = bytearray(open(path, "rb").read())
+        raw[0] = 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        report = cache.verify()
+        assert report["checked"] == 3
+        assert report["corrupt_quarantined"] == 1
+        # A warm run over a store with a bad entry recomputes it.
+        self.populate(cache, count=3)
+        path = entry_paths(cache)[2]
+        raw = bytearray(open(path, "rb").read())
+        raw[-2] = 0xFF
+        with open(path, "wb") as handle:
+            handle.write(bytes(raw))
+        results = run_tasks(specs, jobs=1, cache=cache)
+        assert [r.payload_digest for r in results] == [
+            execute_task(spec).payload_digest for spec in specs
+        ]
+        assert cache.corrupt == 2
+
+    def test_forged_nan_payload_is_quarantined_miss(self, cache):
+        # A consistent seal over a payload carrying a NaN token: a put
+        # never writes one (canonicalisation turns it into a marker), so
+        # the entry is forged, and a read must not serve it.
+        from repro.parallel.cache import _entry_digest
+        from repro.parallel.task import payload_digest
+
+        specs = self.populate(cache, count=1)
+        path = entry_paths(cache)[0]
+        entry = json.loads(open(path, "r", encoding="utf-8").read())
+        entry["record"]["payload"]["value"] = float("nan")
+        entry["record"]["payload_digest"] = payload_digest(
+            entry["record"]["payload"]
+        )
+        entry["digest"] = _entry_digest(
+            entry["key"], entry["spec"], entry["record"]
+        )
+        text = json.dumps(entry, sort_keys=True)
+        assert "NaN" in text
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        assert cache.get(specs[0]) is None
+        assert cache.corrupt == 1
+        assert cache.stats()["quarantined"] == 1
+
+    def test_fancy_payloads_survive_the_round_trip(self, cache):
+        # Payloads are stored canonical and hashed as read: numpy values,
+        # tuples, non-finite floats and int keys must all hit.
+        import numpy as np
+
+        from repro.parallel.task import TaskResult, payload_digest
+
+        payload = {
+            "grid": np.arange(6, dtype=np.int16).reshape(2, 3),
+            "ratios": (np.float32(0.1), float("nan"), -0.0, float("-inf")),
+            "by_station": {3: "three", 7: np.bool_(True)},
+            "nested": [{"x": np.float64(2.5)}, None],
+        }
+        spec = echo_spec("fancy", value=1)
+        result = TaskResult(
+            task_id="fancy",
+            ok=True,
+            payload=payload,
+            payload_digest=payload_digest(payload),
+        )
+        assert cache.put(spec, result)
+        hit = cache.get(spec)
+        assert hit is not None
+        assert hit.payload_digest == result.payload_digest
+        assert payload_digest(hit.payload) == result.payload_digest
+        assert cache.corrupt == 0
+
+
 class TestConcurrency:
     def test_racing_writers_leave_one_valid_entry(self, tmp_path):
         # Four worker processes each open the same cache and repeatedly

@@ -177,6 +177,32 @@ class TestJournalSafety:
             assert set(journal.completed) == {"task-0"}
 
 
+    def test_non_utf8_line_ends_the_verified_prefix(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        specs = make_specs()
+        with ResultJournal(path, specs) as journal:
+            run_tasks(specs, jobs=1, journal=journal)
+        lines = path.read_bytes().splitlines()
+        damaged = bytearray(lines[3])
+        damaged[len(damaged) // 2] = 0xFF  # never valid in UTF-8
+        path.write_bytes(b"\n".join(lines[:3] + [bytes(damaged)] + lines[4:]) + b"\n")
+        with ResultJournal(path, specs) as journal:
+            assert set(journal.completed) == {"task-0", "task-1"}
+        # The reopen rewrote the file clean, without the damaged line.
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1 + 2
+
+    def test_non_utf8_header_is_refused(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with ResultJournal(path, make_specs()) as journal:
+            run_tasks(make_specs(), jobs=1, journal=journal)
+        raw = bytearray(path.read_bytes())
+        raw[1] = 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="not a task journal"):
+            ResultJournal(path, make_specs())
+
+
 class TestKillAndResume:
     def test_interrupted_run_resumes_to_identical_digest(self, tmp_path):
         path = tmp_path / "j.jsonl"

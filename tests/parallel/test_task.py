@@ -1,7 +1,17 @@
 """TaskSpec/TaskResult: validation, execution, digests, round-trips."""
 
+import enum
+import hashlib
+import json
+import math
+from collections import OrderedDict
+from collections.abc import Mapping
+from types import MappingProxyType
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.runner import ExperimentReport
 from repro.parallel.task import (
@@ -331,3 +341,169 @@ class TestReportRoundTrip:
         assert rebuilt.rows == [(1, 2.5), ("x", float("inf"))]
         assert rebuilt.claims == {"c": (0, 0.1)}
         assert rebuilt.notes == ["note"]
+
+
+# -- the exact-type canonicaliser against the chain it short-cuts ------------
+
+
+def _reference_plain(value):
+    """The canonicaliser as it was before exact-type dispatch: every
+    value walks the numpy → sequence → Mapping → non-finite → repr chain."""
+    if type(value).__module__.partition(".")[0] == "numpy":
+        if getattr(value, "ndim", 0) > 0:
+            return _reference_plain(value.tolist())
+        if hasattr(value, "item"):
+            return _reference_plain(value.item())
+    if isinstance(value, (list, tuple)):
+        return [_reference_plain(element) for element in value]
+    if isinstance(value, Mapping):
+        return {str(key): _reference_plain(sub) for key, sub in value.items()}
+    if isinstance(value, float) and not math.isfinite(value):
+        if math.isnan(value):
+            return {"__nonfinite__": "nan"}
+        return {"__nonfinite__": "inf" if value > 0 else "-inf"}
+    if isinstance(value, (str, int, float, bool)) or value is None:
+        return value
+    return repr(value)
+
+
+def _reference_payload_digest(payload):
+    canonical = json.dumps(
+        _reference_plain(dict(payload)), sort_keys=True, allow_nan=False
+    )
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 2
+
+
+class _Count(int):
+    pass
+
+
+class _Ratio(float):
+    pass
+
+
+class _Label(str):
+    pass
+
+
+class _Opaque:
+    def __repr__(self):
+        return "<opaque>"
+
+
+_NUMERIC_DTYPES = [
+    np.bool_, np.int8, np.int16, np.int32, np.int64,
+    np.uint8, np.uint16, np.uint32, np.uint64,
+    np.float16, np.float32, np.float64,
+]  # fmt: skip
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def _numpy_values(dtype):
+    if dtype is np.bool_:
+        elements = st.booleans()
+    elif np.issubdtype(dtype, np.integer):
+        info = np.iinfo(dtype)
+        elements = st.integers(min_value=int(info.min), max_value=int(info.max))
+    else:
+        elements = st.floats(
+            allow_nan=True, allow_infinity=True, width=np.finfo(dtype).bits
+        )
+    scalars = elements.map(dtype)
+    arrays = st.lists(elements, min_size=0, max_size=4).map(
+        lambda items: np.array(items, dtype=dtype)
+    )
+    zero_d = elements.map(lambda item: np.array(item, dtype=dtype))
+    grids = st.lists(elements, min_size=4, max_size=4).map(
+        lambda items: np.array(items, dtype=dtype).reshape(2, 2)
+    )
+    return st.one_of(scalars, arrays, zero_d, grids)
+
+
+_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    _FLOATS,
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]),
+    st.text(max_size=6),
+    st.sampled_from(list(_Level)),
+    st.integers().map(_Count),
+    _FLOATS.map(_Ratio),
+    st.text(max_size=6).map(_Label),
+    st.builds(_Opaque),
+    st.sampled_from(_NUMERIC_DTYPES).flatmap(_numpy_values),
+)
+_keys = st.one_of(
+    st.text(max_size=4),
+    st.integers(min_value=-3, max_value=3),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(list(_Level)),
+)
+
+
+def _containers(children):
+    return st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_keys, children, max_size=4),
+        st.dictionaries(_keys, children, max_size=4).map(OrderedDict),
+        st.dictionaries(_keys, children, max_size=4).map(MappingProxyType),
+    )
+
+
+_values = st.recursive(_leaves, _containers, max_leaves=25)
+
+
+class TestExactTypeCanonicaliser:
+    """Exact-type dispatch must change no canonical JSON and no digest."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=_values)
+    def test_matches_the_reference_chain(self, value):
+        assert json.dumps(canonicalize(value), sort_keys=True) == json.dumps(
+            _reference_plain(value), sort_keys=True
+        )
+        assert payload_digest({"v": value}) == _reference_payload_digest(
+            {"v": value}
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=_values)
+    def test_decoded_payload_hashes_to_its_digest(self, value):
+        # A cache read hashes the payload exactly as it decodes it from
+        # the entry a put wrote: canonical JSON, without re-canonicalising.
+        from repro.parallel.task import _json_digest
+
+        payload = {"v": value}
+        decoded = json.loads(json.dumps(canonicalize(payload), sort_keys=True))
+        assert _json_digest(decoded) == payload_digest(payload)
+
+    def test_subclasses_and_enums_keep_their_spelling(self):
+        value = {
+            "level": _Level.HIGH,
+            "count": _Count(3),
+            "ratio": _Ratio(float("inf")),
+            "label": _Label("x"),
+            "opaque": _Opaque(),
+        }
+        assert canonicalize(value) == {
+            "level": 2,
+            "count": 3,
+            "ratio": {"__nonfinite__": "inf"},
+            "label": "x",
+            "opaque": "<opaque>",
+        }
+
+    def test_decoded_nonstandard_tokens_do_not_hash(self):
+        from repro.parallel.task import _json_digest
+
+        for token in ("NaN", "Infinity", "-Infinity", "1e400"):
+            with pytest.raises(ValueError):
+                _json_digest(json.loads('{"x": [%s]}' % token))
