@@ -43,6 +43,7 @@ transmission beyond the data packet itself is needed at any hop.
 
 from __future__ import annotations
 
+import math
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -448,7 +449,19 @@ def find_transmit_window(
 
     Raises:
         NoTransmitWindowError: no overlap within ``search_slots`` slots.
+        ValueError: an input is out of range or not finite (a NaN
+            guard or delay would never let the search reach its horizon).
     """
+    isfinite = math.isfinite
+    if not (
+        isfinite(duration)
+        and isfinite(earliest)
+        and isfinite(guard)
+        and isfinite(propagation_delay)
+    ):
+        raise ValueError(
+            "duration, earliest, guard and propagation delay must be finite"
+        )
     if duration <= 0.0:
         raise ValueError("duration must be positive")
     if guard < 0.0:
@@ -488,6 +501,72 @@ def find_transmit_window(
             f"no {duration}-long overlap within {search_slots} slots of {earliest}"
         )
     return window
+
+
+#: The margin a reused search keeps below its answer, per unit of the
+#: search's operand magnitude: 64 unit roundoffs, eight times the
+#: ``to_local`` -> ``to_global`` round-trip error bound of DESIGN §4.
+_REUSE_MARGIN = 64.0 * 2.0**-53
+
+#: An absolute floor under that margin: rounding a subnormal result
+#: errs by an absolute amount, not a relative one.
+_REUSE_MARGIN_FLOOR = 2.0**-1000
+
+
+def _reuse_until(
+    clock: Clock,
+    receiver: ScheduleView,
+    avoid: Sequence[ScheduleView],
+    duration: float,
+    earliest: float,
+    start: float,
+    guard: float,
+) -> float:
+    """The latest instant from which :func:`find_transmit_window`,
+    asked with every input but ``earliest`` unchanged, again returns
+    ``start``, the answer it gave from ``earliest``; ``-inf`` when no
+    later instant is certain.
+
+    ``clock`` is the sender's own clock, which the sender's view maps
+    through directly and the receiver and avoid views through their
+    neighbour models.  A later query can change the answer only by
+    clipping a first window of the sender or receiver past ``start -
+    guard`` (clipped at the query's ``to_local`` -> ``to_global``
+    round trip, not at the query), or by outliving an avoid view's
+    first receive window.  The margin bounds that round trip's error
+    from the operands' magnitudes (DESIGN §4, "Reusing a plan").
+    """
+    model = receiver._model
+    if model is None or not start - guard > earliest:
+        return -math.inf
+    intercept, slope = model._fitted()
+    spread = abs(intercept) / slope  # the largest |intercept| / slope
+    reach = 0.0  # the largest |end| of an avoid view's first window
+    ends = []
+    for view in avoid:
+        model = view._model
+        if model is None:
+            return -math.inf
+        intercept, slope = model._fitted()
+        spread = max(spread, abs(intercept) / slope)
+        table, position, _ = view._first_window(earliest, 1)
+        end = table.hi[position]
+        ends.append(end)
+        reach = max(reach, abs(end))
+    magnitude = (
+        abs(earliest)
+        + abs(start)
+        + guard
+        + reach
+        + (abs(clock.offset) + spread) / clock.rate
+    )
+    margin = _REUSE_MARGIN * magnitude + _REUSE_MARGIN_FLOOR
+    if not duration > margin:
+        return -math.inf
+    until = start - guard - margin
+    for end in ends:
+        until = min(until, end - margin)
+    return until
 
 
 def overlap_fraction(p: float) -> float:

@@ -226,6 +226,8 @@ class NetworkConfig:
             raise ValueError("receive fraction must be in (0, 1)")
         if not 0.0 < self.avoid_fraction <= 1.0:
             raise ValueError("avoid fraction must be in (0, 1]")
+        if not math.isfinite(self.guard_fraction):
+            raise ValueError("guard fraction must be finite")
         if self.guard_fraction < 0.0:
             raise ValueError("guard fraction must be non-negative")
         if self.clock_offset_span_slots < 2.0:

@@ -1,6 +1,8 @@
 """Tests for the collision-free channel access computation."""
 
+import math
 import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -38,6 +40,22 @@ def neighbor_view(own_clock, neighbor_clock):
     return ScheduleView.of_neighbor(
         SCHEDULE, own_clock, exact_model(own_clock, neighbor_clock)
     )
+
+
+@contextmanager
+def stall_alarm(seconds, message):
+    """Raise ``TimeoutError(message)`` if the block outlives ``seconds``."""
+
+    def stalled(signum, frame):
+        raise TimeoutError(message)
+
+    previous = signal.signal(signal.SIGALRM, stalled)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestScheduleView:
@@ -231,13 +249,7 @@ class TestFindTransmitWindow:
         sender = ScheduleView.own(schedule, Clock(offset=12.3))
         receiver = ScheduleView.own(schedule, Clock(offset=456.7))
         neighbor = ScheduleView.own(schedule, Clock(offset=89.1))
-
-        def stalled(signum, frame):
-            raise TimeoutError("window search did not stop at its horizon")
-
-        previous = signal.signal(signal.SIGALRM, stalled)
-        signal.alarm(60)
-        try:
+        with stall_alarm(60, "window search did not stop at its horizon"):
             with pytest.raises(NoTransmitWindowError):
                 find_transmit_window(
                     sender,
@@ -248,9 +260,39 @@ class TestFindTransmitWindow:
                     avoid=[neighbor] if avoid else [],
                     search_slots=search_slots,
                 )
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    @pytest.mark.parametrize("avoid", [False, True])
+    @pytest.mark.parametrize(
+        "argument, value",
+        [
+            ("guard", math.nan),
+            ("guard", math.inf),
+            ("propagation_delay", math.nan),
+            ("propagation_delay", math.inf),
+            ("earliest", math.nan),
+            ("earliest", math.inf),
+            ("earliest", -math.inf),
+            ("duration", math.nan),
+            ("duration", math.inf),
+        ],
+    )
+    def test_rejects_inputs_that_are_not_finite(self, argument, value, avoid):
+        # A NaN guard or delay used to hang the search (no comparison
+        # with the horizon is ever true) or fail deep inside it.
+        arguments = dict(
+            sender=own_view(0.0),
+            receiver=own_view(99.5),
+            duration=0.25,
+            earliest=3.0,
+            guard=0.01,
+            avoid=[own_view(40.25)] if avoid else [],
+            search_slots=50,
+        )
+        arguments[argument] = value
+        with stall_alarm(30, "window search with a non-finite input hung"):
+            with pytest.raises(ValueError, match="finite"):
+                find_transmit_window(**arguments)
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -1,12 +1,27 @@
 """Tests for the paper's channel access scheme as station behaviour."""
 
-import pytest
+import math
+from unittest import mock
 
+import pytest
+from hypothesis import Phase, example, given, settings
+from hypothesis import strategies as st
+
+import repro.mac.shepard as shepard
+from repro.clock.clock import Clock
+from repro.clock.sync import ClockSample
+from repro.core.access import NoTransmitWindowError, find_transmit_window
+from repro.core.schedule import Schedule
+from repro.mac.shepard import ShepardMac
 from repro.net.network import NetworkConfig, build_network
 from repro.net.packet import Packet
+from repro.net.queueing import NeighborQueues
+from repro.net.station import Station
 from repro.net.traffic import PoissonTraffic
 from repro.propagation.geometry import uniform_disk
+from repro.sim.engine import Environment
 from repro.sim.streams import RandomStreams
+from tests.core.test_access import _jittered_model, _samples
 
 
 def running_network(count=15, seed=13, load=0.08, duration_slots=250, **overrides):
@@ -89,3 +104,340 @@ class TestQuarterSlotPacking:
         assert network.budget.packet_airtime == pytest.approx(
             network.budget.slot_time / 4.0
         )
+
+
+class TestConstruction:
+    @pytest.mark.parametrize("guard", [math.nan, math.inf])
+    def test_rejects_a_guard_that_is_not_finite(self, guard):
+        with pytest.raises(ValueError, match="finite"):
+            ShepardMac(guard=guard)
+
+    @pytest.mark.parametrize("search_slots", [0, -3, math.nan])
+    def test_rejects_a_horizon_under_one_slot(self, search_slots):
+        with pytest.raises(ValueError, match="horizon"):
+            ShepardMac(search_slots=search_slots)
+
+
+# -- plan reuse against the uncached search ----------------------------------
+
+#: One bit per second: an airtime is its packet's size, exactly, so an
+#: example can name an airtime to the ulp.
+RATE_BPS = 1.0
+
+
+class _Medium:
+    """The one call a Station makes on its medium while it is built."""
+
+    def on_delivery(self, index, callback):
+        pass
+
+
+def _station(schedule, clock, mac, delays):
+    return Station(
+        env=Environment(),
+        index=0,
+        position=(0.0, 0.0),
+        clock=clock,
+        schedule=schedule,
+        medium=_Medium(),
+        queue=NeighborQueues(),
+        table=None,
+        mac=mac,
+        transmitter=None,
+        bank=None,
+        data_rate_bps=RATE_BPS,
+        power_lookup=lambda hop: 1.0,
+        delay_lookup=lambda hop: delays[hop],
+    )
+
+
+def _packet(hop, slot_time, fraction):
+    return Packet(
+        source=0,
+        destination=hop,
+        size_bits=fraction * slot_time * RATE_BPS,
+        created_at=0.0,
+    )
+
+
+def _ulps(value, count):
+    direction = math.inf if count > 0 else -math.inf
+    for _ in range(abs(count)):
+        value = math.nextafter(value, direction)
+    return value
+
+
+def _avoid_end(plan, count):
+    """``count`` ulps past the end of the first receive window, at the
+    plan's instant, of the plan's first avoid view (``None`` without
+    one): a query past it no longer subtracts that window."""
+    if not plan.avoid:
+        return None
+    return _ulps(next(plan.avoid[0].receive_windows(plan.since))[1], count)
+
+
+#: Where an ``aim`` move puts the next query, relative to a plan: its
+#: reuse bound, one ulp either side of it, the naive bound ``start -
+#: guard`` and two ulps either side of that, and just past the end of
+#: an avoid view's first receive window.
+_AIMS = {
+    "until": lambda plan, guard: plan.until,
+    "until+1": lambda plan, guard: _ulps(plan.until, 1),
+    "until-1": lambda plan, guard: _ulps(plan.until, -1),
+    **{
+        f"naive{count:+d}": (
+            lambda plan, guard, count=count: _ulps(plan.start - guard, count)
+        )
+        for count in range(-2, 3)
+    },
+    "avoid-end": lambda plan, guard: _avoid_end(plan, 0),
+    "avoid-end+1": lambda plan, guard: _avoid_end(plan, 1),
+}
+
+_plan_clocks = st.builds(
+    Clock,
+    offset=st.one_of(
+        st.floats(min_value=-1e3, max_value=1e5),
+        st.floats(min_value=1e5, max_value=1e7),
+    ),
+    rate_error=st.floats(min_value=-5e-5, max_value=5e-5),
+)
+_neighbor = st.integers(min_value=1, max_value=6)
+_hop = st.integers(min_value=0, max_value=3)
+_plan_moves = st.one_of(
+    st.tuples(st.just("aim"), _hop, st.sampled_from(sorted(_AIMS))),
+    st.tuples(st.just("step"), st.floats(min_value=0.0, max_value=3.0)),
+    st.tuples(st.just("step"), st.floats(min_value=20.0, max_value=500.0)),
+    st.tuples(st.just("sample"), _neighbor, st.floats(-0.02, 0.02)),
+    st.tuples(st.just("refit"), _neighbor, _samples),
+    st.tuples(st.just("learn"), _neighbor, _samples),
+    st.tuples(
+        st.just("clock"),
+        st.floats(min_value=-0.5, max_value=0.5),
+        st.floats(min_value=-2e-5, max_value=2e-5),
+    ),
+    st.tuples(st.just("avoid"), _hop, st.lists(_neighbor, max_size=3, unique=True)),
+    st.tuples(
+        st.just("delay"),
+        _hop,
+        st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.5)),
+    ),
+    st.tuples(st.just("packet"), _hop, st.floats(min_value=0.05, max_value=1.0)),
+)
+
+
+class TestPlanReuseMatchesSearch:
+    """``ShepardMac`` reuses a queue head's planned start only when the
+    uncached search would return it: bit for bit, over query sequences
+    aimed at the reuse bound and at the naive bound ``start - guard``,
+    across refits, view swaps, avoid-set and delay changes."""
+
+    # Without Phase.explain: its line tracer makes shrinking a failure
+    # of this long-running test take minutes and a gigabyte.
+    @settings(
+        max_examples=150,
+        deadline=None,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+    )
+    @given(
+        slot_time=st.one_of(
+            st.sampled_from([0.05, 1.0, 20.0]),
+            st.floats(min_value=0.05, max_value=20.0),
+        ),
+        own_clock=_plan_clocks,
+        neighbor_clocks=st.lists(_plan_clocks, min_size=6, max_size=6),
+        neighbor_samples=st.lists(_samples, min_size=6, max_size=6),
+        hop_count=st.integers(min_value=1, max_value=4),
+        avoid_sets=st.lists(
+            st.lists(_neighbor, max_size=3, unique=True), min_size=4, max_size=4
+        ),
+        fractions=st.lists(
+            st.floats(min_value=0.05, max_value=1.0), min_size=4, max_size=4
+        ),
+        guard_slots=st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=0.2)),
+        search_slots=st.integers(min_value=1, max_value=40),
+        start=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=5e3)),
+        moves=st.lists(_plan_moves, min_size=20, max_size=40),
+    )
+    # The hole of neighbour 2's first receive window ends just before a
+    # piece one ulp too short for the packet, and the step lands where
+    # the query's round trip through neighbour 2 is past that window's
+    # end but its round trip through the sender is not.  The search
+    # then no longer subtracts the window, and the freed stretch of the
+    # hole lets the packet fit 20 slots earlier: only the avoid cap
+    # stops the plan at this query.
+    @example(
+        slot_time=1.0,
+        own_clock=Clock(offset=6768842.914444639),
+        neighbor_clocks=[
+            Clock(offset=9964570.484498722),
+            Clock(offset=9934210.234640434),
+            *(Clock(offset=1e6 * k) for k in range(1, 5)),
+        ],
+        neighbor_samples=[[(-1.0, 0.0), (0.0, 0.0)]] * 6,
+        hop_count=1,
+        avoid_sets=[[2], [], [], []],
+        fractions=[0.5001417119055988, 0.5, 0.5, 0.5],
+        guard_slots=0.125,
+        search_slots=40,
+        start=330.0,
+        moves=[("step", 0.7653595642186701)],
+    )
+    def test_query_sequence(
+        self,
+        slot_time,
+        own_clock,
+        neighbor_clocks,
+        neighbor_samples,
+        hop_count,
+        avoid_sets,
+        fractions,
+        guard_slots,
+        search_slots,
+        start,
+        moves,
+    ):
+        schedule = Schedule(slot_time=slot_time, receive_fraction=0.3, key=99)
+        clocks = dict(enumerate(neighbor_clocks, start=1))
+        models = {}
+        delays = {hop: 0.0 for hop in range(1, 5)}
+        mac = ShepardMac(guard=guard_slots * slot_time, search_slots=search_slots)
+        station = _station(schedule, own_clock, mac, delays)
+
+        def learn(neighbor, samples):
+            model = _jittered_model(station.clock, clocks[neighbor], samples)
+            models[neighbor] = model
+            station.learn_neighbor_clock(neighbor, schedule, model)
+
+        for neighbor, samples in zip(clocks, neighbor_samples):
+            learn(neighbor, samples)
+        hops = list(range(1, hop_count + 1))
+        for hop, fraction, avoid in zip(hops, fractions, avoid_sets):
+            station.queue.enqueue(hop, _packet(hop, slot_time, fraction))
+            station.set_avoid_neighbors(hop, [other for other in avoid if other != hop])
+        now = start
+        for kind, *value in [("step", 0.0), *moves]:
+            if kind in ("aim", "avoid", "delay", "packet"):
+                hop = hops[value[0] % len(hops)]
+            if kind == "step":
+                now += value[0] * slot_time
+            elif kind == "aim":
+                plan = mac._plans.get(hop)
+                target = None if plan is None else _AIMS[value[1]](plan, mac.guard)
+                if target is not None:
+                    now = max(now, target)
+            elif kind == "learn":
+                learn(*value)
+            elif kind == "sample":
+                # A rolling refit in place (the online rendezvous).
+                neighbor, jitter = value
+                models[neighbor].add_sample(
+                    ClockSample(
+                        station.clock.reading(now),
+                        clocks[neighbor].reading(now) + jitter,
+                    )
+                )
+            elif kind == "refit":
+                # A fault recovery: reset, then refill.
+                neighbor, samples = value
+                models[neighbor].reset()
+                for offset, jitter in samples:
+                    models[neighbor].add_sample(
+                        ClockSample(
+                            station.clock.reading(now + offset),
+                            clocks[neighbor].reading(now + offset) + jitter,
+                        )
+                    )
+            elif kind == "clock":
+                step, rate_delta = value
+                clock = station.clock
+                station.replace_clock(
+                    Clock(
+                        offset=clock.offset + step * slot_time,
+                        rate_error=clock.rate_error + rate_delta,
+                    )
+                )
+            elif kind == "avoid":
+                station.set_avoid_neighbors(
+                    hop, [other for other in value[1] if other != hop]
+                )
+            elif kind == "delay":
+                delays[hop] = value[1]
+            else:
+                station.queue.pop(hop)
+                station.queue.enqueue(hop, _packet(hop, slot_time, value[1]))
+            self._check(station, mac, now)
+
+    @staticmethod
+    def _check(station, mac, now):
+        heads = station.queue.heads()
+        wanted = []
+        for hop, packet in heads:
+            try:
+                window = find_transmit_window(
+                    station.own_view,
+                    station.neighbor_view(hop),
+                    packet.airtime(RATE_BPS),
+                    earliest=now,
+                    guard=mac.guard,
+                    avoid=station.avoid_views(hop),
+                    search_slots=mac.search_slots,
+                    propagation_delay=station.delay_for(hop),
+                )
+            except NoTransmitWindowError:
+                window = None
+            except (RuntimeError, ValueError) as error:
+                # Samples taken across a clock replacement can fit a
+                # degenerate model; its search fails in the MAC alike.
+                with pytest.raises(type(error)):
+                    mac._best_candidate(now)
+                return
+            wanted.append(window)
+        failures = station.stats.unreachable_drops
+        best = mac._best_candidate(now)
+        # A failed search is never planned: each one is searched and
+        # counted again.
+        assert station.stats.unreachable_drops - failures == wanted.count(None)
+        expected = None
+        for (hop, packet), window in zip(heads, wanted):
+            plan = mac._plans.get(hop)
+            if plan is not None and plan.holds(
+                now,
+                station.own_view,
+                station.neighbor_view(hop),
+                station.avoid_views(hop),
+                packet.airtime(RATE_BPS),
+                station.delay_for(hop),
+                mac.guard,
+                mac.search_slots,
+            ):
+                # The MAC took this head's start from the plan.
+                assert window is not None, (hop, now)
+                assert plan.start.hex() == window[0].hex(), (hop, now)
+            if window is not None and (expected is None or window[0] < expected[0]):
+                expected = (window[0], hop, packet)
+        if expected is None:
+            assert best is None
+        else:
+            assert best[0].hex() == expected[0].hex()
+            assert best[1:] == expected[1:]
+
+    def test_a_running_network_reuses_plans(self):
+        searches = []
+        heads = []
+        best_candidate = ShepardMac._best_candidate
+
+        def counted(*args, **kwargs):
+            searches.append(kwargs["earliest"])
+            return find_transmit_window(*args, **kwargs)
+
+        def planned(mac, now):
+            heads.append(len(mac.station.queue.heads()))
+            return best_candidate(mac, now)
+
+        with mock.patch.object(shepard, "find_transmit_window", counted), (
+            mock.patch.object(ShepardMac, "_best_candidate", planned)
+        ):
+            network = running_network(count=15, seed=13, load=0.3, duration_slots=80)
+        assert network.medium.losses == []
+        assert 0 < len(searches) < sum(heads)

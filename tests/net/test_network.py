@@ -1,6 +1,7 @@
 """Tests for network assembly, calibration, and end-to-end runs."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from repro.net.traffic import PoissonTraffic
 from repro.propagation.geometry import uniform_disk
 from repro.sim.sanitizer import sanitized
 from repro.sim.streams import RandomStreams
+from tests.core.test_access import stall_alarm
 
 
 def loaded_network(count=20, seed=3, load=0.05, **config_overrides):
@@ -148,6 +150,15 @@ class TestConfigVariants:
         with pytest.raises(ValueError):
             NetworkConfig(clock_offset_span_slots=1.0)
 
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_guard_fraction_must_be_finite(self):
+        # A NaN guard used to be accepted, and the first window search
+        # then never returned.
+        with stall_alarm(30, "a network with a NaN guard hung"):
+            with pytest.raises(ValueError, match="finite"):
+                network = loaded_network(guard_fraction=math.nan)
+                network.run(5 * network.budget.slot_time)
+
     def test_routing_neighbor_counts_small(self):
         network = loaded_network(count=40, seed=11)
         counts = network.routing_neighbor_counts()
@@ -192,3 +203,57 @@ class TestNetworkRunPinned:
     def test_digest(self, pinned_run):
         network, _ = pinned_run
         assert network.env.replay_digest() == "5bb64f0f85ea145447d47970312c8da5"
+
+
+class TestNetworkReconvergePinned:
+    """One dense 100-station run through mobility re-convergence,
+    pinned to its exact outcome and replay digest.  Stations move,
+    neighbour sets turn over, and each ``Network.reconverge`` fits
+    models for new neighbours, rebuilds the courtesy sets and respawns
+    the MACs; propagation delays are modelled, so every search leads
+    its burst.  Each of these invalidates a planned window."""
+
+    @pytest.fixture(scope="class")
+    def pinned_run(self):
+        from repro.mobility import ChannelSpec, RandomWaypoint, install_channel
+
+        with sanitized(True):
+            network = standard_network(
+                100,
+                131,
+                config=NetworkConfig(model_propagation_delay=True),
+                trace=False,
+            )
+            add_uniform_poisson(network, 0.5, 77)
+            spec = ChannelSpec(
+                mobility=RandomWaypoint(
+                    speed=0.03 * network.placement.characteristic_length
+                ),
+                tick_slots=2.0,
+                start_slot=5.0,
+                end_slot=50.0,
+                reacquire_every_slots=6.0,
+                reacquire_delay_slots=2.0,
+            )
+            channel = install_channel(network, spec, seed=5)
+            result = network.run(60 * network.budget.slot_time)
+        return network, channel, result
+
+    def test_reconverges(self, pinned_run):
+        network, channel, _ = pinned_run
+        assert len(channel.log.mobility_reroutes) == 6
+        assert len(channel.log.turnovers) == 469
+        assert network.stations[0].delay_for(
+            network.stations[0].table.neighbors_in_use()[0]
+        ) > 0.0
+
+    def test_outcome(self, pinned_run):
+        network, _, result = pinned_run
+        assert network.env.events_processed == 49_513
+        assert result.transmissions == 5_520
+        assert result.hop_deliveries == 5_520
+        assert result.losses_total == 0
+
+    def test_digest(self, pinned_run):
+        network, _, _ = pinned_run
+        assert network.env.replay_digest() == "83d37f063a75d250450921b4380dcd10"
