@@ -25,6 +25,7 @@ import numpy as np
 
 import repro
 from repro.net import HotspotTraffic, NetworkConfig
+from repro.obs.events import Delivered
 from repro.propagation import Placement, ObstructedUrban, jittered_grid
 from repro.routing import trace_route
 from repro.sim import RandomStreams
@@ -118,12 +119,10 @@ def main() -> None:
     )
     rings = [(0, 300.0), (300.0, 600.0), (600.0, 2000.0)]
     delays_by_origin = {}
-    for record in network.trace.of_kind("delivered"):
-        if record.data["station"] != gateway:
+    for event in network.instrumentation.events():
+        if not isinstance(event, Delivered) or event.station != gateway:
             continue
-        delays_by_origin.setdefault(record.data["hops"], []).append(
-            record.data["delay"]
-        )
+        delays_by_origin.setdefault(event.hops, []).append(event.delay)
     for hops in sorted(delays_by_origin):
         delays = delays_by_origin[hops]
         print(

@@ -22,7 +22,7 @@ the paper's hashed transmit/receive schedules and per-station clock
 offsets.  The link budget is calibrated against the sparse field's
 *culling-inclusive* interference bound, so the zero-collision outcome
 survives the approximation by construction.  Everything here is
-wall-clock-free; ``repro.analysis.perf`` owns the timing.
+wall-clock-free; the benchmark under ``perf/`` owns the timing.
 """
 
 from __future__ import annotations

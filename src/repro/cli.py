@@ -13,8 +13,6 @@ Usage::
     python -m repro cache verify ~/.repro-cache --recompute 3
     python -m repro serve --cache ~/.repro-cache --socket /tmp/repro.sock
     python -m repro submit --socket /tmp/repro.sock --experiment T7
-    python -m repro bench --rounds 5
-    python -m repro bench --suite --jobs 1,2,4 --output BENCH_suite.json
     python -m repro design --stations 1e9 --duty 0.5
     python -m repro metro --stations 1e6 --bandwidth 1e9
     python -m repro trace --experiment T7 --jsonl t7.jsonl --summary
@@ -233,76 +231,6 @@ def _cmd_verify_determinism(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     return 1
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.suite:
-        return _cmd_bench_suite(args)
-    from repro.analysis.perf import (
-        format_samples,
-        run_perf_scenario,
-        write_report,
-    )
-
-    if args.rounds < 1:
-        print("--rounds must be >= 1", file=sys.stderr)
-        return 2
-    samples = [
-        run_perf_scenario(
-            stations=args.stations,
-            load=args.load,
-            duration_slots=args.duration,
-            seed=args.seed,
-        )
-        for _ in range(args.rounds)
-    ]
-    best = min(samples, key=lambda sample: sample.wall_s)
-    print(format_samples([best]))
-    if args.rounds > 1:
-        print(f"(best of {args.rounds} rounds by wall-clock)")
-    if args.output:
-        write_report(
-            args.output,
-            [best],
-            notes={
-                "rounds": args.rounds,
-                "selection": "minimum wall-clock run",
-            },
-        )
-        print(f"wrote {args.output}")
-    return 0
-
-
-def _parse_jobs_list(raw: str) -> List[int]:
-    jobs_counts = [int(part) for part in raw.split(",") if part.strip()]
-    if not jobs_counts or any(jobs < 1 for jobs in jobs_counts):
-        raise ValueError(f"bad worker-count list {raw!r}; want e.g. 1,2,4")
-    return jobs_counts
-
-
-def _cmd_bench_suite(args: argparse.Namespace) -> int:
-    from repro.parallel.bench import bench_suite, write_suite_report
-
-    try:
-        jobs_counts = _parse_jobs_list(args.jobs)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    payload = bench_suite(
-        jobs_counts=jobs_counts,
-        quick=not args.full,
-        rounds=args.rounds,
-    )
-    for entry in payload["measurements"]:
-        print(
-            f"jobs={entry['jobs']}: {entry['wall_s']:.3f}s "
-            f"(speedup {entry['speedup_vs_jobs_%d' % jobs_counts[0]]}x, "
-            f"digest {entry['suite_digest']})"
-        )
-    if args.output:
-        write_suite_report(args.output, payload)
-        print(f"wrote {args.output}")
-    return 0
 
 
 def _open_cache(path: Optional[str]):
@@ -583,7 +511,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
                 continue
             if args.limit is None or shown < args.limit:
                 record = {"kind": event.KIND, "time": event.time}
-                record.update(event.to_record().data)
+                record.update(event.payload())
                 print(json.dumps(record, sort_keys=True))
                 shown += 1
         if args.summary:
@@ -1041,45 +969,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify_cmd.add_argument("--duration-slots", type=float, default=80.0)
     verify_cmd.add_argument("--seed", type=int, default=29)
     verify_cmd.set_defaults(handler=_cmd_verify_determinism)
-
-    bench_cmd = commands.add_parser(
-        "bench",
-        help=(
-            "time the seeded loaded-network scenario and report events/sec "
-            "(optionally writing a JSON perf report)"
-        ),
-    )
-    bench_cmd.add_argument("--stations", type=int, default=100)
-    bench_cmd.add_argument("--load", type=float, default=0.1)
-    bench_cmd.add_argument(
-        "--duration", type=float, default=60.0, metavar="SLOTS",
-        help="simulated duration in slots (default 60)",
-    )
-    bench_cmd.add_argument("--seed", type=int, default=29)
-    bench_cmd.add_argument(
-        "--rounds", type=int, default=1, metavar="N",
-        help="timed rounds; the minimum wall-clock run is reported",
-    )
-    bench_cmd.add_argument(
-        "--suite", action="store_true",
-        help=(
-            "benchmark the full experiment registry at several worker "
-            "counts instead of the single scenario (BENCH_suite.json)"
-        ),
-    )
-    bench_cmd.add_argument(
-        "--jobs", default="1,2,4", metavar="N1,N2,...",
-        help="suite mode: comma-separated worker counts (default 1,2,4)",
-    )
-    bench_cmd.add_argument(
-        "--full", action="store_true",
-        help="suite mode: full parameterisations instead of quick",
-    )
-    bench_cmd.add_argument(
-        "--output", metavar="PATH",
-        help="write the sample as a JSON perf report (BENCH_medium.json format)",
-    )
-    bench_cmd.set_defaults(handler=_cmd_bench)
 
     trace_cmd = commands.add_parser(
         "trace",

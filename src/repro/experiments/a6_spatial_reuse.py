@@ -66,7 +66,7 @@ def run(
         name: str, factory: "MacFactory | None", share_note: str
     ) -> "tuple[Network, NetworkResult]":
         config = NetworkConfig(seed=seed)
-        network = standard_network(station_count, seed, config, mac_factory=factory)
+        network = standard_network(station_count, seed, config, mac=factory)
         add_uniform_poisson(network, load_packets_per_slot, seed + 1)
         result = network.run(duration_slots * network.budget.slot_time)
         reuse = _mean_concurrency(network, result.duration)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import warnings
 from typing import Optional, Tuple, Union
 
 from repro.net.network import (
@@ -21,25 +20,6 @@ from repro.sim.streams import RandomStreams
 __all__ = ["standard_network", "add_uniform_poisson", "run_loaded_network"]
 
 
-def _fold_deprecated_factory(
-    mac: Union[str, MacFactory, None], mac_factory: Optional[MacFactory]
-) -> Union[str, MacFactory, None]:
-    """Collapse the deprecated ``mac_factory=`` alias into ``mac``."""
-    if mac_factory is None:
-        return mac
-    if mac is not None:
-        raise ValueError(
-            "pass either mac= or the deprecated mac_factory=, not both"
-        )
-    warnings.warn(
-        "mac_factory= is deprecated; pass the factory (or a registered "
-        "MAC name) as mac=",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return mac_factory
-
-
 def standard_network(
     station_count: int,
     placement_seed: int,
@@ -49,15 +29,12 @@ def standard_network(
     radius: float = 1000.0,
     trace: bool = True,
     instrumentation: Optional[Instrumentation] = None,
-    mac_factory: Optional[MacFactory] = None,
 ) -> Network:
     """A uniform-disk network with the repository's default design.
 
     ``mac`` is a registered MAC name (see :func:`repro.mac.mac_names`)
-    or an explicit per-station factory; ``mac_factory`` is the
-    deprecated alias for the factory form.
+    or an explicit per-station factory.
     """
-    mac = _fold_deprecated_factory(mac, mac_factory)
     placement = uniform_disk(station_count, radius=radius, seed=placement_seed)
     return build_network(
         placement,
@@ -112,10 +89,8 @@ def run_loaded_network(
     mac: Union[str, MacFactory, None] = None,
     trace: bool = True,
     instrumentation: Optional[Instrumentation] = None,
-    mac_factory: Optional[MacFactory] = None,
 ) -> Tuple[Network, "NetworkResult"]:
     """Build, load, and run a standard network; returns (network, result)."""
-    mac = _fold_deprecated_factory(mac, mac_factory)
     network = standard_network(
         station_count,
         placement_seed,

@@ -16,6 +16,7 @@ import numpy as np
 from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import run_loaded_network
 from repro.net.network import NetworkConfig
+from repro.obs.events import Delivered
 from repro.propagation.geometry import uniform_disk
 from repro.propagation.matrix import PropagationMatrix
 from repro.propagation.models import FreeSpace
@@ -119,9 +120,11 @@ def run(
 
 def _mean_packet_energy(network) -> float:
     """Mean radiated energy of end-to-end-delivered packets (trace-fed)."""
-    delivered = network.trace.of_kind("delivered")
-    if not delivered:
+    energies = [
+        event.energy_j
+        for event in network.instrumentation.events()
+        if isinstance(event, Delivered)
+    ]
+    if not energies:
         return float("nan")
-    return float(
-        np.mean([record.data["energy_j"] for record in delivered])
-    )
+    return float(np.mean(energies))

@@ -79,7 +79,7 @@ def run(
                 placement_seed=seed + count,
                 traffic_seed=seed,
                 config=base_config,
-                mac_factory=lambda i, b: AlohaMac(streams.stream(f"aloha{i}")),
+                mac=lambda i, b: AlohaMac(streams.stream(f"aloha{i}")),
             )
             control_types = {t.value: n for t, n in control.losses_by_type.items()}
             report.add_row(

@@ -17,33 +17,15 @@ recover part of the random-access loss without closing the gap.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import run_loaded_network
 from repro.mac.registry import mac_names
-from repro.mac.registry import mac_suite as registry_mac_suite
 from repro.net.network import NetworkConfig
 from repro.obs import Instrumentation, MetricTimelines
 
-__all__ = ["run", "mac_suite", "run_load_point"]
-
-
-def mac_suite(seed: int) -> Dict[str, Optional[Callable]]:
-    """Deprecated: use :func:`repro.mac.mac_suite` (the registry).
-
-    The hand-written five-contender dict this module used to own now
-    falls out of the MAC registry; this wrapper survives one release
-    for importers and returns the *full* registered suite.
-    """
-    warnings.warn(
-        "repro.experiments.t7_baselines.mac_suite is deprecated; use "
-        "repro.mac.mac_suite (the MAC registry)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return registry_mac_suite(seed)
+__all__ = ["run", "run_load_point"]
 
 
 def run_load_point(

@@ -14,10 +14,11 @@ through the sparse CSR medium (:mod:`repro.analysis.metro`) — actual
 discrete-event runs with power control, clock-offset schedules and
 nearest-neighbour Poisson traffic, reporting deliveries, losses and
 the provable culling-error bound per run.  The default exercises
-10^4 stations; ``simulate_stations=(100_000,)`` reproduces the
-single-box 10^5-station run whose events/s trajectory
-``BENCH_medium.json`` tracks (``python tools/perfreport.py
---metro-full``).
+10^4 stations; ``simulate_stations=(100_000,)`` runs the single-box
+10^5-station scene (``repro run T8 --set
+simulate_stations=[100000]``).  The benchmark's metro20k workload
+(``python3 perf/run.py --workload metro20k``) times a 2·10^4-station
+scene.
 """
 
 from __future__ import annotations
@@ -136,8 +137,8 @@ def run(
     if simulate_stations:
         report.notes.append(
             "Metro simulations run the paper's MAC end to end over the "
-            "horizon-culled CSR interference field; BENCH_medium.json "
-            "tracks the 10^5-station events/s trajectory "
-            "(python tools/perfreport.py --metro-full)."
+            "horizon-culled CSR interference field; the single-box "
+            "10^5-station run is repro run T8 --set "
+            "simulate_stations=[100000]."
         )
     return report

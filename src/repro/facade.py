@@ -27,7 +27,6 @@ experiment layer's do.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -65,8 +64,6 @@ class Scenario:
         mac: which channel access scheme to run — a registered MAC
             name (see :func:`repro.mac.mac_names`) or an explicit
             per-station factory (the paper's scheme when ``None``).
-        mac_factory: deprecated alias for passing a factory as
-            ``mac``.
         placement: explicit station positions overriding the uniform
             disk.
         traffic: custom traffic installer called as
@@ -83,22 +80,8 @@ class Scenario:
     mac: Union[str, MacFactory, None] = None
     placement: Optional[Placement] = None
     traffic: Optional[Callable[[Network, int], None]] = None
-    mac_factory: Optional[MacFactory] = None
 
     def __post_init__(self) -> None:
-        if self.mac_factory is not None:
-            if self.mac is not None:
-                raise ValueError(
-                    "pass either mac= or the deprecated mac_factory=, "
-                    "not both"
-                )
-            warnings.warn(
-                "Scenario(mac_factory=...) is deprecated; pass the "
-                "factory (or a registered MAC name) as mac=",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-            object.__setattr__(self, "mac", self.mac_factory)
         if self.placement is None and self.station_count < 2:
             raise ValueError("need at least two stations")
         if self.radius_m <= 0.0:
@@ -117,8 +100,8 @@ class SimulationOutcome:
         network: the assembled (and now finished) network, for deeper
             inspection — routing tables, stations, the medium.
         result: the run's aggregate :class:`NetworkResult`.
-        instrumentation: the facade the run emitted through; query it
-            (``of_kind``/``kinds``) or read its sinks.
+        instrumentation: the facade the run emitted through; read its
+            retained typed events (``events()``) or its sinks.
         injector: the installed fault injector, or ``None`` when the
             run had no faults.
     """
@@ -156,8 +139,8 @@ def simulate(
         instrumentation: typed-event facade whose sinks observe the
             run; ``None`` (with ``trace=False``) disables emission
             entirely at zero cost.
-        trace: guarantee an in-memory sink so
-            ``outcome.instrumentation.of_kind(...)`` queries work.
+        trace: guarantee an in-memory sink, so
+            ``outcome.instrumentation.events()`` holds the run's events.
 
     Returns:
         A :class:`SimulationOutcome` bundling the network, the

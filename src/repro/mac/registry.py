@@ -21,7 +21,7 @@ to the collision-proof ``"<name>:"`` form.
 The ``tdma`` baseline stays outside the registry: it needs a global
 slot plan computed from the built network's geometry, which the
 per-station ``(index, budget)`` build contract cannot express — it
-remains available through the explicit ``mac_factory=`` path (see
+remains available by passing an explicit factory as ``mac=`` (see
 ``repro.mac.tdma.build_tdma_plan``).
 """
 

@@ -29,7 +29,6 @@ explicit *link-budget calibration*:
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Union
 
@@ -368,6 +367,12 @@ class Network:
         self.instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation()
         )
+        # Hop counts of end-to-end deliveries, folded in the order they
+        # happen: every station adds to this one accumulator, since a
+        # merge of per-station means would round differently.
+        self.delivered_hops = Welford()
+        for station in stations:
+            station.delivered_hops = self.delivered_hops
         self._sources: List[TrafficSource] = []
         self._maintenance: List = []  # generator factories run at start
         self._started = False
@@ -391,12 +396,6 @@ class Network:
     def station_count(self) -> int:
         """Number of stations."""
         return len(self.stations)
-
-    @property
-    def trace(self) -> Instrumentation:
-        """Legacy query handle: the instrumentation facade implements
-        the old ``TraceRecorder`` surface (``of_kind``/``kinds``/...)."""
-        return self.instrumentation
 
     def add_traffic(self, source: TrafficSource) -> None:
         """Attach a traffic source feeding its origin station."""
@@ -444,7 +443,6 @@ class Network:
     def collect(self, elapsed: float) -> NetworkResult:
         """Aggregate statistics over all stations and the medium."""
         delays = Welford()
-        hops = Welford()
         duty = Welford()
         originated = forwarded = delivered = 0
         unreachable = no_route = 0
@@ -468,12 +466,6 @@ class Network:
             peak_busy = max(peak_busy, station.bank.peak_busy)
             rejections += station.bank.rejections
         transmissions = sum(s.stats.sent for s in self.stations)
-        # Mean hop count over end-to-end deliveries.
-        hop_counts = [
-            record.data["hops"]
-            for record in self.instrumentation.of_kind("delivered")
-        ]
-        hops.extend(hop_counts)
         return NetworkResult(
             duration=elapsed,
             originated=originated,
@@ -485,7 +477,7 @@ class Network:
             losses_by_type=self.medium.loss_counts_by_type(),
             losses_by_reason=self.medium.loss_counts_by_reason(),
             mean_delay=delays.mean,
-            mean_hops=hops.mean,
+            mean_hops=self.delivered_hops.mean,
             mean_duty_cycle=duty.mean,
             max_duty_cycle=duty.maximum,
             peak_despreader_busy=peak_busy,
@@ -793,7 +785,6 @@ def build_network(
     mac: Union[str, MacFactory, None] = None,
     trace: bool = False,
     instrumentation: Optional[Instrumentation] = None,
-    mac_factory: Optional[MacFactory] = None,
 ) -> Network:
     """Assemble a ready-to-run network.
 
@@ -809,29 +800,17 @@ def build_network(
             the slot time.  Selecting a registered name also installs
             the descriptor's receiver model on every despreader bank
             unless ``config.receiver_model`` overrides it.
-        trace: keep an in-memory event trace queryable via
-            ``network.trace`` (adds a memory sink if none is present).
+        trace: keep the run's typed events in memory, readable through
+            ``network.instrumentation.events()`` (adds a memory sink if
+            none is present).
         instrumentation: explicit typed-event facade.  Sinks from this
             argument, from ``config.instrumentation`` and from the
             ambient :func:`repro.obs.use_instrumentation` default are
             all folded into the network's facade; with none of the
             three (and ``trace=False``) instrumentation is disabled and
             zero-cost.
-        mac_factory: deprecated alias for passing a factory as ``mac``.
     """
     config = config or NetworkConfig()
-    if mac_factory is not None:
-        if mac is not None:
-            raise ValueError(
-                "pass either mac= or the deprecated mac_factory=, not both"
-            )
-        warnings.warn(
-            "mac_factory= is deprecated; pass the factory (or a "
-            "registered MAC name) as mac=",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        mac = mac_factory
     instr = _resolve_instrumentation(instrumentation, config, trace)
     model = model or FreeSpace(near_field_clamp=1e-6)
     streams = RandomStreams(config.seed)
@@ -1011,29 +990,24 @@ def _resolve_instrumentation(
     Sources, outermost first: the explicit ``build_network`` argument,
     ``config.instrumentation``, and the ambient
     :func:`repro.obs.use_instrumentation` default.  A single source is
-    used as-is (the caller keeps querying its own sinks); multiple
-    sources compose into a fresh facade sharing all their sinks.  With
-    ``trace=True`` a memory sink is guaranteed so ``network.trace``
-    queries work.
+    used as-is (the caller keeps querying its own sinks) unless
+    ``trace=True`` needs a memory sink it lacks; otherwise the sources
+    compose into a fresh facade sharing all their sinks, plus a new
+    memory sink for ``trace=True``.  A caller's facade is never
+    mutated, so a sink added for one network cannot collect another
+    network's events.
     """
     sources = [
         source
         for source in (explicit, config.instrumentation, ambient_instrumentation())
         if source is not None
     ]
-    if not sources:
-        instr = (
-            Instrumentation.recording() if trace else Instrumentation()
-        )
-    elif len(sources) == 1:
-        instr = sources[0]
-    else:
-        instr = Instrumentation(
-            tuple(sink for source in sources for sink in source.sinks)
-        )
-    if trace and instr.memory is None:
-        instr.add_sink(MemorySink())
-    return instr
+    if len(sources) == 1 and not (trace and sources[0].memory is None):
+        return sources[0]
+    sinks = tuple(sink for source in sources for sink in source.sinks)
+    if trace and not any(isinstance(sink, MemorySink) for sink in sinks):
+        sinks += (MemorySink(),)
+    return Instrumentation(sinks)
 
 
 def _supervised_mac(mac: MacProtocol) -> ProcessGenerator:

@@ -44,6 +44,7 @@ from repro.routing.table import RouteError, RoutingTable
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.sim.process import ProcessGenerator
+from repro.sim.stats import Welford
 
 __all__ = ["Station", "StationStats"]
 
@@ -132,6 +133,9 @@ class Station:
             instrumentation if instrumentation is not None else Instrumentation()
         )
         self.stats = StationStats()
+        # Hop counts of the packets delivered here; a Network shares one
+        # accumulator across its stations (see Network.delivered_hops).
+        self.delivered_hops = Welford()
         self.alive = True
         self.own_view = ScheduleView.own(schedule, clock)
         self._neighbor_views: Dict[int, ScheduleView] = {}
@@ -479,6 +483,7 @@ class Station:
         if packet.destination == self.index:
             self.stats.delivered_to_me += 1
             self.stats.delivery_delays.append(packet.delay())
+            self.delivered_hops.add(packet.hop_count)
             if self.instr.active:
                 self.instr.emit(
                     Delivered(

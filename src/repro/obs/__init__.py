@@ -1,7 +1,7 @@
 """Observability: typed trace events, sinks, and metric timelines.
 
-This package replaces the stringly-typed ``TraceRecorder`` with a
-first-class observability subsystem:
+Every observable occurrence of a run is a typed event, and one facade
+carries it to pluggable sinks:
 
 * :mod:`repro.obs.events` — a typed, schema-versioned event taxonomy.
 * :mod:`repro.obs.api` — the :class:`Instrumentation` facade every
@@ -28,7 +28,6 @@ from repro.obs.sinks import (
     BinarySink,
     JsonlSink,
     MemorySink,
-    RecorderSink,
     Sink,
     read_binary,
     read_jsonl,
@@ -46,7 +45,6 @@ __all__ = [
     "MemorySink",
     "JsonlSink",
     "BinarySink",
-    "RecorderSink",
     "read_jsonl",
     "read_binary",
     "read_trace",

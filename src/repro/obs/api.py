@@ -11,11 +11,9 @@ dict building, no string formatting — and emission itself never touches
 the event wheel or any random stream, which keeps replay digests
 bit-identical whether sinks are attached or not.
 
-The facade also implements the legacy ``TraceRecorder`` query surface
-(:meth:`of_kind`, :meth:`kinds`, :meth:`count`, iteration) backed by
-its first :class:`~repro.obs.sinks.MemorySink`, so ``network.trace``
-keeps working for existing analyses while they migrate to typed
-events.
+Analyses read a run's retained events back as typed objects through
+:meth:`Instrumentation.events`, which is backed by the facade's first
+:class:`~repro.obs.sinks.MemorySink`, and filter them by event type.
 
 For tooling that wants to observe *any* run without threading a
 parameter through every experiment signature, :func:`use_instrumentation`
@@ -27,11 +25,10 @@ sweeps only observe it at ``jobs=1``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.obs.events import TraceEvent
 from repro.obs.sinks import MemorySink, Sink
-from repro.sim.trace import TraceRecord
 
 __all__ = [
     "Instrumentation",
@@ -63,11 +60,6 @@ class Instrumentation:
         """The attached sinks, in fan-out order."""
         return self._sinks
 
-    @property
-    def enabled(self) -> bool:
-        """Legacy alias for :attr:`active` (TraceRecorder compat)."""
-        return self.active
-
     def emit(self, event: TraceEvent) -> None:
         """Fan one typed event out to every sink (no-op when inactive)."""
         if not self.active:
@@ -94,10 +86,10 @@ class Instrumentation:
 
     @classmethod
     def recording(cls, capacity: Optional[int] = None) -> "Instrumentation":
-        """A facade with one in-memory sink (the old ``trace=True``)."""
+        """A facade with one in-memory sink (``capacity`` bounds it)."""
         return cls((MemorySink(capacity),))
 
-    # -- legacy query surface (TraceRecorder compatible) ---------------
+    # -- queries -------------------------------------------------------
 
     @property
     def memory(self) -> Optional[MemorySink]:
@@ -111,50 +103,6 @@ class Instrumentation:
         """All retained typed events (empty without a memory sink)."""
         memory = self.memory
         return memory.events() if memory is not None else []
-
-    def __len__(self) -> int:
-        memory = self.memory
-        return len(memory) if memory is not None else 0
-
-    def __iter__(self) -> Iterator[TraceRecord]:
-        return (event.to_record() for event in self.events())
-
-    def of_kind(self, kind: str) -> List[TraceRecord]:
-        """All retained records of one kind, as legacy records."""
-        return [
-            event.to_record()
-            for event in self.events()
-            if event.KIND == kind
-        ]
-
-    def count(self, kind: Optional[str] = None) -> int:
-        """Number of retained events, optionally of one kind."""
-        if kind is None:
-            return len(self)
-        return sum(1 for event in self.events() if event.KIND == kind)
-
-    def kinds(self) -> Dict[str, int]:
-        """Mapping of retained event kind to occurrence count."""
-        counts: Dict[str, int] = {}
-        for event in self.events():
-            counts[event.KIND] = counts.get(event.KIND, 0) + 1
-        return counts
-
-    def between(self, start: float, end: float) -> List[TraceRecord]:
-        """Retained records with ``start <= time < end``."""
-        if end < start:
-            raise ValueError("end must not precede start")
-        return [
-            event.to_record()
-            for event in self.events()
-            if start <= event.time < end
-        ]
-
-    def clear(self) -> None:
-        """Discard the memory sink's retained events, if one exists."""
-        memory = self.memory
-        if memory is not None:
-            memory.clear()
 
 
 _AMBIENT: List[Instrumentation] = []

@@ -3,10 +3,9 @@
 Every observable occurrence in a run — a burst starting, a reception
 failing with its SIR reason, a packet entering a queue, a fault being
 injected — is one frozen dataclass here.  Each event type carries a
-stable ``KIND`` tag (the wire name, identical to the strings the old
-``TraceRecorder`` call sites used, so recorded histories stay
-comparable across releases) and a ``SCHEMA`` version that is bumped
-whenever the field set changes; together they form the
+stable ``KIND`` tag (the wire name, unchanged across releases so
+recorded histories stay comparable) and a ``SCHEMA`` version that is
+bumped whenever the field set changes; together they form the
 :attr:`TraceEvent.schema_id` that sinks persist.
 
 Events are plain data: emitting one never touches the event wheel or
@@ -20,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Tuple, Type
 
-from repro.sim.trace import TraceRecord
 
 __all__ = [
     "TraceEvent",
@@ -82,18 +80,6 @@ class TraceEvent:
         return {
             f.name: getattr(self, f.name) for f in fields(self)[1:]
         }
-
-    def to_record(self) -> TraceRecord:
-        """Downgrade to the legacy :class:`TraceRecord` shape.
-
-        Tuples become lists so the ``data`` dict is byte-identical to
-        what the old string-kind ``trace.record`` call sites produced.
-        """
-        data = {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in self.payload().items()
-        }
-        return TraceRecord(self.time, self.KIND, data)
 
 
 @dataclass(frozen=True, slots=True)

@@ -34,7 +34,6 @@ __all__ = [
     "MemorySink",
     "JsonlSink",
     "BinarySink",
-    "RecorderSink",
     "read_jsonl",
     "read_binary",
     "read_trace",
@@ -83,23 +82,6 @@ class MemorySink(Sink):
 
     def __iter__(self) -> Iterator[TraceEvent]:
         return iter(self._events)
-
-
-class RecorderSink(Sink):
-    """Bridges typed events into a legacy ``TraceRecorder``.
-
-    Exists for migration only: code still holding a
-    :class:`~repro.sim.trace.TraceRecorder` can keep receiving records
-    while call sites move to typed events.
-    """
-
-    def __init__(self, recorder) -> None:
-        self.recorder = recorder
-
-    def emit(self, event: TraceEvent) -> None:
-        """Forward the event as a legacy string-kind record."""
-        record = event.to_record()
-        self.recorder.record(record.time, record.kind, **record.data)
 
 
 class JsonlSink(Sink):

@@ -16,8 +16,6 @@ The pieces, bottom-up:
   one experiment (``repro sweep``).
 * :mod:`repro.parallel.suite` — the full F/T/A registry as one task
   list (``repro run-all``).
-* :mod:`repro.parallel.bench` — full-suite scaling benchmark
-  (``BENCH_suite.json``).
 * :mod:`repro.parallel.cache` — persistent content-addressed result
   store keyed by spec digest (``repro sweep --cache``, ``repro cache``).
 * :mod:`repro.parallel.service` — the warm sweep daemon sharing one
@@ -29,7 +27,6 @@ a cache, identical whether a row was computed or recalled.
 """
 
 from repro.parallel.aggregate import MetricSummary, summarize, summarize_rows
-from repro.parallel.bench import bench_suite, write_suite_report
 from repro.parallel.cache import CacheDivergenceError, ResultCache
 from repro.parallel.pool import run_tasks
 from repro.parallel.service import SweepService, serve, submit_request
@@ -63,7 +60,6 @@ __all__ = [
     "SweepService",
     "TaskResult",
     "TaskSpec",
-    "bench_suite",
     "derive_seed",
     "execute_task",
     "payload_digest",
@@ -76,5 +72,4 @@ __all__ = [
     "submit_request",
     "summarize",
     "summarize_rows",
-    "write_suite_report",
 ]

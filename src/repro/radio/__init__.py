@@ -1,7 +1,6 @@
 """Radio substrate: signals, antennas, noise, spread spectrum, radios."""
 
 from repro.radio.antenna import Antenna, friis_constant, friis_power_gain, wavelength
-from repro.radio.receiver import Receiver
 from repro.radio.receiver_model import (
     DefaultReceiver,
     ReceiverModel,
@@ -34,7 +33,6 @@ __all__ = [
     "DespreaderBank",
     "DespreaderBusyError",
     "ProcessingGain",
-    "Receiver",
     "ReceiverModel",
     "STANDARD_TEMPERATURE_K",
     "SicReceiver",

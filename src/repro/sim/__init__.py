@@ -1,4 +1,4 @@
-"""Discrete-event simulation substrate (engine, processes, stats, traces)."""
+"""Discrete-event simulation substrate (engine, processes, stats, streams)."""
 
 from repro.sim.engine import EmptySchedule, Environment
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
@@ -6,7 +6,6 @@ from repro.sim.process import Process, ProcessGenerator
 from repro.sim.sanitizer import DeterminismSanitizer, SanitizerError, sanitized
 from repro.sim.stats import Histogram, TimeWeighted, Welford
 from repro.sim.streams import RandomStreams
-from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "AllOf",
@@ -25,7 +24,5 @@ __all__ = [
     "Timeout",
     "sanitized",
     "TimeWeighted",
-    "TraceRecord",
-    "TraceRecorder",
     "Welford",
 ]

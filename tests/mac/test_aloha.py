@@ -6,6 +6,7 @@ import pytest
 from repro.mac.aloha import AlohaMac
 from repro.net.network import NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic, PoissonTraffic
+from repro.obs.events import TxStart
 from repro.propagation.geometry import uniform_disk
 from repro.sim.streams import RandomStreams
 
@@ -16,12 +17,20 @@ def aloha_network(count=12, seed=19, slotted=False):
     network = build_network(
         placement,
         NetworkConfig(seed=seed),
-        mac_factory=lambda i, b: AlohaMac(
+        mac=lambda i, b: AlohaMac(
             streams.stream(f"mac{i}"), slotted=slotted
         ),
         trace=True,
     )
     return network
+
+
+def tx_start_times(network):
+    return [
+        event.time
+        for event in network.instrumentation.events()
+        if isinstance(event, TxStart)
+    ]
 
 
 class TestAlohaBehaviour:
@@ -55,8 +64,8 @@ class TestAlohaBehaviour:
             )
         )
         network.run(100 * network.budget.slot_time)
-        first = network.trace.of_kind("tx_start")[0]
-        assert first.time == pytest.approx(7.0, abs=1e-9)
+        first = tx_start_times(network)[0]
+        assert first == pytest.approx(7.0, abs=1e-9)
 
     def test_contention_produces_losses(self):
         network = aloha_network(count=20, seed=23)
@@ -109,8 +118,8 @@ class TestAlohaBehaviour:
             )
         )
         network.run(400 * airtime)
-        for record in network.trace.of_kind("tx_start"):
-            phase = (record.time / airtime) % 1.0
+        for time in tx_start_times(network):
+            phase = (time / airtime) % 1.0
             assert min(phase, 1.0 - phase) < 1e-6
 
     def test_rejects_bad_parameters(self):

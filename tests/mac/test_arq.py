@@ -59,7 +59,7 @@ def lossy_network(arq_retries, load=0.1):
         STATIONS,
         placement_seed=SEED,
         config=NetworkConfig(seed=SEED, arq_max_retries=arq_retries),
-        mac_factory=lambda i, b: AlohaMac(streams.stream(f"a{i}")),
+        mac=lambda i, b: AlohaMac(streams.stream(f"a{i}")),
         trace=False,
     )
     add_uniform_poisson(network, load, SEED + 1)

@@ -6,6 +6,7 @@ import pytest
 from repro.mac.csma import CsmaMac
 from repro.net.network import NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic
+from repro.obs.events import TxStart
 from repro.propagation.geometry import uniform_disk
 from repro.sim.streams import RandomStreams
 
@@ -16,7 +17,7 @@ def csma_network(count=12, seed=31, threshold=0.5):
     return build_network(
         placement,
         NetworkConfig(seed=seed),
-        mac_factory=lambda i, b: CsmaMac(
+        mac=lambda i, b: CsmaMac(
             streams.stream(f"mac{i}"), sense_threshold_w=threshold
         ),
         trace=True,
@@ -67,7 +68,9 @@ class TestCsma:
         )
         network.run(500 * slot)
         starts = sorted(
-            (r.time, r.data["source"]) for r in network.trace.of_kind("tx_start")
+            (event.time, event.source)
+            for event in network.instrumentation.events()
+            if isinstance(event, TxStart)
         )
         assert starts[0][1] == b
         b_end = starts[0][0] + 20 * network.budget.packet_airtime
@@ -97,7 +100,7 @@ class TestCsma:
             return AlohaMac(streams.stream(f"m{index}"), max_attempts=1)
 
         network = build_network(
-            placement, NetworkConfig(seed=41), mac_factory=factory, trace=True
+            placement, NetworkConfig(seed=41), mac=factory, trace=True
         )
         slot = network.budget.slot_time
         network.add_traffic(

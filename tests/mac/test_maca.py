@@ -16,7 +16,7 @@ def maca_network(count=12, seed=43):
     return build_network(
         placement,
         NetworkConfig(seed=seed),
-        mac_factory=lambda i, b: MacaMac(streams.stream(f"mac{i}")),
+        mac=lambda i, b: MacaMac(streams.stream(f"mac{i}")),
         trace=True,
     )
 

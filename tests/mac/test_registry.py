@@ -146,12 +146,3 @@ class TestBuilding:
             if factory is None:
                 continue
             assert factory(0, budget()).name == name
-
-
-class TestDeprecatedT7Wrapper:
-    def test_t7_mac_suite_warns_and_delegates(self):
-        from repro.experiments.t7_baselines import mac_suite as t7_suite
-
-        with pytest.warns(DeprecationWarning, match="repro.mac.mac_suite"):
-            suite = t7_suite(7)
-        assert tuple(suite) == mac_names()

@@ -18,6 +18,7 @@ from repro.net.packet import Packet
 from repro.net.queueing import NeighborQueues
 from repro.net.station import Station
 from repro.net.traffic import PoissonTraffic
+from repro.obs.events import TxStart
 from repro.propagation.geometry import uniform_disk
 from repro.sim.engine import Environment
 from repro.sim.streams import RandomStreams
@@ -43,6 +44,14 @@ def running_network(count=15, seed=13, load=0.08, duration_slots=250, **override
     return network
 
 
+def tx_starts(network):
+    return [
+        event
+        for event in network.instrumentation.events()
+        if isinstance(event, TxStart)
+    ]
+
+
 class TestSchemeInvariants:
     def test_zero_losses(self):
         network = running_network()
@@ -52,17 +61,17 @@ class TestSchemeInvariants:
         # The schedule is a commitment: a station must never transmit
         # inside its own published receive windows.
         network = running_network()
-        for record in network.trace.of_kind("tx_start"):
-            sender = network.stations[record.data["source"]]
-            assert not sender.own_view.is_receiving_at(record.time), (
+        for event in tx_starts(network):
+            sender = network.stations[event.source]
+            assert not sender.own_view.is_receiving_at(event.time), (
                 f"station {sender.index} keyed up during its receive window"
             )
 
     def test_every_transmission_lands_in_receiver_window(self):
         network = running_network()
-        for record in network.trace.of_kind("tx_start"):
-            receiver = network.stations[record.data["destination"]]
-            assert receiver.own_view.is_receiving_at(record.time)
+        for event in tx_starts(network):
+            receiver = network.stations[event.destination]
+            assert receiver.own_view.is_receiving_at(event.time)
 
     def test_listening_matches_schedule(self):
         network = running_network()
@@ -83,19 +92,18 @@ class TestSchemeInvariants:
         if not protected_pairs:
             pytest.skip("no avoid sets arose in this placement")
         # Re-check from the trace using exact schedule views.
-        for record in network.trace.of_kind("tx_start"):
-            sender = network.stations[record.data["source"]]
-            destination = record.data["destination"]
-            for view in sender.avoid_views(destination):
-                assert not view.is_receiving_at(record.time)
+        for event in tx_starts(network):
+            sender = network.stations[event.source]
+            for view in sender.avoid_views(event.destination):
+                assert not view.is_receiving_at(event.time)
 
     def test_no_control_traffic(self):
         # "no per-packet transmissions other than the single
         # transmission used to convey the packet".
         network = running_network()
         data_hops = network.medium.deliveries
-        tx_starts = network.trace.count("tx_start")
-        assert tx_starts == data_hops  # every burst was a delivered data hop
+        # Every burst was a delivered data hop.
+        assert len(tx_starts(network)) == data_hops
 
 
 class TestQuarterSlotPacking:

@@ -6,6 +6,7 @@ import pytest
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.tdma import TdmaMac, TdmaPlan, build_tdma_plan, greedy_coloring
 from repro.net.network import NetworkConfig
+from repro.obs.events import TxStart
 
 
 class TestColoring:
@@ -66,11 +67,19 @@ class TestTdmaInNetwork:
         usable = probe.matrix.usable_links(probe.budget.min_gain)
         plan = build_tdma_plan(usable, probe.budget.packet_airtime)
         network = standard_network(
-            20, seed, config, mac_factory=lambda i, b: TdmaMac(plan)
+            20, seed, config, mac=lambda i, b: TdmaMac(plan)
         )
         add_uniform_poisson(network, 0.1, seed + 1)
         result = network.run(300 * network.budget.slot_time)
         return network, plan, result
+
+    @staticmethod
+    def tx_starts(network):
+        return [
+            (event.time, event.source)
+            for event in network.instrumentation.events()
+            if isinstance(event, TxStart)
+        ]
 
     def test_loss_free(self, outcome):
         _network, _plan, result = outcome
@@ -79,9 +88,8 @@ class TestTdmaInNetwork:
     def test_transmissions_respect_slot_assignment(self, outcome):
         network, plan, _result = outcome
         frame = plan.frame_slots * plan.slot_duration
-        for record in network.trace.of_kind("tx_start"):
-            source = record.data["source"]
-            offset = (record.time % frame) / plan.slot_duration
+        for time, source in self.tx_starts(network):
+            offset = (time % frame) / plan.slot_duration
             # A start exactly on a frame boundary can come back as
             # ~frame_slots through float modulo; wrap it.
             slot = int(offset + 1e-6) % plan.frame_slots
@@ -90,9 +98,7 @@ class TestTdmaInNetwork:
     def test_neighbors_never_transmit_simultaneously(self, outcome):
         network, plan, _result = outcome
         usable = network.matrix.usable_links(network.budget.min_gain)
-        starts = [
-            (r.time, r.data["source"]) for r in network.trace.of_kind("tx_start")
-        ]
+        starts = self.tx_starts(network)
         airtime = network.budget.packet_airtime
         for i, (t1, s1) in enumerate(starts):
             for t2, s2 in starts[i + 1:]:

@@ -1,11 +1,10 @@
-"""The Instrumentation facade: guards, composition, legacy queries."""
-
-import pytest
+"""The Instrumentation facade: guards, composition, resolution."""
 
 from repro.net.network import NetworkConfig, build_network
 from repro.obs import (
     Instrumentation,
     MemorySink,
+    MetricTimelines,
     ambient_instrumentation,
     use_instrumentation,
 )
@@ -49,41 +48,6 @@ class TestFacade:
         instr = Instrumentation.recording()
         assert instr.memory is not None
         assert not Instrumentation.disabled().active
-
-
-class TestLegacyQuerySurface:
-    def make(self):
-        instr = Instrumentation.recording()
-        instr.emit(tx(1.0, packet=1))
-        instr.emit(tx(2.0, packet=2))
-        return instr
-
-    def test_of_kind_returns_legacy_records(self):
-        instr = self.make()
-        records = instr.of_kind("tx_start")
-        assert len(records) == 2
-        assert records[0].kind == "tx_start"
-        assert records[0].data["packet"] == 1
-
-    def test_count_kinds_len_iter(self):
-        instr = self.make()
-        assert len(instr) == 2
-        assert instr.count("tx_start") == 2
-        assert instr.count() == 2
-        assert instr.kinds() == {"tx_start": 2}
-        assert [record.time for record in instr] == [1.0, 2.0]
-
-    def test_between_is_half_open(self):
-        instr = self.make()
-        assert [r.time for r in instr.between(1.0, 2.0)] == [1.0]
-        with pytest.raises(ValueError):
-            instr.between(2.0, 1.0)
-
-    def test_clear_and_enabled_alias(self):
-        instr = self.make()
-        assert instr.enabled
-        instr.clear()
-        assert len(instr) == 0
 
 
 class TestAmbient:
@@ -134,3 +98,19 @@ class TestResolution:
         bare = self.build(trace=False)
         assert bare.instrumentation.memory is None
         assert not bare.instrumentation.active
+
+    def test_trace_true_leaves_the_callers_facade_alone(self):
+        # A memory sink added for one network must not ride along on a
+        # caller's facade into every later network built under it.
+        timelines = MetricTimelines()
+        ambient = Instrumentation((timelines,))
+        with use_instrumentation(ambient):
+            first = self.build(trace=True)
+            second = self.build(trace=True)
+        assert ambient.sinks == (timelines,)
+        assert first.instrumentation.memory is not second.instrumentation.memory
+        explicit = Instrumentation((timelines,))
+        network = self.build(trace=True, instrumentation=explicit)
+        assert explicit.sinks == (timelines,)
+        assert network.instrumentation.sinks[0] is timelines
+        assert network.instrumentation.memory is not None

@@ -1,5 +1,5 @@
-"""Instrumentation must be non-perturbing: replay digests are
-bit-identical with every sink attached or none at all.
+"""Instrumentation must be non-perturbing: replay digests and run
+results are bit-identical with every sink attached or none at all.
 
 This is the zero-cost-when-disabled guarantee from the observability
 redesign, checked the strongest way available: the engine's sanitized
@@ -8,6 +8,7 @@ so any instrumentation code path that touched the wheel or an RNG
 would change it.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -94,3 +95,42 @@ class TestFileSinksMatchTheRun:
                     assert math.isnan(got_j) and math.isnan(got_b)
                 else:
                     assert value == got_j == got_b
+
+
+def canonical(result):
+    """A NetworkResult as comparable values: floats by ``float.hex``
+    (so NaN equals NaN and nothing is compared to rounding)."""
+
+    def norm(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, dict):
+            return sorted((repr(key), norm(item)) for key, item in value.items())
+        return value
+
+    return {
+        field.name: norm(getattr(result, field.name))
+        for field in dataclasses.fields(result)
+    }
+
+
+class TestResultIgnoresSinks:
+    def result_of(self, instrumentation):
+        network = standard_network(
+            60, 89, trace=False, instrumentation=instrumentation
+        )
+        add_uniform_poisson(network, 0.1, 7)
+        return network.run(60 * network.budget.slot_time)
+
+    def test_same_result_whatever_observes_the_run(self, tmp_path):
+        bare = self.result_of(None)
+        assert bare.delivered_end_to_end > 0
+        assert math.isfinite(bare.mean_hops)
+        for instrumentation in (
+            Instrumentation((MemorySink(),)),
+            Instrumentation((MemorySink(50),)),
+            Instrumentation((JsonlSink(str(tmp_path / "run.jsonl")),)),
+        ):
+            observed = self.result_of(instrumentation)
+            instrumentation.close()
+            assert canonical(observed) == canonical(bare)

@@ -51,16 +51,6 @@ class TestPayloads:
         ]
         assert "time" not in event.payload()
 
-    def test_to_record_downgrades_tuples_to_lists(self):
-        event = RxFail(
-            time=3.0, receiver=1, source=2, reason="sir",
-            types=(2, 3), packet=5, min_sir=0.1,
-        )
-        record = event.to_record()
-        assert record.kind == "rx_fail"
-        assert record.time == 3.0
-        assert record.data["types"] == [2, 3]
-
     def test_round_trip_through_payload(self):
         original = RxFail(
             time=3.0, receiver=1, source=2, reason="sir",

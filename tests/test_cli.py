@@ -65,35 +65,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "raw_rate_mbps" in out
 
-    def test_bench_command(self, capsys, tmp_path):
-        import json
-
-        output = tmp_path / "bench.json"
-        code = main(
-            [
-                "bench",
-                "--stations", "20",
-                "--load", "0.05",
-                "--duration", "30",
-                "--output", str(output),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "events/s" in out
-        payload = json.loads(output.read_text())
-        scenario = payload["scenarios"][0]
-        assert scenario["stations"] == 20
-        assert scenario["events"] > 0
-        assert scenario["events_per_s"] > 0
-
-    def test_bench_command_is_sanitizer_clean(self, capsys):
-        from repro.sim.sanitizer import sanitized
-
-        with sanitized(True):
-            assert main(["bench", "--stations", "15", "--duration", "20"]) == 0
-        assert "events/s" in capsys.readouterr().out
-
     def test_verify_determinism_command(self, capsys):
         code = main(
             [
@@ -117,26 +88,6 @@ class TestParallelCommands:
         "--set", "duration_slots=60.0",
         "--set", "load_packets_per_slot=0.2",
     ]
-
-    def test_bench_rounds_reports_best(self, capsys):
-        code = main(
-            [
-                "bench",
-                "--stations", "15",
-                "--duration", "20",
-                "--rounds", "2",
-            ]
-        )
-        assert code == 0
-        assert "best of 2 rounds" in capsys.readouterr().out
-
-    def test_bench_rejects_nonpositive_rounds(self, capsys):
-        assert main(["bench", "--rounds", "0"]) == 2
-        assert "--rounds" in capsys.readouterr().err
-
-    def test_bench_suite_rejects_bad_jobs_list(self, capsys):
-        assert main(["bench", "--suite", "--jobs", "0"]) == 2
-        assert "worker-count" in capsys.readouterr().err
 
     def test_sweep_command_writes_report(self, capsys, tmp_path):
         import json
@@ -340,6 +291,48 @@ class TestTraceCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 3
         assert all('"kind": "delivered"' in line for line in lines)
+
+    def test_read_prints_payload_with_tuples_as_lists(self, capsys, tmp_path):
+        from repro.obs import JsonlSink
+        from repro.obs.events import RxFail
+
+        path = str(tmp_path / "one.jsonl")
+        sink = JsonlSink(path)
+        sink.emit(
+            RxFail(
+                time=3.0, receiver=1, source=2, reason="sir",
+                types=(2, 3), packet=5, min_sir=0.1,
+            )
+        )
+        sink.close()
+        assert main(["trace", "--read", path]) == 0
+        assert capsys.readouterr().out == (
+            '{"kind": "rx_fail", "min_sir": 0.1, "packet": 5, '
+            '"reason": "sir", "receiver": 1, "source": 2, "time": 3.0, '
+            '"types": [2, 3]}\n'
+        )
+
+    @pytest.mark.parametrize(
+        "experiment, station_count", [("A7", 40), ("T10", 24)]
+    )
+    def test_trace_prints_the_same_rows_as_run(
+        self, capsys, tmp_path, experiment, station_count
+    ):
+        # Every network an experiment builds under the trace command
+        # must report what it reports under run: no sink of an earlier
+        # network may feed a later network's results.
+        overrides = [
+            "--set", f"station_count={station_count}",
+            "--set", "duration_slots=150",
+        ]
+        assert main(["run", experiment, *overrides]) == 0
+        ran = capsys.readouterr().out
+        jsonl = str(tmp_path / "trace.jsonl")
+        assert main(
+            ["trace", "--experiment", experiment, *overrides, "--jsonl", jsonl]
+        ) == 0
+        traced = capsys.readouterr().out
+        assert traced == ran + f"wrote {jsonl}\n"
 
     def test_requires_a_sink(self, capsys):
         assert main(["trace", "--experiment", "T7"]) == 2

@@ -1,11 +1,14 @@
 """Documentation consistency: DESIGN.md's experiment index, the
-experiment registry, and the benchmark files must agree."""
+experiment registry, and the benchmark files must agree, and the docs
+cite only commands and files that exist."""
 
+import argparse
 import pathlib
 import re
 
 import pytest
 
+from repro.cli import build_parser
 from repro.experiments import all_experiments
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -52,3 +55,50 @@ class TestExperimentsDoc:
             assert re.search(
                 rf"(^|\|\s*|#+\s+){experiment_id}\b", text, re.MULTILINE
             ), f"{experiment_id} missing from EXPERIMENTS.md"
+
+
+#: The documents a reader follows to build, run and verify the repo.
+CITING_DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "CONTRIBUTING.md",
+    ".claude/skills/verify/SKILL.md",
+)
+
+#: ``repro <command>`` as a shell line or prose cites it.
+REPRO_COMMAND = re.compile(r"(?<![\w/.-])repro ([a-z][a-z-]*)")
+
+#: A repository path under one of the code trees.
+REPO_PATH = re.compile(
+    r"(?<![\w/.-])((?:src|tools|benchmarks|examples|tests|perf)/[\w./*-]*[\w*])"
+)
+
+
+def _subcommands():
+    parser = build_parser()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return set(action.choices)
+    raise AssertionError("build_parser() has no subcommands")
+
+
+@pytest.mark.parametrize("doc", CITING_DOCS)
+class TestDocsCiteWhatExists:
+    def test_every_cited_repro_command_exists(self, doc):
+        commands = _subcommands()
+        text = (REPO_ROOT / doc).read_text()
+        cited = set(REPRO_COMMAND.findall(text))
+        assert not cited - commands, (
+            f"{doc} cites repro subcommands that do not exist: "
+            f"{sorted(cited - commands)}"
+        )
+
+    def test_every_cited_path_exists(self, doc):
+        text = (REPO_ROOT / doc).read_text()
+        missing = sorted(
+            path
+            for path in set(REPO_PATH.findall(text))
+            if not any(REPO_ROOT.glob(path))
+        )
+        assert not missing, f"{doc} cites paths that do not exist: {missing}"

@@ -7,6 +7,7 @@ from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults import StationCrash
 from repro.net import HotspotTraffic, NetworkConfig
 from repro.obs import Instrumentation, MetricTimelines
+from repro.obs.events import Delivered, FaultInject, StationDown, TxStart
 from repro.propagation import uniform_disk
 from repro.sim.sanitizer import sanitized
 
@@ -41,8 +42,8 @@ class TestSimulate:
 
     def test_trace_true_enables_queries(self):
         outcome = repro.simulate(SCENARIO, seed=3, trace=True)
-        assert outcome.instrumentation.count("tx_start") > 0
-        assert outcome.instrumentation.of_kind("delivered")
+        kinds = {type(event) for event in outcome.instrumentation.events()}
+        assert TxStart in kinds and Delivered in kinds
 
     def test_instrumentation_sink_observes_the_run(self):
         timelines = MetricTimelines(station_count=14)
@@ -91,8 +92,9 @@ class TestSimulate:
             trace=True,
         )
         assert outcome.injector is not None
-        assert outcome.instrumentation.count("station_down") == 1
-        assert outcome.instrumentation.count("fault_inject") == 1
+        kinds = [type(event) for event in outcome.instrumentation.events()]
+        assert kinds.count(StationDown) == 1
+        assert kinds.count(FaultInject) == 1
 
     def test_custom_placement_and_traffic(self):
         placement = uniform_disk(10, radius=500.0, seed=21)

@@ -75,22 +75,23 @@ class TestWallClockRule:
         # Only clock *reads* are flagged, not the module itself.
         assert "REP002" not in codes("__all__ = []\nimport time\n")
 
-    def test_perf_harness_uses_inline_directives(self):
-        # The perf harness times finished runs; its exemption is an
-        # inline directive at each timing line, not a path carve-out.
+    def test_timing_sites_use_inline_directives(self):
+        # The pool times host execution of finished runs; its exemption
+        # is an inline directive at each timing line, not a path
+        # carve-out.
         assert "REP002" in codes(
             "import time\nstart = time.perf_counter()\n",
-            path="src/repro/analysis/perf.py",
+            path="src/repro/parallel/pool.py",
         )
         assert "REP002" not in codes(
             "import time\n"
             "start = time.perf_counter()  # reprolint: " "disable=REP002\n",
-            path="src/repro/analysis/perf.py",
+            path="src/repro/parallel/pool.py",
         )
         # The exemption is exact — sibling modules stay covered.
         assert "REP002" in codes(
             "import time\nstart = time.perf_counter()\n",
-            path="src/repro/analysis/metro.py",
+            path="src/repro/parallel/sweep.py",
         )
 
 
@@ -284,7 +285,7 @@ class TestParallelSeedRule:
     def test_scoped_to_src_repro(self):
         assert "REP008" not in codes("import multiprocessing\n", path=TEST)
         assert "REP008" not in codes(
-            "import multiprocessing\n", path="tools/perfreport.py"
+            "import multiprocessing\n", path="tools/cache_smoke.py"
         )
 
     def test_allows_the_task_layer(self):

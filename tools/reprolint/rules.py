@@ -839,17 +839,12 @@ class FaultSeedRule(Rule):
 class LegacyTraceRecordRule(Rule):
     """REP010: no string-kind ``trace.record(...)`` call sites.
 
-    The observability redesign routes every emission through the typed
-    event classes in :mod:`repro.obs.events` and the
-    ``Instrumentation.emit`` facade; the old string-kind
-    ``trace.record("kind", **blob)`` surface survives only as a
-    deprecated compatibility shim.  A new ``trace.record(`` call site
-    reintroduces untyped, schema-less rows that the sinks and metric
-    timelines cannot decode.  Scoped to ``src/repro`` outside the
-    observability package itself; the legacy shim module
-    (``repro/sim/trace.py``) defines the method but contains no
-    ``trace.record(...)`` call sites of its own, so it needs no
-    exemption.
+    Every emission goes through the typed event classes in
+    :mod:`repro.obs.events` and the ``Instrumentation.emit`` facade.  A
+    string-kind ``trace.record("kind", **blob)`` call site would emit
+    untyped, schema-less rows that the sinks and metric timelines
+    cannot decode.  Scoped to ``src/repro`` outside the observability
+    package itself.
     """
 
     CODE = "REP010"
@@ -878,7 +873,7 @@ class LegacyTraceRecordRule(Rule):
                     self._violation(
                         path,
                         node,
-                        f"call to {dotted}() uses the deprecated string-kind "
+                        f"call to {dotted}() uses a string-kind "
                         "trace surface; emit a typed repro.obs event via "
                         "Instrumentation.emit instead",
                     )
