@@ -112,25 +112,24 @@ def main() -> None:
           f"of {config.despreader_channels} channels")
     print(f"  bank rejections     : {gateway_station.bank.rejections}")
 
-    # Delay vs distance from the gateway: multihop in action.
-    print("\nDelay by distance ring (delivered-to-gateway packets)")
-    distances = np.sqrt(
-        ((placement.positions - placement.positions[gateway]) ** 2).sum(axis=1)
-    )
-    rings = [(0, 300.0), (300.0, 600.0), (600.0, 2000.0)]
-    delays_by_origin = {}
+    # Delay vs route length to the gateway: multihop in action.
+    print("\nDelay by route length (delivered-to-gateway packets)")
+    delays_by_hops = {}
     for event in network.instrumentation.events():
         if not isinstance(event, Delivered) or event.station != gateway:
             continue
-        delays_by_origin.setdefault(event.hops, []).append(event.delay)
-    for hops in sorted(delays_by_origin):
-        delays = delays_by_origin[hops]
+        delays_by_hops.setdefault(event.hops, []).append(event.delay)
+    for hops in sorted(delays_by_hops):
+        delays = delays_by_hops[hops]
         print(
             f"  {hops}-hop routes: {len(delays):4d} packets, "
             f"mean delay {np.mean(delays) / budget.slot_time:6.1f} slots"
         )
 
     # A sample route toward the gateway.
+    distances = np.sqrt(
+        ((placement.positions - placement.positions[gateway]) ** 2).sum(axis=1)
+    )
     far_station = int(np.argmax(distances))
     path = trace_route(network.tables, far_station, gateway)
     print(f"\nFarthest station ({far_station}, {distances[far_station]:.0f} m out) "

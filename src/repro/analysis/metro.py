@@ -29,12 +29,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.analysis.capacity import spectral_efficiency
-from repro.core.intervals import Interval
+from repro.core.access import (
+    NoTransmitWindowError,
+    ScheduleView,
+    find_transmit_window,
+)
 from repro.core.noise import snr_nearest_neighbor
 from repro.core.reception import shannon_capacity
 from repro.core.schedule import DEFAULT_RECEIVE_FRACTION, Schedule
@@ -432,10 +436,17 @@ def build_metro_scene(
     )
 
 
+def _offset_view(schedule: Schedule, offset: float) -> ScheduleView:
+    """A station's schedule in global time through its pure clock
+    offset (local = global + offset), the metro scene's clock model."""
+    return ScheduleView(
+        schedule, lambda local: local - offset, lambda now: now + offset
+    )
+
+
 def _first_joint_start(
-    schedule: Schedule,
-    sender_offset: float,
-    receiver_offset: float,
+    sender: ScheduleView,
+    receiver: ScheduleView,
     earliest: float,
     airtime: float,
     guard: float,
@@ -443,40 +454,26 @@ def _first_joint_start(
 ) -> float:
     """Earliest global time >= ``earliest`` at which a burst of
     ``airtime`` fits inside the sender's transmit window AND the
-    receiver's receive window (each in its own clock domain).
-
-    Two-pointer sweep over the two stations' merged window streams;
-    ``guard`` insets every window edge so clock-offset float round
-    trips can never flip a designation at the boundary.
+    receiver's receive window, both shrunk by ``guard``: the Section 7
+    search :func:`~repro.core.access.find_transmit_window`, with a
+    horizon that reaches past ``deadline``.
 
     Returns ``inf`` when no joint window opens before ``deadline``.
     This is not just a horizon cutoff: all stations share one schedule
     function, so a pair whose clock offsets differ by less than about
     one slot has *correlated* designations (the §7.1 hazard) and may
     never open a joint window at all — the deadline is what keeps the
-    sweep finite for such pairs.
+    search finite for such pairs.
     """
-    sender: Iterator[Interval] = schedule.windows(
-        earliest + sender_offset, receive=False
-    )
-    receiver: Iterator[Interval] = schedule.windows(
-        earliest + receiver_offset, receive=True
-    )
-    tx_a, tx_b = next(sender)
-    rx_a, rx_b = next(receiver)
-    while True:
-        # Convert both windows to global time and inset the guard.
-        lo = max(tx_a - sender_offset, rx_a - receiver_offset) + guard
-        hi = min(tx_b - sender_offset, rx_b - receiver_offset) - guard
-        start = max(lo, earliest)
-        if start >= deadline:
-            return math.inf
-        if hi - start >= airtime:
-            return start
-        if tx_b - sender_offset <= rx_b - receiver_offset:
-            tx_a, tx_b = next(sender)
-        else:
-            rx_a, rx_b = next(receiver)
+    slot_time = sender.schedule.slot_time
+    search_slots = max(1, math.ceil((deadline - earliest) / slot_time) + 1)
+    try:
+        start = find_transmit_window(
+            sender, receiver, airtime, earliest, guard, search_slots=search_slots
+        )[0]
+    except NoTransmitWindowError:
+        return math.inf
+    return start if start < deadline else math.inf
 
 
 def run_metro_scene(
@@ -518,9 +515,13 @@ def run_metro_scene(
         raise ValueError("load must be positive")
     if duration_slots <= 0.0:
         raise ValueError("duration must be positive")
+    if not math.isfinite(guard_fraction):
+        raise ValueError("guard fraction must be finite")
+    if guard_fraction < 0.0:
+        raise ValueError("guard fraction must be non-negative")
     count = scene.station_count
     schedule = scene.schedule()
-    offsets = scene.clock_offsets
+    offsets = scene.clock_offsets.tolist()
     airtime = scene.packet_airtime
     guard = guard_fraction * scene.slot_time
     horizon = duration_slots * scene.slot_time
@@ -538,19 +539,24 @@ def run_metro_scene(
 
     # Serialize each station's backlog through the joint-window search:
     # a packet starts no earlier than its arrival and no earlier than
-    # the end of the station's previous burst.
-    next_free = np.zeros(count)
+    # the end of the station's previous burst.  A station's views of its
+    # own schedule and its destination's serve its backlog only, so
+    # their window tables are dropped with it.
+    nearest = scene.nearest.tolist()
     starts = []
     sources = []
     unscheduled = 0
-    for position in range(offered):
-        station = int(stations_of[position])
-        earliest = max(float(times[position]), float(next_free[station]))
+    current = -1
+    for station, arrival in zip(stations_of.tolist(), times.tolist()):
+        if station != current:
+            current = station
+            sender = _offset_view(schedule, offsets[station])
+            receiver = _offset_view(schedule, offsets[nearest[station]])
+            next_free = 0.0
         start = _first_joint_start(
-            schedule,
-            float(offsets[station]),
-            float(offsets[scene.nearest[station]]),
-            earliest,
+            sender,
+            receiver,
+            max(arrival, next_free),
             airtime,
             guard,
             deadline=horizon,
@@ -558,7 +564,7 @@ def run_metro_scene(
         if start >= horizon:
             unscheduled += 1
             continue
-        next_free[station] = start + airtime
+        next_free = start + airtime
         starts.append(start)
         sources.append(station)
 
@@ -578,15 +584,15 @@ def run_metro_scene(
         resync_events=resync_events,
     )
 
+    powers = scene.powers.tolist()
     max_bound = 0.0
 
     def driver():
         nonlocal max_bound
-        for position in transmit_order:
-            index = int(position)
-            start = float(starts[index])
+        for index in transmit_order.tolist():
+            start = starts[index]
             source = sources[index]
-            destination = int(scene.nearest[source])
+            destination = nearest[source]
             if start > env.now:
                 yield env.timeout(start - env.now)
             medium.transmit(
@@ -598,7 +604,7 @@ def run_metro_scene(
                     size_bits=scene.packet_size_bits,
                     created_at=env.now,
                 ),
-                float(scene.powers[source]),
+                powers[source],
                 airtime,
             )
             bound = medium.field_error_bound_w()

@@ -13,25 +13,27 @@ This module implements the sender-side computation:
   global simulation time, either exactly (its own clock) or through a
   :class:`~repro.clock.sync.NeighborClockModel` (how a sender sees a
   neighbour's schedule);
-* :func:`find_transmit_window` — the overlap search, including the
-  Section 7.3 extension: intervals that fall inside the receive windows
-  of *other* near neighbours that the transmission would significantly
-  interfere with can be excluded ("each must refrain from transmitting
-  in a manner that interferes excessively with the receptions at its
+* :func:`find_transmit_window` — the overlap search that both the
+  network MAC and the metro driver run, including the Section 7.3
+  extension: intervals that fall inside the receive windows of *other*
+  near neighbours that the transmission would significantly interfere
+  with can be excluded ("each must refrain from transmitting in a
+  manner that interferes excessively with the receptions at its
   neighbor").
 
 A sender compares nearly the same stretch of the same schedules on
 each search, so each view derives a designation's windows once, into a
 *window table*: the schedule's merged runs from a base slot on, each
 run's start and end mapped to global time by the view's ``to_global``.
-Searches and the public window streams walk the tables; only a
-stream's first window, clipped at the query instant, is mapped per
-query.  A neighbour view's tables are keyed on its model's fitted
-``(intercept, slope)`` and rebuilt when a refit in place changes it;
-any table is rebuilt from the query's slot when a query falls before
-its base, past its last run or far past its first.  A cached float is
-the one a fresh derivation computes, by the same expression, so the
-tables never change a search's result.
+A new table derives one run and grows by doubling, so a one-shot query
+derives little past its answer.  Searches and the public window
+streams walk the tables; only a stream's first window, clipped at the
+query instant, is mapped per query.  A neighbour view's tables are
+keyed on its model's fitted ``(intercept, slope)`` and rebuilt when a
+refit in place changes it; any table is rebuilt from the query's slot
+when a query falls before its base, past its last run or far past its
+first.  A cached float is the one a fresh derivation computes, by the
+same expression, so the tables never change a search's result.
 
 Because the receive windows a station publishes are a *commitment to
 listen*, a sender that transmits only inside such an overlap can never
@@ -64,8 +66,14 @@ __all__ = [
 DEFAULT_SEARCH_SLOTS = 10_000
 """Default search horizon, in slots, before giving up on a neighbour."""
 
-#: Runs a window table derives at a time: about 75 slots of schedule at
-#: the default duty cycle, the next several searches' worth.
+#: Runs a new window table derives first.  It then grows by as many
+#: runs as it already holds, up to :data:`_CHUNK_RUNS` at a time, so a
+#: one-shot query derives little beyond its answer while a stretch
+#: queried again and again is soon derived in full chunks.
+_FIRST_RUNS = 1
+
+#: The most runs a window table derives at a time: about 75 slots of
+#: schedule at the default duty cycle, the next several searches' worth.
 _CHUNK_RUNS = 16
 
 #: A query this many runs (about 1,200 slots) past its table's first
@@ -84,6 +92,10 @@ class NoTransmitWindowError(RuntimeError):
     """
 
 
+_NO_SLOTS = array("q")
+_NO_TIMES = array("d")
+
+
 class _WindowTable:
     """One designation's merged schedule runs, from slot ``base`` on.
 
@@ -100,10 +112,12 @@ class _WindowTable:
     def __init__(self, key: Optional[Tuple[float, float]], base: int) -> None:
         self.key = key
         self.base = base
-        self.starts = array("q")
-        self.ends = array("q")
-        self.lo = array("d")
-        self.hi = array("d")
+        # Copies of an empty array: cheaper than parsing a typecode,
+        # and a one-shot search builds a table per query.
+        self.starts = _NO_SLOTS[:]
+        self.ends = _NO_SLOTS[:]
+        self.lo = _NO_TIMES[:]
+        self.hi = _NO_TIMES[:]
 
 
 @dataclass(frozen=True)
@@ -167,21 +181,25 @@ class ScheduleView:
         return cls(schedule, to_global, to_local, model)
 
     def _extend(self, table: _WindowTable, want: int) -> None:
-        """Append the next :data:`_CHUNK_RUNS` runs of designation ``want``
-        (1 = receive), found and mapped as :meth:`Schedule.windows` and
-        ``to_global`` would."""
-        find = self.schedule._find_designation
-        slot_time = self.schedule.slot_time
+        """Append the next runs of designation ``want`` (1 = receive),
+        found and mapped as :meth:`Schedule.windows` and ``to_global``
+        would: :data:`_FIRST_RUNS` to a new table, then as many as it
+        holds, up to :data:`_CHUNK_RUNS`."""
+        schedule = self.schedule
+        find = schedule._find_designation
+        slot_time = schedule.slot_time
         to_global = self.to_global
         other = 1 - want
-        index = table.ends[-1] + 1 if table.ends else table.base
-        for _ in range(_CHUNK_RUNS):
+        starts, ends, lows, highs = table.starts, table.ends, table.lo, table.hi
+        held = len(ends)
+        index = ends[-1] + 1 if held else table.base
+        for _ in range(min(max(held, _FIRST_RUNS), _CHUNK_RUNS)):
             run_start = find(index, want)
             run_end = find(run_start + 1, other)
-            table.starts.append(run_start)
-            table.ends.append(run_end)
-            table.lo.append(to_global(run_start * slot_time))
-            table.hi.append(to_global(run_end * slot_time))
+            starts.append(run_start)
+            ends.append(run_end)
+            lows.append(to_global(run_start * slot_time))
+            highs.append(to_global(run_end * slot_time))
             index = run_end + 1
 
     def _rebuild(

@@ -14,13 +14,11 @@ operations preserve that property.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
 __all__ = [
     "Interval",
-    "validate_stream",
     "intersect",
-    "intersect_many",
     "subtract",
     "clip",
     "first_fitting",
@@ -28,18 +26,6 @@ __all__ = [
 ]
 
 Interval = Tuple[float, float]
-
-
-def validate_stream(intervals: Iterable[Interval]) -> Iterator[Interval]:
-    """Yield intervals, checking order and disjointness as they pass."""
-    previous_end: Optional[float] = None
-    for start, end in intervals:
-        if end <= start:
-            raise ValueError(f"empty or inverted interval ({start}, {end})")
-        if previous_end is not None and start < previous_end:
-            raise ValueError("intervals out of order or overlapping")
-        previous_end = end
-        yield (start, end)
 
 
 def intersect(a: Iterable[Interval], b: Iterable[Interval]) -> Iterator[Interval]:
@@ -58,16 +44,6 @@ def intersect(a: Iterable[Interval], b: Iterable[Interval]) -> Iterator[Interval
             current_a = next(iter_a, None)
         else:
             current_b = next(iter_b, None)
-
-
-def intersect_many(streams: List[Iterable[Interval]]) -> Iterator[Interval]:
-    """Lazy intersection of any number of ordered interval streams."""
-    if not streams:
-        raise ValueError("need at least one stream")
-    result: Iterable[Interval] = streams[0]
-    for stream in streams[1:]:
-        result = intersect(result, stream)
-    return iter(result)
 
 
 def subtract(base: Iterable[Interval], removed: Iterable[Interval]) -> Iterator[Interval]:

@@ -192,11 +192,11 @@ class Schedule:
         walk outside the block-cache range.
         """
         needle = b"\x01" if want else b"\x00"
+        blocks = self._designation_blocks
         while -_BLOCK_LIMIT <= index <= _BLOCK_LIMIT:
             block_index = index >> _BLOCK_SHIFT
-            position = self._designation_block(block_index).find(
-                needle, index & _BLOCK_MASK
-            )
+            block = blocks.get(block_index) or self._designation_block(block_index)
+            position = block.find(needle, index & _BLOCK_MASK)
             if position >= 0:
                 return (block_index << _BLOCK_SHIFT) + position
             index = (block_index + 1) << _BLOCK_SHIFT

@@ -34,7 +34,6 @@ from repro.experiments import (  # noqa: F401 - imported for registration
     t14_capacity,
 )
 from repro.experiments.runner import (
-    ExperimentParams,
     ExperimentReport,
     ExperimentResult,
     all_experiments,
@@ -42,7 +41,6 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "ExperimentParams",
     "ExperimentReport",
     "ExperimentResult",
     "all_experiments",

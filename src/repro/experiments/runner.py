@@ -1,13 +1,11 @@
 """Experiment harness: uniform report structure and registry.
 
-Every experiment module exposes the normalized entry point
-``run(params: ExperimentParams) -> ExperimentResult`` (the
-:func:`register` decorator wraps each module's implementation into this
-signature).  The legacy keyword-argument form ``run(**params)`` keeps
-working as a thin shim for one release.  A report carries the
-experiment id (the DESIGN.md index), a table of rows (what the paper's
-figure/table showed), and free-form notes recording paper-claimed
-versus measured values — the same rows EXPERIMENTS.md summarises.
+Every experiment module exposes the entry point
+``run(**params) -> ExperimentResult``, registered by the
+:func:`register` decorator.  A report carries the experiment id (the
+DESIGN.md index), a table of rows (what the paper's figure/table
+showed), and free-form notes recording paper-claimed versus measured
+values — the same rows EXPERIMENTS.md summarises.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "ExperimentParams",
     "ExperimentReport",
     "ExperimentResult",
     "register",
@@ -25,43 +22,6 @@ __all__ = [
     "all_experiments",
     "run_many",
 ]
-
-
-class ExperimentParams:
-    """Uniform parameter bundle for experiment entry points.
-
-    Wraps the keyword parameters of one experiment invocation so every
-    ``run`` shares the signature ``run(params) -> ExperimentResult``::
-
-        report = run(ExperimentParams(station_count=40, seed=31))
-
-    Args:
-        values: the experiment's keyword parameters, verbatim.
-    """
-
-    def __init__(self, **values: Any) -> None:
-        self._values = dict(values)
-
-    def to_kwargs(self) -> Dict[str, Any]:
-        """The bundled parameters as a plain keyword dict (a copy)."""
-        return dict(self._values)
-
-    def __getitem__(self, key: str) -> Any:
-        return self._values[key]
-
-    def __contains__(self, key: str) -> bool:
-        return key in self._values
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ExperimentParams):
-            return NotImplemented
-        return self._values == other._values
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{key}={value!r}" for key, value in sorted(self._values.items())
-        )
-        return f"ExperimentParams({inner})"
 
 
 @dataclass
@@ -130,8 +90,8 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-#: Alias making the normalized entry-point signature read naturally:
-#: ``run(params: ExperimentParams) -> ExperimentResult``.
+#: Alias making the entry-point signature read naturally:
+#: ``run(**params) -> ExperimentResult``.
 ExperimentResult = ExperimentReport
 
 
@@ -141,13 +101,10 @@ _REGISTRY: Dict[str, Callable[..., ExperimentReport]] = {}
 def register(experiment_id: str) -> Callable:
     """Decorator registering an experiment's ``run`` under its id.
 
-    The decorated implementation keeps its keyword signature; the
-    registered (and module-exported) callable is a wrapper with the
-    normalized entry-point shape — it accepts a single
-    :class:`ExperimentParams` positional argument, or (as a thin
-    deprecated shim, kept working for one release) the legacy
-    ``run(**params)`` keyword form.  The wrapper carries
-    ``__accepts_params__ = True`` so tooling can verify the contract.
+    The registered (and module-exported) callable wraps the
+    implementation: it takes the implementation's parameters as
+    keyword arguments only, keeps its signature for introspection
+    (``__wrapped__``), and carries ``experiment_id``.
     """
 
     def decorator(func: Callable[..., ExperimentReport]) -> Callable:
@@ -156,21 +113,13 @@ def register(experiment_id: str) -> Callable:
 
         @functools.wraps(func)
         def run(*args: Any, **kwargs: Any) -> ExperimentReport:
-            if args and isinstance(args[0], ExperimentParams):
-                if len(args) > 1 or kwargs:
-                    raise TypeError(
-                        "pass either one ExperimentParams or keyword "
-                        "arguments, not both"
-                    )
-                return func(**args[0].to_kwargs())
             if args:
                 raise TypeError(
-                    f"{experiment_id} takes an ExperimentParams bundle or "
-                    "keyword arguments; positional values are not accepted"
+                    f"{experiment_id} takes keyword arguments; positional "
+                    "values are not accepted"
                 )
             return func(**kwargs)
 
-        run.__accepts_params__ = True
         run.experiment_id = experiment_id
         _REGISTRY[experiment_id] = run
         return run

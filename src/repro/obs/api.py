@@ -40,18 +40,17 @@ __all__ = [
 class Instrumentation:
     """A bundle of trace sinks behind one emission point.
 
+    The sinks are fixed at construction: ``active`` is True exactly
+    when there is at least one.  To observe with more sinks, build a
+    new facade from ``sinks`` plus the extra ones.
+
     Args:
         sinks: the sinks to fan events out to.
-        enabled: force-disable emission even with sinks attached
-            (``active`` is True only when enabled *and* sinks exist).
     """
 
-    def __init__(
-        self, sinks: Sequence[Sink] = (), enabled: bool = True
-    ) -> None:
+    def __init__(self, sinks: Sequence[Sink] = ()) -> None:
         self._sinks = tuple(sinks)
-        self._enabled = bool(enabled)
-        self.active = self._enabled and bool(self._sinks)
+        self.active = bool(self._sinks)
 
     # -- emission ------------------------------------------------------
 
@@ -66,11 +65,6 @@ class Instrumentation:
             return
         for sink in self._sinks:
             sink.emit(event)
-
-    def add_sink(self, sink: Sink) -> None:
-        """Attach one more sink (recomputes :attr:`active`)."""
-        self._sinks = self._sinks + (sink,)
-        self.active = self._enabled and bool(self._sinks)
 
     def close(self) -> None:
         """Close every sink (flushes file-backed ones)."""

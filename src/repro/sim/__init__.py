@@ -4,7 +4,7 @@ from repro.sim.engine import EmptySchedule, Environment
 from repro.sim.events import AllOf, AnyOf, Condition, Event, Interrupt, Timeout
 from repro.sim.process import Process, ProcessGenerator
 from repro.sim.sanitizer import DeterminismSanitizer, SanitizerError, sanitized
-from repro.sim.stats import Histogram, TimeWeighted, Welford
+from repro.sim.stats import Welford
 from repro.sim.streams import RandomStreams
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "EmptySchedule",
     "Environment",
     "Event",
-    "Histogram",
     "Interrupt",
     "Process",
     "ProcessGenerator",
@@ -23,6 +22,5 @@ __all__ = [
     "SanitizerError",
     "Timeout",
     "sanitized",
-    "TimeWeighted",
     "Welford",
 ]

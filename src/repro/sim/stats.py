@@ -1,18 +1,15 @@
 """Streaming statistics used by the simulation harness.
 
-Simulations run for many events; these accumulators collect summary
-statistics in O(1) memory: Welford mean/variance, time-weighted
-averages (for quantities like "number of active transmissions"), and a
-fixed-bin histogram for delay distributions.
+Simulations run for many events; :class:`Welford` collects a mean,
+variance and range in O(1) memory.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import Sequence
 
-__all__ = ["Welford", "TimeWeighted", "Histogram"]
+__all__ = ["Welford"]
 
 
 class Welford:
@@ -71,115 +68,3 @@ class Welford:
     def maximum(self) -> float:
         """Largest observation; NaN when empty."""
         return self._max if self._count else math.nan
-
-
-class TimeWeighted:
-    """Time-weighted average of a piecewise-constant signal.
-
-    Call :meth:`update` whenever the signal changes value; the average
-    weights each level by how long it was held.
-    """
-
-    def __init__(self, initial_value: float = 0.0, initial_time: float = 0.0) -> None:
-        self._value = initial_value
-        self._last_time = initial_time
-        self._weighted_sum = 0.0
-        self._elapsed = 0.0
-
-    @property
-    def value(self) -> float:
-        """Current level of the signal."""
-        return self._value
-
-    def update(self, now: float, value: float) -> None:
-        """Record that the signal changed to ``value`` at time ``now``."""
-        if now < self._last_time:
-            raise ValueError("time must not go backwards")
-        dt = now - self._last_time
-        self._weighted_sum += self._value * dt
-        self._elapsed += dt
-        self._value = value
-        self._last_time = now
-
-    def average(self, now: float | None = None) -> float:
-        """Time-weighted average up to ``now`` (default: last update)."""
-        weighted = self._weighted_sum
-        elapsed = self._elapsed
-        if now is not None:
-            if now < self._last_time:
-                raise ValueError("time must not go backwards")
-            dt = now - self._last_time
-            weighted += self._value * dt
-            elapsed += dt
-        if elapsed <= 0.0:
-            return math.nan
-        return weighted / elapsed
-
-
-@dataclass
-class Histogram:
-    """Fixed-width-bin histogram over [low, high) with overflow bins.
-
-    Attributes:
-        low: lower edge of the first regular bin.
-        high: upper edge of the last regular bin.
-        bins: number of regular bins.
-    """
-
-    low: float
-    high: float
-    bins: int
-    _counts: List[int] = field(default_factory=list, repr=False)
-    _underflow: int = field(default=0, repr=False)
-    _overflow: int = field(default=0, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError("histogram needs at least one bin")
-        if not self.low < self.high:
-            raise ValueError("low must be below high")
-        self._counts = [0] * self.bins
-
-    def add(self, value: float) -> None:
-        """Count one observation."""
-        if value < self.low:
-            self._underflow += 1
-        elif value >= self.high:
-            self._overflow += 1
-        else:
-            width = (self.high - self.low) / self.bins
-            index = int((value - self.low) / width)
-            # Guard against float edge effects at the top boundary.
-            self._counts[min(index, self.bins - 1)] += 1
-
-    @property
-    def counts(self) -> List[int]:
-        """Counts per regular bin."""
-        return list(self._counts)
-
-    @property
-    def underflow(self) -> int:
-        """Observations below ``low``."""
-        return self._underflow
-
-    @property
-    def overflow(self) -> int:
-        """Observations at or above ``high``."""
-        return self._overflow
-
-    @property
-    def total(self) -> int:
-        """All observations, including the overflow bins."""
-        return sum(self._counts) + self._underflow + self._overflow
-
-    def bin_edges(self) -> List[float]:
-        """The ``bins + 1`` edges of the regular bins."""
-        width = (self.high - self.low) / self.bins
-        return [self.low + i * width for i in range(self.bins + 1)]
-
-    def normalized(self) -> List[float]:
-        """Counts as fractions of the total (empty histogram -> zeros)."""
-        total = self.total
-        if total == 0:
-            return [0.0] * self.bins
-        return [c / total for c in self._counts]

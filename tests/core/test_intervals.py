@@ -8,10 +8,8 @@ from repro.core.intervals import (
     clip,
     first_fitting,
     intersect,
-    intersect_many,
     subtract,
     total_length,
-    validate_stream,
 )
 
 
@@ -36,19 +34,6 @@ def _to_stream(pairs):
     return intervals
 
 
-class TestValidate:
-    def test_passes_ordered(self):
-        assert list(validate_stream([(0, 1), (2, 3)])) == [(0, 1), (2, 3)]
-
-    def test_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            list(validate_stream([(1, 1)]))
-
-    def test_rejects_overlap(self):
-        with pytest.raises(ValueError):
-            list(validate_stream([(0, 2), (1, 3)]))
-
-
 class TestIntersect:
     def test_basic_overlap(self):
         a = [(0.0, 10.0)]
@@ -65,14 +50,6 @@ class TestIntersect:
 
     def test_touching_edges_do_not_intersect(self):
         assert list(intersect([(0, 1)], [(1, 2)])) == []
-
-    def test_intersect_many(self):
-        streams = [[(0.0, 10.0)], [(2.0, 8.0)], [(4.0, 12.0)]]
-        assert list(intersect_many(streams)) == [(4.0, 8.0)]
-
-    def test_intersect_many_requires_input(self):
-        with pytest.raises(ValueError):
-            intersect_many([])
 
     @given(stream_strategy(), stream_strategy())
     def test_result_within_both(self, a, b):

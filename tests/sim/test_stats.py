@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.sim.stats import Histogram, TimeWeighted, Welford
+from repro.sim.stats import Welford
 
 
 class TestWelford:
@@ -36,76 +36,3 @@ class TestWelford:
         assert acc.variance == pytest.approx(
             float(np.var(values, ddof=1)), rel=1e-6, abs=1e-6
         )
-
-
-class TestTimeWeighted:
-    def test_constant_signal(self):
-        signal = TimeWeighted(initial_value=5.0)
-        signal.update(10.0, 5.0)
-        assert signal.average() == pytest.approx(5.0)
-
-    def test_step_signal(self):
-        signal = TimeWeighted(initial_value=0.0)
-        signal.update(4.0, 10.0)   # zero for 4 units
-        signal.update(6.0, 0.0)    # ten for 2 units
-        assert signal.average() == pytest.approx(20.0 / 6.0)
-
-    def test_average_extends_to_now(self):
-        signal = TimeWeighted(initial_value=2.0)
-        assert signal.average(now=10.0) == pytest.approx(2.0)
-
-    def test_no_elapsed_is_nan(self):
-        assert math.isnan(TimeWeighted().average())
-
-    def test_time_reversal_rejected(self):
-        signal = TimeWeighted()
-        signal.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            signal.update(4.0, 2.0)
-
-
-class TestHistogram:
-    def test_binning(self):
-        hist = Histogram(low=0.0, high=10.0, bins=10)
-        for value in (0.5, 1.5, 1.6, 9.9):
-            hist.add(value)
-        assert hist.counts[0] == 1
-        assert hist.counts[1] == 2
-        assert hist.counts[9] == 1
-
-    def test_overflow_underflow(self):
-        hist = Histogram(low=0.0, high=1.0, bins=2)
-        hist.add(-5.0)
-        hist.add(2.0)
-        hist.add(1.0)  # boundary goes to overflow (half-open range)
-        assert hist.underflow == 1
-        assert hist.overflow == 2
-
-    def test_total(self):
-        hist = Histogram(low=0.0, high=1.0, bins=4)
-        for value in (-1.0, 0.1, 0.9, 5.0):
-            hist.add(value)
-        assert hist.total == 4
-
-    def test_normalized(self):
-        hist = Histogram(low=0.0, high=2.0, bins=2)
-        hist.add(0.5)
-        hist.add(1.5)
-        hist.add(1.6)
-        assert hist.normalized() == pytest.approx([1 / 3, 2 / 3])
-
-    def test_normalized_empty(self):
-        assert Histogram(0.0, 1.0, 3).normalized() == [0.0, 0.0, 0.0]
-
-    def test_bin_edges(self):
-        assert Histogram(0.0, 1.0, 2).bin_edges() == [0.0, 0.5, 1.0]
-
-    def test_rejects_bad_range(self):
-        with pytest.raises(ValueError):
-            Histogram(low=1.0, high=0.0, bins=2)
-
-    @given(st.floats(min_value=-100.0, max_value=100.0))
-    def test_every_value_lands_somewhere(self, value):
-        hist = Histogram(low=-1.0, high=1.0, bins=7)
-        hist.add(value)
-        assert hist.total == 1

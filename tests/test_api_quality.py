@@ -4,8 +4,6 @@ import importlib
 import inspect
 import pkgutil
 
-import pytest
-
 import repro
 
 PACKAGES = [
@@ -99,9 +97,6 @@ class TestExperimentEntryPoints:
 
     def test_every_run_accepts_params_bundle(self):
         for experiment_id, run in self.experiments():
-            assert getattr(run, "__accepts_params__", False), (
-                f"{experiment_id}.run lacks the ExperimentParams shape"
-            )
             assert run.experiment_id == experiment_id
 
     def test_every_parameter_has_a_default(self):
@@ -127,16 +122,3 @@ class TestExperimentEntryPoints:
                     f"{experiment_id}.run lacks a seed parameter"
                 )
 
-    def test_params_bundle_matches_keyword_shim(self):
-        from repro.experiments import ExperimentParams, get_experiment
-
-        run = get_experiment("F2")
-        via_params = run(ExperimentParams())
-        via_kwargs = run()
-        assert via_params.rows == via_kwargs.rows
-
-    def test_params_bundle_rejects_mixed_call(self):
-        from repro.experiments import ExperimentParams, get_experiment
-
-        with pytest.raises(TypeError):
-            get_experiment("F2")(ExperimentParams(), seed=1)
