@@ -22,8 +22,9 @@ converts to global seconds through the built network's slot time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+import math
+from dataclasses import dataclass, fields
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -42,6 +43,17 @@ __all__ = [
 ]
 
 
+def _require_finite(spec: Any) -> None:
+    """Reject a NaN or infinite number in any field of a spec (``None``
+    still means "no end").  The range checks in ``__post_init__`` are
+    comparisons, which NaN passes silently, and an infinite end never
+    lets a sampling loop finish."""
+    for item in fields(spec):
+        value = getattr(spec, item.name)
+        if isinstance(value, (int, float)) and not math.isfinite(value):
+            raise ValueError(f"{item.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class StationCrash:
     """One explicit crash (and optional recovery) of one station.
@@ -58,6 +70,7 @@ class StationCrash:
     recover_after_slots: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.at_slot <= 0.0:
             raise ValueError("a crash must happen strictly after the start")
         if self.recover_after_slots is not None and self.recover_after_slots <= 0.0:
@@ -88,6 +101,7 @@ class StationChurn:
     stations: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.rate_per_slot <= 0.0:
             raise ValueError("churn rate must be positive")
         if self.start_slot <= 0.0:
@@ -127,6 +141,7 @@ class LinkFade:
     symmetric: bool = True
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.receiver == self.source:
             raise ValueError("a link needs two distinct stations")
         if self.at_slot <= 0.0:
@@ -163,6 +178,7 @@ class ClockStep:
     refit_after_slots: float = 5.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.at_slot <= 0.0:
             raise ValueError("a clock step must happen after the start")
         if self.offset_slots == 0.0 and self.rate_error_delta_ppm == 0.0:
@@ -191,6 +207,7 @@ class PacketCorruption:
     probability: float
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.at_slot <= 0.0:
             raise ValueError("corruption must start after the start")
         if self.duration_slots <= 0.0:
@@ -242,6 +259,7 @@ class FaultEvent:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.kind not in _KINDS:
             raise ValueError(f"unknown fault event kind {self.kind!r}")
         if self.at_slot < 0.0:
@@ -263,6 +281,7 @@ class FaultPlan:
     reroute_delay_slots: float = 2.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.reroute_delay_slots < 0.0:
             raise ValueError("reroute delay must be non-negative")
         ordered = tuple(

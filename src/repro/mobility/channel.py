@@ -18,8 +18,9 @@ Determinism: every random draw flows from the seed tree
 branches for fading, mobility, and re-acquisition, so channel
 trajectories are bit-reproducible and identical across worker counts.
 
-Exact restore: geometry gains are *cached* at install from the
-medium's live values and only re-evaluated for links touching moved
+Exact restore: the tracked links and their geometry gains are read
+at install from the network's nominal matrix, the array its medium
+was built on, and only re-evaluated for links touching moved
 stations.  With zero mobility the geometry never changes, so when the
 episode ends and fades are reset, the process writes back exactly the
 nominal gains — :meth:`~repro.net.medium.Medium
@@ -54,6 +55,7 @@ from typing import TYPE_CHECKING, Optional, Set
 import numpy as np
 
 from repro.faults.resilience import ResilienceLog, ResilienceReport
+from repro.faults.spec import _require_finite
 from repro.mobility.models import MobilityModel
 from repro.obs.events import (
     ChannelUpdate,
@@ -91,6 +93,7 @@ class FadingSpec:
     coherence_slots: float = 8.0
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.sigma_db < 0.0:
             raise ValueError("fade sigma must be non-negative")
         if self.coherence_slots <= 0.0:
@@ -121,9 +124,7 @@ class ChannelSpec:
         reacquire_delay_slots: modelled detection/rendezvous lag
             between a scan that finds turnover and the re-convergence.
         track_gain_floor: optionally ignore links whose install-time
-            gain is below this floor (bounds tracked-link count on
-            dense media; the sparse medium's culling already does
-            this, consistent with its error accounts).
+            gain is below this floor (bounds the tracked-link count).
     """
 
     mobility: Optional[MobilityModel] = None
@@ -137,6 +138,7 @@ class ChannelSpec:
     track_gain_floor: Optional[float] = None
 
     def __post_init__(self) -> None:
+        _require_finite(self)
         if self.tick_slots <= 0.0:
             raise ValueError("tick interval must be positive")
         if self.start_slot < 0.0:
@@ -204,13 +206,10 @@ class ChannelProcess:
             network.placement.positions, dtype=float, copy=True
         )
         # Routing/power geometry baseline for reconverge: tracked links
-        # are overwritten with live geometry, untracked ones (e.g.
-        # sparse-culled) keep their nominal values.
+        # are overwritten with live geometry, untracked ones (below the
+        # track floor) keep their nominal values.
         self._base_gains = np.array(network.matrix.gains, copy=True)
         self._receivers, self._sources, self._geometry = self._tracked_links()
-        self._indices = self.medium.link_indices(
-            self._receivers, self._sources
-        )
         self._fade_db = np.zeros(self._geometry.size)
         self._known_hearable = self._geometry >= network.budget.min_gain
         self._turned_over: Set[int] = set()
@@ -218,23 +217,12 @@ class ChannelProcess:
     # -- link tracking --------------------------------------------------
 
     def _tracked_links(self):
-        """(receivers, sources, live gains) for every link the process
-        maintains, from the medium's install-time (nominal) state."""
-        medium = self.medium
-        if medium.sparse is not None:
-            field = medium.sparse
-            sources = np.repeat(
-                np.arange(field.count, dtype=np.intp),
-                np.diff(field.indptr),
-            )
-            receivers = field.rows.astype(np.intp)
-            gains = np.array(medium._svals, dtype=float, copy=True)
-        else:
-            assert medium.gains is not None
-            receivers, sources = np.nonzero(medium.gains > 0.0)
-            receivers = receivers.astype(np.intp)
-            sources = sources.astype(np.intp)
-            gains = medium.gains[receivers, sources].astype(float)
+        """(receivers, sources, gains) for every link the process
+        maintains, from the nominal matrix."""
+        receivers, sources = np.nonzero(self._base_gains > 0.0)
+        receivers = receivers.astype(np.intp)
+        sources = sources.astype(np.intp)
+        gains = self._base_gains[receivers, sources].astype(float)
         keep = receivers != sources
         if self.spec.track_gain_floor is not None:
             keep &= gains >= self.spec.track_gain_floor
@@ -287,9 +275,7 @@ class ChannelProcess:
                 spec.fading.sigma_db * noise
             )
             gains = self._geometry * 10.0 ** (self._fade_db / 10.0)
-        applied = self.medium.update_links(
-            self._receivers, self._sources, gains, indices=self._indices
-        )
+        applied = self.medium.update_links(self._receivers, self._sources, gains)
         self.ticks += 1
         self.updates_applied += applied
         if self.instr.active:
@@ -300,10 +286,7 @@ class ChannelProcess:
     def _restore_fading(self) -> None:
         """Reset fades to 0 dB and settle the medium on pure geometry."""
         self._fade_db[:] = 0.0
-        self.medium.update_links(
-            self._receivers, self._sources, self._geometry,
-            indices=self._indices,
-        )
+        self.medium.update_links(self._receivers, self._sources, self._geometry)
         if self.instr.active:
             self.instr.emit(ChannelUpdate(self.env.now, 0, self.tracked_links))
         if self.env.sanitizing and (

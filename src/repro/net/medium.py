@@ -23,8 +23,8 @@ defines, not against a convenient abstraction.
 
 Performance: the Eq. 2 received-power field ``gains @ powers`` is a
 first-class piece of medium state, maintained *incrementally*.  When a
-transmission starts or ends, one O(M) axpy
-(``field ± gains[:, source] * power``) replaces the O(active × M)
+transmission starts or ends, one axpy over the transmitter's gain
+column (``field ± column * power``) replaces the O(active × M)
 matrix-vector recomputation, so every power query
 (:meth:`Medium.interference_at`, :meth:`Medium.total_received_power`,
 the per-reception tracker updates) is an O(1) lookup plus the
@@ -35,23 +35,25 @@ floating-point accumulation; under the determinism sanitizer the
 resync also *asserts* that the incremental field still matches the
 exact recomputation.
 
-Metro scale: a dense ``(M, M)`` gain matrix is 80 GB at 10^5 stations,
-so the medium also accepts a horizon-culled
-:class:`~repro.propagation.sparse.SparseGainField`.  The axpy becomes
-a scatter over the transmitter's CSR column, tracker updates touch
-only the receptions that column can affect, and the drift guard works
-unchanged (the resync recomputes over the same stored structure).
+Two gain representations sit behind one small private interface, and
+the medium picks one from the type of the gains it is handed: a dense
+``(M, M)`` matrix, or, at metro scale (where the dense matrix is 80 GB
+at 10^5 stations), a horizon-culled
+:class:`~repro.propagation.sparse.SparseGainField`.  Over the CSR
+field the axpy is a scatter over the transmitter's column and tracker
+updates touch only the receptions that column can affect.
 Significance culling under-reports interference by a *provably
 bounded* amount — :meth:`Medium.field_error_bound_w` witnesses the
-bound at any instant — and a cull threshold of zero makes sparse mode
-bit-identical to dense.  The witness stays exact and drift-free: each
-burst's term is cached when it begins and dropped when it ends, and
-the bound is a C-level sum of the cached terms in active-set order,
-so no per-transmit Python loop walks the active set.
+bound at any instant — and a cull threshold of zero makes the CSR
+field bit-identical to the dense one.  The witness stays exact and
+drift-free: each burst's term is cached when it begins and dropped
+when it ends, and the bound is a C-level sum of the cached terms in
+active-set order, so no per-transmit Python loop walks the active set.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -169,6 +171,153 @@ class LossRecord:
     min_sir: float
 
 
+class _DenseField:
+    """A dense ``(M, M)`` gain matrix behind the medium's field interface.
+
+    Each transmitter's column is kept as a row of a transposed
+    contiguous copy, so the axpy reads it cache-friendly.  The first
+    link write privatises the matrix (copy-on-write), so power control,
+    which closes over the *builder's* matrix, keeps aiming at nominal
+    gains: a faded link degrades delivered SIR instead of being
+    silently compensated.
+    """
+
+    def __init__(self, gains: np.ndarray) -> None:
+        gains = np.asarray(gains, dtype=float)
+        if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
+            raise ValueError("gain matrix must be square")
+        self.gains = gains
+        self.count = int(gains.shape[0])
+        self._columns = np.ascontiguousarray(gains.T)
+        self._nominal: Optional[np.ndarray] = None
+        # Scratch for the axpy; contents meaningless between calls.
+        self._scratch = np.zeros(self.count)
+        # A dense field culls nothing.
+        self.culled_out_max = np.zeros(self.count)
+
+    def add(self, field: np.ndarray, source: int, power_w: float) -> None:
+        """``field += gains[:, source] * power_w``, the O(M) axpy."""
+        np.multiply(self._columns[source], power_w, out=self._scratch)
+        field += self._scratch
+
+    def subtract(self, field: np.ndarray, source: int, power_w: float) -> None:
+        """Exact mirror of :meth:`add`: the same products, subtracted."""
+        np.multiply(self._columns[source], power_w, out=self._scratch)
+        field -= self._scratch
+
+    def gain(self, receiver: int, source: int) -> float:
+        return float(self.gains[receiver, source])
+
+    def gather(self, source: int, stations: np.ndarray) -> np.ndarray:
+        return self._columns[source][stations]
+
+    def exact(self, powers: np.ndarray) -> np.ndarray:
+        """The Eq. 2 field recomputed from scratch: one matvec."""
+        return self.gains @ powers
+
+    def touched(self, source: int) -> Optional[np.ndarray]:
+        """Every receiver sees every column change: no scoped update."""
+        return None
+
+    def _privatise(self) -> np.ndarray:
+        if self._nominal is None:
+            self._nominal = self.gains
+            self.gains = self.gains.copy()
+        return self._nominal
+
+    def scale(self, receiver: int, source: int, factor: float) -> float:
+        """Set one link to ``nominal * factor``; returns the gain change."""
+        new_gain = self._privatise()[receiver, source] * factor
+        delta = new_gain - self.gains[receiver, source]
+        self.gains[receiver, source] = new_gain
+        self._columns[source, receiver] = new_gain
+        return delta
+
+    def set(
+        self, receivers: np.ndarray, sources: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        """Set unique links to absolute gains; returns the gain changes."""
+        self._privatise()
+        delta = values - self.gains[receivers, sources]
+        self.gains[receivers, sources] = values
+        self._columns[sources, receivers] = values
+        return delta
+
+    def drift(self) -> float:
+        """Max abs difference between live and nominal gains."""
+        if self._nominal is None:
+            return 0.0
+        return float(np.max(np.abs(self.gains - self._nominal)))
+
+
+class _CsrField:
+    """A :class:`~repro.propagation.sparse.SparseGainField` behind the
+    medium's field interface.  Read-only: the CSR structure is built
+    from geometry once, and no link write ever reaches it."""
+
+    def __init__(self, gains: SparseGainField) -> None:
+        self.gains = gains
+        self.count = gains.count
+        self.culled_out_max = gains.culled_out_max
+
+    def _column(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
+        """One transmitter's column as (receivers, gains).
+
+        The stored int32 receivers are cast to ``intp`` here, once per
+        column: every fancy index with an int32 array would otherwise
+        make the same cast itself, and a burst indexes with its column
+        several times (scatter, touched-mask set and reset).
+        """
+        indptr = self.gains.indptr
+        lo = int(indptr[source])
+        hi = int(indptr[source + 1])
+        return self.gains.rows[lo:hi].astype(np.intp), self.gains.vals[lo:hi]
+
+    def add(self, field: np.ndarray, source: int, power_w: float) -> None:
+        """Scatter over the column's receivers.  The rows are unique, so
+        the fancy-index in-place add performs exactly one dense-identical
+        multiply-add per stored entry, and every unstored entry is an
+        exact ``+0.0`` no-op (which is why a cull-nothing CSR field
+        stays bit-identical to the dense one)."""
+        rows, vals = self._column(source)
+        field[rows] += vals * power_w
+
+    def subtract(self, field: np.ndarray, source: int, power_w: float) -> None:
+        """Exact mirror of :meth:`add`: the same products, subtracted."""
+        rows, vals = self._column(source)
+        field[rows] -= vals * power_w
+
+    def gain(self, receiver: int, source: int) -> float:
+        return self.gains.gain(receiver, source)
+
+    def gather(self, source: int, stations: np.ndarray) -> np.ndarray:
+        return self.gains.gather(source, stations)
+
+    def exact(self, powers: np.ndarray) -> np.ndarray:
+        """The Eq. 2 field recomputed from scratch: one scatter per
+        radiating column, in ascending source order."""
+        exact = np.zeros(self.count)
+        for source in np.nonzero(powers)[0]:
+            rows, vals = self._column(int(source))
+            exact[rows] += vals * powers[source]
+        return exact
+
+    def touched(self, source: int) -> Optional[np.ndarray]:
+        """The receivers one change of ``source``'s column reaches."""
+        return self._column(source)[0]
+
+    def scale(self, receiver: int, source: int, factor: float) -> float:
+        raise ValueError("a CSR gain field is read-only: links cannot be written")
+
+    def set(
+        self, receivers: np.ndarray, sources: np.ndarray, values: np.ndarray
+    ) -> np.ndarray:
+        raise ValueError("a CSR gain field is read-only: links cannot be written")
+
+    def drift(self) -> float:
+        return 0.0
+
+
 class Medium:
     """The shared radio channel for one simulated network.
 
@@ -176,12 +325,13 @@ class Medium:
         env: simulation environment.
         gains: ``(M, M)`` power-gain matrix (zero diagonal), or a
             :class:`~repro.propagation.sparse.SparseGainField` for the
-            metro-scale sparse medium.  Sparse mode replaces the dense
-            O(M) axpy with a scatter over the transmitter's CSR column
-            and updates only the reception trackers whose receiver that
-            column touches; with a cull threshold of zero the two modes
-            are bit-identical, and with culling on the under-reported
+            metro-scale medium.  Over the CSR field the O(M) axpy is a
+            scatter over the transmitter's column and only the
+            reception trackers whose receiver that column touches are
+            updated; with a cull threshold of zero the two are
+            bit-identical, and with culling on the under-reported
             interference is bounded by :meth:`field_error_bound_w`.
+            Only a dense medium's links can be faded or updated.
         thermal_noise_w: per-receiver thermal noise floor.
         sir_thresholds: per-station required SIR for reception.
         listen_query: callable ``(station, now) -> bool``: is the station
@@ -208,21 +358,12 @@ class Medium:
         instrumentation: Optional[Instrumentation] = None,
         resync_events: Optional[int] = 4096,
     ) -> None:
-        if isinstance(gains, SparseGainField):
-            self.sparse: Optional[SparseGainField] = gains
-            self.gains: Optional[np.ndarray] = None
-            stations = gains.count
-            # Live per-entry gains; privatised (copy-on-write) by
-            # scale_link so the builder's field keeps nominal values.
-            self._svals = gains.vals
-            self._nominal_svals: Optional[np.ndarray] = None
-        else:
-            gains = np.asarray(gains, dtype=float)
-            if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
-                raise ValueError("gain matrix must be square")
-            self.sparse = None
-            self.gains = gains
-            stations = gains.shape[0]
+        self._field: Union[_DenseField, _CsrField] = (
+            _CsrField(gains)
+            if isinstance(gains, SparseGainField)
+            else _DenseField(gains)
+        )
+        stations = self._field.count
         thresholds = np.asarray(sir_thresholds, dtype=float)
         if thresholds.shape != (stations,):
             raise ValueError("need one SIR threshold per station")
@@ -240,38 +381,30 @@ class Medium:
         )
         self._seq = count()
         self._active: Dict[int, Transmission] = {}
-        # Sparse mode: each in-flight burst's culling-bound term
+        # Each in-flight burst's culling-bound term
         # ``P_j * culled_out_max[j]``, keyed by seq and inserted/removed
-        # in lockstep with _active so the two share one order (dense
-        # mode culls nothing and never caches a term).
+        # in lockstep with _active so the two share one order (every
+        # term is 0.0 over a dense field, which culls nothing).
         self._bound_terms: Dict[int, float] = {}
         # Power currently radiated per station; lets interference_at be
         # one vectorised dot product instead of a loop over the active
         # set (the simulator's hot path).
         self._powers = np.zeros(stations)
         # The Eq. 2 received-power field ``gains @ _powers``, maintained
-        # incrementally: one O(M) axpy per transmission start/end in
-        # dense mode, one O(column) scatter in sparse mode.  Column
-        # views of the dense gain matrix feed the axpy; a transposed
-        # contiguous copy keeps each column a cache-friendly row.
-        self._gains_columns = (
-            np.ascontiguousarray(self.gains.T) if self.gains is not None else None
-        )
+        # incrementally: one axpy over a gain column per transmission
+        # start/end.
         self._interference = np.zeros(stations)
         # Per-station count of in-flight transmissions (always 0 or 1
         # for well-behaved MACs); makes is_station_transmitting O(1).
         self._tx_count = np.zeros(stations, dtype=np.int64)
         self._resync_events = resync_events
         self._field_changes = 0
-        # Scratch buffers for the hot path (axpy temporary, the
-        # per-attempt gathers, and the sparse touched-receiver mask);
-        # contents meaningless between calls.
-        self._axpy = np.zeros(stations) if self.sparse is None else None
+        # Scratch buffers for the hot path (the per-attempt gathers and
+        # the touched-receiver mask of a scoped update); contents
+        # meaningless between calls.
         self._gather = np.zeros(16)
         self._gather_own = np.zeros(16)
-        self._touched = (
-            np.zeros(stations, dtype=bool) if self.sparse is not None else None
-        )
+        self._touched = np.zeros(stations, dtype=bool)
         self._attempts: Dict[int, ReceptionAttempt] = {}
         self._trackers = TrackerBatch()
         # Receptions whose despreader bank carries a cancelling
@@ -279,18 +412,11 @@ class Medium:
         # the default path pays one falsy dict check per update.
         self._sic_models: Dict[int, ReceiverModel] = {}
         self._lock_failures: Dict[int, str] = {}
-        # Fault support: stations currently down (never lock receptions),
-        # the nominal gains to restore faded links to, and an optional
-        # per-reception corruption predicate.  All stay inert — no array
-        # copies, no extra branches taken — until a fault actually uses
-        # them.
+        # Fault support: stations currently down (never lock receptions)
+        # and an optional per-reception corruption predicate.  Both stay
+        # inert until a fault actually uses them.
         self._down = np.zeros(stations, dtype=bool)
-        self._nominal_gains: Optional[np.ndarray] = None
         self._corruption: Optional[Callable[[Transmission], bool]] = None
-        # Continuous-channel accounting: batch updates aimed at culled
-        # sparse entries are skipped but never silently — the channel
-        # process surfaces this count in its report.
-        self.culled_update_skips: int = 0
         self.losses: List[LossRecord] = []
         self.deliveries: int = 0
         self._delivery_callbacks: Dict[int, Callable[[Transmission], None]] = {}
@@ -350,58 +476,20 @@ class Medium:
 
     # -- power arithmetic ---------------------------------------------
 
-    def _column(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Sparse mode: one transmitter's CSR column as (receivers,
-        gains), reading the medium's live (possibly faded) gains.
-
-        The stored int32 receivers are cast to ``intp`` here, once per
-        column: every fancy index with an int32 array would otherwise
-        make the same cast itself, and a burst indexes with its column
-        several times (scatter, touched-mask set and reset).
-        """
-        assert self.sparse is not None
-        lo = int(self.sparse.indptr[source])
-        hi = int(self.sparse.indptr[source + 1])
-        return self.sparse.rows[lo:hi].astype(np.intp), self._svals[lo:hi]
-
-    def _pair_gain(self, receiver: int, source: int) -> float:
-        """Power gain from ``source`` to ``receiver`` under either
-        representation; culled sparse entries read as 0.0."""
-        if self.sparse is None:
-            assert self.gains is not None
-            return float(self.gains[receiver, source])
-        rows, vals = self._column(source)
-        position = int(np.searchsorted(rows, receiver))
-        if position < rows.size and int(rows[position]) == receiver:
-            return float(vals[position])
-        return 0.0
-
-    def _gather_gains(self, source: int, stations: np.ndarray) -> np.ndarray:
-        """Gains from ``source`` into an index array of stations (the
-        sparse form of ``_gains_columns[source][stations]``)."""
-        rows, vals = self._column(source)
-        if rows.size == 0:
-            return np.zeros(stations.shape)
-        positions = np.searchsorted(rows, stations)
-        clipped = np.minimum(positions, rows.size - 1)
-        found = rows[clipped] == stations
-        return np.where(found, vals[clipped], 0.0)
-
     def field_error_bound_w(self) -> float:
-        """Provable upper bound on the interference the sparse field
+        """Provable upper bound on the interference the stored field
         under-reports at *any* receiver, right now.
 
-        The true dense field exceeds the stored sparse field at
-        receiver ``i`` by exactly ``sum_{j active} P_j * g_ij^culled``,
-        and every culled ``g_ij`` is at most the transmitter's
+        The true dense field exceeds a culled CSR field at receiver
+        ``i`` by exactly ``sum_{j active} P_j * g_ij^culled``, and every
+        culled ``g_ij`` is at most the transmitter's
         ``culled_out_max[j]`` recorded at build time, so the bound is
         ``sum_{j active} P_j * culled_out_max[j]``.  Each burst's term
         is cached when it begins and dropped when it ends, and the
         bound is summed afresh from the cached terms, in active-set
         order, by the builtin ``sum`` — still exact and drift-free (no
         running total is kept), and a C-level loop rather than a Python
-        walk of the active set.  Dense mode culls nothing and caches no
-        terms: 0.0.
+        walk of the active set.  A dense field culls nothing: 0.0.
         """
         return float(sum(self._bound_terms.values()))
 
@@ -420,7 +508,7 @@ class Medium:
                 if excluded.source == receiver:
                     total -= excluded.power_w * SELF_COUPLING_GAIN
                 else:
-                    total -= excluded.power_w * self._pair_gain(
+                    total -= excluded.power_w * self._field.gain(
                         receiver, excluded.source
                     )
         return max(total, 0.0)
@@ -435,7 +523,7 @@ class Medium:
             gain = (
                 SELF_COUPLING_GAIN
                 if tx.source == receiver
-                else self._pair_gain(receiver, tx.source)
+                else self._field.gain(receiver, tx.source)
             )
             contributions.append((tx.power_w * gain, tx))
         total = sum(power for power, _ in contributions)
@@ -469,7 +557,7 @@ class Medium:
         for other_seq, other in self._active.items():
             if other_seq == seq or other.source == receiver:
                 continue
-            power = other.power_w * self._pair_gain(receiver, other.source)
+            power = other.power_w * self._field.gain(receiver, other.source)
             if power > 0.0:
                 contributions.append((power, other_seq))
         reduced, cancelled = model.resolve_interference(
@@ -506,10 +594,10 @@ class Medium:
             raise ValueError("destination index out of range")
         if source == destination:
             raise ValueError("a station cannot transmit to itself")
-        if power_w <= 0.0:
-            raise ValueError("transmit power must be positive")
-        if duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < power_w < math.inf:
+            raise ValueError("transmit power must be positive and finite")
+        if not 0.0 < duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if self.is_station_transmitting(source):
             raise RuntimeError(f"station {source} is already transmitting")
 
@@ -550,21 +638,10 @@ class Medium:
         elif not self._active:
             self._interference[:] = 0.0
 
-    def _exact_field(self) -> np.ndarray:
-        """The Eq. 2 field recomputed from scratch over the stored
-        gains (dense matvec, or per-active-column sparse scatter in
-        ascending source order — deterministic either way)."""
-        if self.sparse is None:
-            assert self.gains is not None
-            return self.gains @ self._powers
-        exact = np.zeros(self.station_count)
-        for source in np.nonzero(self._powers)[0]:
-            rows, vals = self._column(int(source))
-            exact[rows] += vals * self._powers[source]
-        return exact
-
     def _resync_field(self) -> None:
-        exact = self._exact_field()
+        # The exact recompute keeps each field's own summation order: a
+        # resync writes these floats into the field every later SIR reads.
+        exact = self._field.exact(self._powers)
         if self.env.sanitizing:
             scale = float(np.max(exact)) + self.thermal_noise_w + 1.0
             if not np.allclose(self._interference, exact, rtol=1e-6, atol=1e-9 * scale):
@@ -574,15 +651,13 @@ class Medium:
                     f"gains @ powers recompute (max abs error {worst:.3e} W "
                     f"after {self._field_changes} field changes)"
                 )
-            if self.sparse is not None:
-                self._check_bound_terms()
+            self._check_bound_terms()
         self._interference = exact
         self._field_changes = 0
 
     def _check_bound_terms(self) -> None:
         """Sanitizer: the cached culling-bound terms must cover exactly
         the active set, in its order, and sum to the from-scratch bound."""
-        assert self.sparse is not None
         # Order matters too: the cached sum equals the from-scratch one
         # bit for bit only when both add the same terms in the same order.
         if list(self._bound_terms) != list(self._active):
@@ -591,7 +666,7 @@ class Medium:
                 f"({len(self._bound_terms)} terms, {len(self._active)} "
                 "transmissions in flight)"
             )
-        culled_out_max = self.sparse.culled_out_max
+        culled_out_max = self._field.culled_out_max
         exact = float(
             sum(
                 tx.power_w * float(culled_out_max[tx.source])
@@ -606,38 +681,19 @@ class Medium:
             )
 
     def _apply_axpy(self, source: int, power_w: float) -> None:
-        """Add one transmitter's contribution to the incremental field.
-
-        Dense: the O(M) column axpy.  Sparse: scatter over the CSR
-        column's receivers — the rows are unique, so the fancy-index
-        in-place add performs exactly one dense-identical multiply-add
-        per stored entry, and every unstored entry is an exact ``+0.0``
-        no-op (which is why cull-nothing sparse mode stays
-        bit-identical to dense).
-        """
-        if self.sparse is None:
-            np.multiply(self._gains_columns[source], power_w, out=self._axpy)
-            self._interference += self._axpy
-        else:
-            rows, vals = self._column(source)
-            self._interference[rows] += vals * power_w
+        """Add one transmitter's contribution to the incremental field."""
+        self._field.add(self._interference, source, power_w)
 
     def _remove_axpy(self, source: int, power_w: float) -> None:
         """Subtract one transmitter's contribution (exact mirror of
         :meth:`_apply_axpy`, same products, subtracted)."""
-        if self.sparse is None:
-            np.multiply(self._gains_columns[source], power_w, out=self._axpy)
-            self._interference -= self._axpy
-        else:
-            rows, vals = self._column(source)
-            self._interference[rows] -= vals * power_w
+        self._field.subtract(self._interference, source, power_w)
 
     def _begin(self, tx: Transmission) -> None:
         self._active[tx.seq] = tx
-        if self.sparse is not None:
-            self._bound_terms[tx.seq] = tx.power_w * float(
-                self.sparse.culled_out_max[tx.source]
-            )
+        self._bound_terms[tx.seq] = tx.power_w * float(
+            self._field.culled_out_max[tx.source]
+        )
         self._tx_count[tx.source] += 1
         self._powers[tx.source] += tx.power_w
         self._apply_axpy(tx.source, tx.power_w)
@@ -653,7 +709,22 @@ class Medium:
                 )
             )
         self._try_lock(tx)
-        self._update_attempts_for(tx)
+        self._update_attempts(tx)
+
+    def _retire(self, tx: Transmission) -> Optional[ReceptionAttempt]:
+        """Take an ended or aborted burst off the air: its power leaves
+        the field at once.  Returns its reception attempt, if one was
+        locked; the caller settles the tracker and the despreader."""
+        del self._active[tx.seq]
+        del self._bound_terms[tx.seq]
+        self._tx_count[tx.source] -= 1
+        self._powers[tx.source] -= tx.power_w
+        if abs(self._powers[tx.source]) < 1e-18:
+            self._powers[tx.source] = 0.0
+        self._remove_axpy(tx.source, tx.power_w)
+        self._field_changed()
+        self._sic_models.pop(tx.seq, None)
+        return self._attempts.pop(tx.seq, None)
 
     def _try_lock(self, tx: Transmission) -> None:
         receiver = tx.destination
@@ -671,7 +742,7 @@ class Medium:
         if channel is None:
             self._lock_failures[tx.seq] = "no_channel"
             return
-        signal_power = tx.power_w * self._pair_gain(receiver, tx.source)
+        signal_power = tx.power_w * self._field.gain(receiver, tx.source)
         self._trackers.add(
             tag=tx.seq,
             receiver=receiver,
@@ -688,95 +759,85 @@ class Medium:
                 RxLock(self.env.now, receiver, tx.source, channel)
             )
 
-    def _update_attempts(self) -> None:
+    def _update_attempts(self, tx: Optional[Transmission] = None) -> None:
+        """Fold the current field into the in-progress receptions.
+
+        Given the burst ``tx`` whose begin or end changed the field, a
+        CSR field scopes the update to the receptions that change can
+        reach: the receivers in the transmitter's column, the
+        transmitter itself (its own radiated power feeds the
+        :data:`SELF_COUPLING_GAIN` term — the Type 3 mechanism when a
+        locked receiver later keys up), and the destination (a freshly
+        locked attempt needs its first sample even if the wanted link
+        was culled).  Everything else saw the identical interference
+        level and is skipped; per-entry arithmetic for the touched
+        subset matches the full pass, which a dense field and every
+        other change take.
+        """
         batch = self._trackers
         count = batch.count
         if count == 0:
             return
-        # Gather the incremental field at each attempt's receiver, then
-        # apply the two per-attempt corrections: the receiver's own
-        # transmitter couples in, and the wanted signal (stored as the
-        # tracker's signal power at lock time) is not interference.
-        if self._gather.size < count:
-            size = max(count, 2 * self._gather.size)
-            self._gather = np.zeros(size)
-            self._gather_own = np.zeros(size)
         receivers = batch.receivers
-        interference = self._gather[:count]
-        np.take(self._interference, receivers, out=interference)
-        own = self._gather_own[:count]
-        np.take(self._powers, receivers, out=own)
-        own *= SELF_COUPLING_GAIN
-        interference += own
-        interference -= batch.signals
+        positions: Optional[np.ndarray] = None
+        if tx is not None and (rows := self._field.touched(tx.source)) is not None:
+            touched = self._touched
+            touched[rows] = True
+            touched[tx.source] = True
+            touched[tx.destination] = True
+            positions = touched[receivers].nonzero()[0]
+            touched[rows] = False
+            touched[tx.source] = False
+            touched[tx.destination] = False
+            if positions.size == 0:
+                return
+            targets = receivers[positions]
+            interference = self._interference[targets]
+            interference += self._powers[targets] * SELF_COUPLING_GAIN
+            interference -= batch.signals[positions]
+        else:
+            # Gather the incremental field at each attempt's receiver,
+            # then apply the two per-attempt corrections: the receiver's
+            # own transmitter couples in, and the wanted signal (stored
+            # as the tracker's signal power at lock time) is not
+            # interference.
+            if self._gather.size < count:
+                size = max(count, 2 * self._gather.size)
+                self._gather = np.zeros(size)
+                self._gather_own = np.zeros(size)
+            interference = self._gather[:count]
+            np.take(self._interference, receivers, out=interference)
+            own = self._gather_own[:count]
+            np.take(self._powers, receivers, out=own)
+            own *= SELF_COUPLING_GAIN
+            interference += own
+            interference -= batch.signals
         np.maximum(interference, 0.0, out=interference)
         if self._sic_models:
+            # An untouched SIC reception saw no field change, so its
+            # cancelled level is unchanged too: only the updated rows
+            # need the model re-applied.
+            local = (
+                None
+                if positions is None
+                else {int(p): k for k, p in enumerate(positions)}
+            )
             for seq, model in self._sic_models.items():
                 position = batch.position(seq)
-                interference[position] = self._cancel_for(
-                    seq,
-                    model,
-                    float(batch.signals[position]),
-                    float(interference[position]),
-                )
-        for seq in batch.update(self.env.now, interference):
-            attempt = self._attempts[seq]
-            attempt.failure_sources = self._significant_sources(
-                attempt.transmission.destination, seq
-            )
-
-    def _update_attempts_for(self, tx: Transmission) -> None:
-        """Sparse-mode tracker update scoped to one field change.
-
-        A begin/end of ``tx`` can only move the SIR of receptions whose
-        receiver the change actually touched: the receivers in the
-        transmitter's CSR column, the transmitter itself (its own
-        radiated power feeds the :data:`SELF_COUPLING_GAIN` term — the
-        Type 3 mechanism when a locked receiver later keys up), and the
-        destination (a freshly locked attempt needs its first sample
-        even if the wanted link was culled).  Everything else saw the
-        identical interference level and is skipped; per-entry
-        arithmetic for the touched subset matches the full pass.
-        """
-        if self.sparse is None:
-            self._update_attempts()
-            return
-        batch = self._trackers
-        if batch.count == 0:
-            return
-        rows, _ = self._column(tx.source)
-        touched = self._touched
-        assert touched is not None
-        touched[rows] = True
-        touched[tx.source] = True
-        touched[tx.destination] = True
-        receivers = batch.receivers
-        positions = touched[receivers].nonzero()[0]
-        touched[rows] = False
-        touched[tx.source] = False
-        touched[tx.destination] = False
-        if positions.size == 0:
-            return
-        targets = receivers[positions]
-        interference = self._interference[targets]
-        interference += self._powers[targets] * SELF_COUPLING_GAIN
-        interference -= batch.signals[positions]
-        np.maximum(interference, 0.0, out=interference)
-        if self._sic_models:
-            # Untouched SIC receptions saw no field change, so their
-            # cancelled level is unchanged too — only the touched
-            # subset needs the model re-applied.
-            local = {int(p): k for k, p in enumerate(positions)}
-            for seq, model in self._sic_models.items():
-                k = local.get(batch.position(seq))
+                k = position if local is None else local.get(position)
                 if k is not None:
                     interference[k] = self._cancel_for(
                         seq,
                         model,
-                        float(batch.signals[positions[k]]),
+                        float(batch.signals[position]),
                         float(interference[k]),
                     )
-        for seq in batch.update_where(self.env.now, interference, positions):
+        failed = (
+            batch.update(self.env.now, interference)
+            if positions is None
+            else batch.update_where(self.env.now, interference, positions)
+        )
+        for seq in failed:
             attempt = self._attempts[seq]
             attempt.failure_sources = self._significant_sources(
                 attempt.transmission.destination, seq
@@ -792,10 +853,7 @@ class Medium:
         stations = self._overhear_stations
         if stations.size == 0:
             return
-        if self.sparse is None:
-            signals = tx.power_w * self._gains_columns[tx.source][stations]
-        else:
-            signals = tx.power_w * self._gather_gains(tx.source, stations)
+        signals = tx.power_w * self._field.gather(tx.source, stations)
         interference = self._interference[stations]
         interference += self._powers[stations] * SELF_COUPLING_GAIN
         np.maximum(interference, 0.0, out=interference)
@@ -818,22 +876,13 @@ class Medium:
             # its loss is already recorded and its power already removed
             # from the field — the stale end timer has nothing to do.
             return False
-        del self._active[tx.seq]
-        self._bound_terms.pop(tx.seq, None)
-        self._tx_count[tx.source] -= 1
-        self._powers[tx.source] -= tx.power_w
-        if abs(self._powers[tx.source]) < 1e-18:
-            self._powers[tx.source] = 0.0
-        self._remove_axpy(tx.source, tx.power_w)
-        self._field_changed()
+        attempt = self._retire(tx)
         if self.instr.active:
             self.instr.emit(TxEnd(self.env.now, tx.source, tx.destination))
-        attempt = self._attempts.pop(tx.seq, None)
-        self._sic_models.pop(tx.seq, None)
         record = self._trackers.remove(tx.seq) if attempt is not None else None
         # Interference at the remaining receivers drops; fold that in
         # after removing the ended transmission.
-        self._update_attempts_for(tx)
+        self._update_attempts(tx)
         self._notify_overhearers(tx)
 
         if attempt is None or record is None:
@@ -972,17 +1021,7 @@ class Medium:
         """
         aborted = [tx for tx in self._active.values() if tx.source == station]
         for tx in aborted:
-            del self._active[tx.seq]
-            self._bound_terms.pop(tx.seq, None)
-            self._tx_count[tx.source] -= 1
-            self._powers[tx.source] -= tx.power_w
-            if abs(self._powers[tx.source]) < 1e-18:
-                self._powers[tx.source] = 0.0
-            self._remove_axpy(tx.source, tx.power_w)
-            self._field_changed()
-            attempt = self._attempts.pop(tx.seq, None)
-            self._sic_models.pop(tx.seq, None)
-            if attempt is not None:
+            if self._retire(tx) is not None:
                 self._trackers.remove(tx.seq)
                 self._channel_query(tx.destination).release(tx.seq)
             self._lock_failures.pop(tx.seq, None)
@@ -1002,77 +1041,25 @@ class Medium:
         aiming at nominal gains: a faded link degrades delivered SIR
         instead of being silently compensated.  The incremental
         interference field is adjusted in the same step, so in-progress
-        receptions immediately feel the change.
+        receptions immediately feel the change.  A CSR medium's links
+        cannot be written: ``ValueError``.
         """
         if receiver == source:
             raise ValueError("a link needs two distinct stations")
-        if factor <= 0.0:
-            raise ValueError("gain factor must be positive")
-        if self.sparse is not None:
-            rows, _ = self._column(source)
-            position = int(np.searchsorted(rows, receiver))
-            if position >= rows.size or int(rows[position]) != receiver:
-                raise ValueError(
-                    "cannot fade a link that was culled from the sparse "
-                    "gain field"
-                )
-            if self._nominal_svals is None:
-                self._nominal_svals = self._svals
-                self._svals = self._svals.copy()
-            index = int(self.sparse.indptr[source]) + position
-            new_gain = float(self._nominal_svals[index]) * factor
-            delta = new_gain - float(self._svals[index])
-            if delta == 0.0:
-                return
-            self._svals[index] = new_gain
-            self._interference[receiver] += self._powers[source] * delta
-            self._field_changed()
-            self._update_attempts()
-            return
-        if self._nominal_gains is None:
-            self._nominal_gains = self.gains
-            self.gains = self.gains.copy()
-        new_gain = self._nominal_gains[receiver, source] * factor
-        delta = new_gain - self.gains[receiver, source]
+        if not 0.0 < factor < math.inf:
+            raise ValueError("gain factor must be positive and finite")
+        delta = self._field.scale(receiver, source, factor)
         if delta == 0.0:
             return
-        self.gains[receiver, source] = new_gain
-        self._gains_columns[source][receiver] = new_gain
         self._interference[receiver] += self._powers[source] * delta
         self._field_changed()
         self._update_attempts()
-
-    def link_indices(
-        self, receivers: np.ndarray, sources: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Sparse mode: flat CSR indices of ``(receiver, source)`` pairs.
-
-        Culled pairs resolve to ``-1``.  The CSR structure is immutable
-        for the lifetime of the medium, so a caller driving repeated
-        :meth:`update_links` batches over a fixed link set (the
-        continuous channel process) resolves once and caches the
-        result.  Dense mode needs no resolution: returns ``None``.
-        """
-        if self.sparse is None:
-            return None
-        indptr, rows = self.sparse.indptr, self.sparse.rows
-        receivers = np.asarray(receivers, dtype=np.intp)
-        sources = np.asarray(sources, dtype=np.intp)
-        indices = np.full(receivers.shape, -1, dtype=np.int64)
-        for k in range(receivers.size):
-            lo = int(indptr[sources[k]])
-            hi = int(indptr[sources[k] + 1])
-            position = lo + int(np.searchsorted(rows[lo:hi], receivers[k]))
-            if position < hi and int(rows[position]) == int(receivers[k]):
-                indices[k] = position
-        return indices
 
     def update_links(
         self,
         receivers: np.ndarray,
         sources: np.ndarray,
         new_gains: np.ndarray,
-        indices: Optional[np.ndarray] = None,
     ) -> int:
         """Batch absolute-gain update: the continuous-channel entry point.
 
@@ -1087,15 +1074,9 @@ class Medium:
         exact per-link deltas so in-progress receptions feel the change
         immediately; the periodic ``_resync_field`` drift check bounds
         the accumulated float error exactly as for transmission events.
+        A CSR medium's links cannot be written: ``ValueError``.
 
-        Sparse mode skips pairs culled from the CSR structure (their
-        interference contribution is already covered by the build-time
-        bounded-error accounting) and accrues the skip count in
-        :attr:`culled_update_skips` — skipped, never silent.  Pass the
-        cached :meth:`link_indices` result as ``indices`` to avoid
-        re-resolving every tick.
-
-        Returns the number of link entries actually applied.
+        Returns the number of link entries applied.
         """
         receivers = np.asarray(receivers, dtype=np.intp)
         sources = np.asarray(sources, dtype=np.intp)
@@ -1106,33 +1087,9 @@ class Medium:
             return 0
         if np.any(receivers == sources):
             raise ValueError("a link needs two distinct stations")
-        if np.any(values <= 0.0):
-            raise ValueError("link gains must be positive")
-        if self.sparse is not None:
-            if indices is None:
-                indices = self.link_indices(receivers, sources)
-            assert indices is not None
-            if self._nominal_svals is None:
-                self._nominal_svals = self._svals
-                self._svals = self._svals.copy()
-            live = indices >= 0
-            self.culled_update_skips += int(indices.size) - int(
-                np.count_nonzero(live)
-            )
-            flat = indices[live]
-            receivers = receivers[live]
-            sources = sources[live]
-            values = values[live]
-            delta = values - self._svals[flat]
-            self._svals[flat] = values
-        else:
-            assert self.gains is not None and self._gains_columns is not None
-            if self._nominal_gains is None:
-                self._nominal_gains = self.gains
-                self.gains = self.gains.copy()
-            delta = values - self.gains[receivers, sources]
-            self.gains[receivers, sources] = values
-            self._gains_columns[sources, receivers] = values
+        if not np.all((values > 0.0) & (values < math.inf)):
+            raise ValueError("link gains must be positive and finite")
+        delta = self._field.set(receivers, sources, values)
         if self._active:
             # np.add.at: unbuffered, so repeated receivers (one station
             # hearing several updated sources) each land exactly once.
@@ -1145,15 +1102,8 @@ class Medium:
 
     def channel_drift_from_nominal(self) -> float:
         """Max abs difference between live and nominal gains — the
-        exact-restore witness (0.0 while the matrix is unprivatised)."""
-        if self.sparse is not None:
-            if self._nominal_svals is None or self._svals.size == 0:
-                return 0.0
-            return float(np.max(np.abs(self._svals - self._nominal_svals)))
-        if self._nominal_gains is None:
-            return 0.0
-        assert self.gains is not None
-        return float(np.max(np.abs(self.gains - self._nominal_gains)))
+        exact-restore witness (0.0 while no link was ever written)."""
+        return self._field.drift()
 
     def set_corruption(
         self, predicate: Optional[Callable[[Transmission], bool]]

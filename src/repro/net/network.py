@@ -48,10 +48,6 @@ from repro.net.traffic import TrafficSource
 from repro.obs.api import Instrumentation, ambient_instrumentation
 from repro.obs.sinks import MemorySink
 from repro.propagation.geometry import Placement
-from repro.propagation.horizon import (
-    DEFAULT_ANTENNA_HEIGHT_M,
-    mutual_radio_horizon_m,
-)
 from repro.propagation.matrix import PropagationMatrix
 from repro.propagation.models import FreeSpace, PropagationModel
 from repro.radio.receiver_model import build_receiver_model, receiver_model_names
@@ -140,15 +136,6 @@ class NetworkConfig:
             incremental interference field (exact recompute every this
             many transmission starts/ends; ``None`` disables periodic
             resync).
-        medium_sparse_cull: when set, hand the medium a horizon-culled
-            CSR gain field instead of the dense matrix, culling links
-            weaker than this fraction of the usable-link ``min_gain``.
-            ``0.0`` keeps every nonzero link (bit-identical to dense);
-            ``None`` (the default) keeps the dense medium.  Culled
-            interference stays provably bounded — see
-            :meth:`repro.net.medium.Medium.field_error_bound_w`.
-            Calibration and power control always use the dense matrix;
-            only the runtime field is sparse.
         arq_max_retries: when set, install a stop-and-wait ARQ
             sublayer (:mod:`repro.mac.arq`) on every station with this
             retry budget; ``None`` (the default) keeps transmit
@@ -198,7 +185,6 @@ class NetworkConfig:
     rendezvous_refresh_slots: Optional[float] = None
     queue_capacity: Optional[int] = None
     medium_resync_events: Optional[int] = 4096
-    medium_sparse_cull: Optional[float] = None
     arq_max_retries: Optional[int] = None
     arq_timeout_slots: float = 4.0
     arq_backoff_slots: float = 2.0
@@ -248,8 +234,6 @@ class NetworkConfig:
             raise ValueError("queue capacity must be at least 1")
         if self.medium_resync_events is not None and self.medium_resync_events < 1:
             raise ValueError("medium resync cadence must be at least 1 event")
-        if self.medium_sparse_cull is not None and self.medium_sparse_cull < 0.0:
-            raise ValueError("sparse cull fraction must be non-negative")
         if self.arq_max_retries is not None and self.arq_max_retries < 1:
             raise ValueError("ARQ needs at least one retry when enabled")
         if self.arq_timeout_slots <= 0.0:
@@ -845,19 +829,9 @@ def build_network(
     stations: List[Station] = []
     count = placement.count
     thresholds = np.full(count, budget.sir_threshold)
-    if config.medium_sparse_cull is not None:
-        medium_gains = matrix.to_sparse(
-            cull_gain=config.medium_sparse_cull * min_gain,
-            horizon_m=mutual_radio_horizon_m(
-                DEFAULT_ANTENNA_HEIGHT_M, DEFAULT_ANTENNA_HEIGHT_M
-            ),
-            distances=placement.distances(),
-        )
-    else:
-        medium_gains = matrix.gains
     medium = Medium(
         env=env,
-        gains=medium_gains,
+        gains=matrix.gains,
         thermal_noise_w=budget.thermal_noise_w,
         sir_thresholds=thresholds,
         listen_query=lambda index, now: stations[index].mac.is_listening(now),

@@ -155,29 +155,6 @@ class PropagationMatrix:
             self._neighbor_cache[key] = cached
         return cached
 
-    def to_sparse(
-        self,
-        cull_gain: float = 0.0,
-        horizon_m: Optional[float] = None,
-        distances: Optional[np.ndarray] = None,
-    ):
-        """CSR form of this matrix for the sparse medium.
-
-        Entries below ``cull_gain`` are dropped but accounted (the
-        bounded-error machinery of
-        :class:`repro.propagation.sparse.SparseGainField`); with the
-        default threshold of 0.0 the conversion is lossless and the
-        sparse medium is bit-identical to the dense one.
-        """
-        from repro.propagation.sparse import SparseGainField
-
-        return SparseGainField.from_dense(
-            self.gains,
-            cull_gain=cull_gain,
-            horizon_m=horizon_m,
-            distances=distances,
-        )
-
     def observed(
         self,
         measurement_sigma_db: float = 0.0,

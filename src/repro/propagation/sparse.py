@@ -170,7 +170,7 @@ class SparseGainField:
     def gather(self, transmitter: int, receivers: np.ndarray) -> np.ndarray:
         """Gains from ``transmitter`` into an array of receivers.
 
-        The sparse analogue of ``gains_columns[transmitter][receivers]``;
+        The sparse analogue of a dense ``gains[receivers, transmitter]``;
         absent entries gather as 0.0.
         """
         rows, vals = self.column(transmitter)

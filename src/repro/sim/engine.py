@@ -9,6 +9,7 @@ only reproduce if the event order is stable across runs.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 from itertools import count
 from typing import Any, List, Optional, Tuple
@@ -97,6 +98,10 @@ class Environment:
         when = self._now + delay
         if self._sanitizer is not None:
             self._sanitizer.check_schedule(event, when, self._now)
+        elif not when < math.inf:
+            # A NaN time compares neither below nor above any other in
+            # the heap, so it would let the clock run backwards.
+            raise ValueError(f"cannot schedule an event at time {when!r}")
         heappush(self._queue, (when, priority, next(self._sequence), event))
 
     def peek(self) -> float:
@@ -134,6 +139,8 @@ class Environment:
             marker = until
         else:
             horizon = float(until)
+            if math.isnan(horizon):
+                raise ValueError("until must be a time, not NaN")
             if horizon < self._now:
                 raise ValueError(
                     f"until ({horizon}) is before the current time ({self._now})"

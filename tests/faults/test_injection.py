@@ -117,14 +117,14 @@ class TestLinkFade:
             symmetric=False,
         )
         network = make_network()
-        nominal = network.medium.gains[0, 1]
+        nominal = network.medium._field.gains[0, 1]
         plan = compile_plan([fade], seed=5, station_count=STATIONS)
         install_faults(network, plan)
         slot = network.budget.slot_time
         network.run(30.0 * slot)
-        assert network.medium.gains[0, 1] == pytest.approx(0.1 * nominal)
+        assert network.medium._field.gains[0, 1] == pytest.approx(0.1 * nominal)
         network.run(50.0 * slot)
-        assert network.medium.gains[0, 1] == nominal
+        assert network.medium._field.gains[0, 1] == nominal
 
     def test_symmetric_fade_hits_both_directions(self):
         fade = LinkFade(
@@ -135,13 +135,13 @@ class TestLinkFade:
             gain_factor=0.1,
         )
         network = make_network()
-        forward = network.medium.gains[0, 1]
-        reverse = network.medium.gains[1, 0]
+        forward = network.medium._field.gains[0, 1]
+        reverse = network.medium._field.gains[1, 0]
         plan = compile_plan([fade], seed=5, station_count=STATIONS)
         install_faults(network, plan)
         network.run(30.0 * network.budget.slot_time)
-        assert network.medium.gains[0, 1] == pytest.approx(0.1 * forward)
-        assert network.medium.gains[1, 0] == pytest.approx(0.1 * reverse)
+        assert network.medium._field.gains[0, 1] == pytest.approx(0.1 * forward)
+        assert network.medium._field.gains[1, 0] == pytest.approx(0.1 * reverse)
 
 
 class TestClockStep:

@@ -1,5 +1,7 @@
 """Fault specs and plan compilation: validation, expansion, determinism."""
 
+import math
+
 import pytest
 
 from repro.faults import (
@@ -12,6 +14,29 @@ from repro.faults import (
     StationCrash,
     compile_plan,
 )
+from tests.core.test_access import stall_alarm
+
+#: One valid instance of every fault spec and plan type, as keyword
+#: arguments.
+VALID_SPECS = {
+    StationCrash: dict(station=0, at_slot=10.0, recover_after_slots=5.0),
+    StationChurn: dict(
+        rate_per_slot=0.1, start_slot=10.0, end_slot=50.0, mean_downtime_slots=5.0
+    ),
+    LinkFade: dict(
+        receiver=0, source=1, at_slot=10.0, duration_slots=5.0, gain_factor=0.5
+    ),
+    ClockStep: dict(
+        station=0,
+        at_slot=10.0,
+        offset_slots=0.5,
+        rate_error_delta_ppm=1.0,
+        refit_after_slots=5.0,
+    ),
+    PacketCorruption: dict(at_slot=10.0, duration_slots=5.0, probability=0.5),
+    FaultEvent: dict(at_slot=10.0, kind="fade", station=0, peer=1, value=0.5, extra=1.0),
+    FaultPlan: dict(reroute_delay_slots=2.0),
+}
 
 
 class TestSpecValidation:
@@ -194,3 +219,34 @@ class TestChurnDeterminism:
         plan = compile_plan([churn], seed=7, station_count=8)
         crashed = {e.station for e in plan.events if e.kind in ("down", "up")}
         assert crashed <= {1, 3}
+
+
+class TestNonFiniteSpecs:
+    @pytest.mark.parametrize(
+        "spec, name, value",
+        [
+            pytest.param(spec, name, value, id=f"{spec.__name__}-{name}-{value}")
+            for spec, kwargs in VALID_SPECS.items()
+            for name, default in kwargs.items()
+            if isinstance(default, float)
+            for value in (math.nan, math.inf)
+        ],
+    )
+    def test_every_number_must_be_finite(self, spec, name, value):
+        # Every range check is a comparison, which NaN passes: a crash at
+        # slot NaN was accepted and still changed the run, and a fade by
+        # NaN turned the medium's field into NaN.
+        spec(**VALID_SPECS[spec])
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            spec(**{**VALID_SPECS[spec], name: value})
+
+    @pytest.mark.parametrize(
+        "name, value", [("rate_per_slot", math.nan), ("end_slot", math.inf)]
+    )
+    def test_churn_is_refused_not_sampled_forever(self, name, value):
+        # Accepted, either churn left compile_plan drawing crash instants
+        # that never reach the end of the episode.
+        with stall_alarm(2, "compile_plan kept sampling a non-finite churn"):
+            with pytest.raises(ValueError, match="finite"):
+                churn = StationChurn(**{**VALID_SPECS[StationChurn], name: value})
+                compile_plan([churn], seed=5, station_count=12)

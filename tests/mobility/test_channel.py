@@ -19,10 +19,8 @@ STATIONS = 12
 SEED = 11
 
 
-def make_network(sparse=False, load=0.05):
-    config = NetworkConfig(
-        seed=SEED, medium_sparse_cull=1e-3 if sparse else None
-    )
+def make_network(load=0.05):
+    config = NetworkConfig(seed=SEED)
     network = standard_network(
         STATIONS, placement_seed=SEED, config=config, trace=False
     )
@@ -31,10 +29,9 @@ def make_network(sparse=False, load=0.05):
 
 
 class TestFadingOnly:
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_exact_restore_to_nominal(self, sparse, monkeypatch):
+    def test_exact_restore_to_nominal(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        network = make_network(sparse=sparse)
+        network = make_network()
         spec = ChannelSpec(
             fading=FadingSpec(sigma_db=4.0, coherence_slots=6.0),
             tick_slots=2.0,
@@ -149,3 +146,31 @@ class TestSpecValidation:
             FadingSpec(sigma_db=-1.0)
         with pytest.raises(ValueError):
             FadingSpec(coherence_slots=0.0)
+
+    @pytest.mark.parametrize(
+        "spec, name, value",
+        [
+            pytest.param(spec, name, value, id=f"{spec.__name__}-{name}-{value}")
+            for spec, names in (
+                (
+                    ChannelSpec,
+                    (
+                        "tick_slots",
+                        "start_slot",
+                        "end_slot",
+                        "reacquire_every_slots",
+                        "reacquire_delay_slots",
+                        "track_gain_floor",
+                    ),
+                ),
+                (FadingSpec, ("sigma_db", "coherence_slots")),
+            )
+            for name in names
+            for value in (math.nan, math.inf)
+        ],
+    )
+    def test_every_number_must_be_finite(self, spec, name, value):
+        # A NaN fade sigma sent NaN gains into the medium, and a NaN tick
+        # made no tick at all yet still changed the run.
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            spec(**{name: value})

@@ -1,5 +1,7 @@
 """Tests for the physical medium oracle."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -164,6 +166,18 @@ class TestBookkeeping:
         env, medium, world = line_medium([0.0, 10.0])
         with pytest.raises(ValueError):
             medium.transmit(0, 0, packet(0, 1), 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "power, duration", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)]
+    )
+    def test_non_finite_burst_refused_before_it_airs(self, power, duration):
+        # Accepted, a NaN-power burst was delivered (its SIR is NaN, which
+        # never falls below a threshold), and a NaN duration left the
+        # burst on the air with no end.
+        env, medium, world = line_medium([0.0, 10.0])
+        with pytest.raises(ValueError, match="finite"):
+            medium.transmit(0, 1, packet(0, 1), power, duration)
+        assert not medium.active_transmissions
 
     def test_total_received_power(self):
         env, medium, world = line_medium([0.0, 10.0, 20.0])

@@ -160,7 +160,7 @@ class TestInterferenceArithmetic:
         env.process(burst(env, 2, 3, 20.0, 5.0))
         env.run(until=1.0)
         total = medium.interference_at(4, None)
-        expected = 10.0 * medium.gains[4, 0] + 20.0 * medium.gains[4, 2]
+        expected = 10.0 * medium._field.gains[4, 0] + 20.0 * medium._field.gains[4, 2]
         assert total == pytest.approx(expected)
 
     def test_exclusion_removes_exactly_one_contribution(self):
@@ -181,5 +181,5 @@ class TestInterferenceArithmetic:
         with_all = medium.interference_at(1, None)
         without_zero = medium.interference_at(1, txs[0].seq)
         assert with_all - without_zero == pytest.approx(
-            10.0 * medium.gains[1, 0]
+            10.0 * medium._field.gains[1, 0]
         )

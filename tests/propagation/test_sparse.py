@@ -261,11 +261,6 @@ class TestQueries:
 
 
 class TestMatrixBridge:
-    def test_to_sparse_delegates(self):
-        _, _, matrix = make_matrix(count=10, seed=1)
-        field = matrix.to_sparse()
-        assert np.array_equal(field.to_dense(), matrix.gains)
-
     def test_neighbor_lists_cached_and_correct(self):
         _, _, matrix = make_matrix(count=18, seed=6)
         cull = float(np.median(matrix.gains[matrix.gains > 0]))

@@ -1,5 +1,7 @@
 """Tests for the discrete-event environment."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import EmptySchedule, Environment
@@ -53,6 +55,20 @@ class TestTimeAdvance:
         with pytest.raises(ValueError):
             env.schedule(event, delay=-1.0)
 
+    @pytest.mark.parametrize("delay", [math.nan, math.inf])
+    def test_refuses_a_non_finite_time_unsanitized(self, delay):
+        # A NaN time compares neither below nor above any other in the
+        # heap: accepted, it made later timeouts of 1.0, 2.0 and 0.5
+        # fire at now = 1.0, 0.5, 2.0.
+        env = Environment(sanitize=False)
+        fired = []
+        with pytest.raises(ValueError, match="cannot schedule"):
+            env.timeout(delay)
+        for later in (1.0, 2.0, 0.5):
+            env.timeout(later).subscribe(lambda e: fired.append(env.now))
+        env.run()
+        assert fired == [0.5, 1.0, 2.0]
+
 
 class TestRunUntil:
     def test_until_number_stops_before_boundary_events(self):
@@ -76,6 +92,12 @@ class TestRunUntil:
         env.run()
         with pytest.raises(ValueError):
             env.run(until=1.0)
+
+    def test_until_rejects_nan(self):
+        env = Environment(sanitize=False)
+        env.timeout(1.0)
+        with pytest.raises(ValueError, match="NaN"):
+            env.run(until=math.nan)
 
     def test_until_event_returns_value(self):
         env = Environment()

@@ -6,10 +6,14 @@ import argparse
 import pathlib
 import re
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser
 from repro.experiments import all_experiments
+from repro.net.medium import Medium
+from repro.net.network import NetworkConfig
+from repro.sim.engine import Environment
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -75,6 +79,13 @@ REPO_PATH = re.compile(
 )
 
 
+#: ``NetworkConfig(<field>=`` as a doc cites a config field.
+CONFIG_CALL = re.compile(r"\bNetworkConfig\(\s*(\w+)\s*=")
+
+#: ``NetworkConfig.<field>`` or ``Medium.<name>``.
+CITED_MEMBER = re.compile(r"\b(NetworkConfig|Medium)\.(\w+)")
+
+
 def _subcommands():
     parser = build_parser()
     for action in parser._actions:
@@ -102,3 +113,26 @@ class TestDocsCiteWhatExists:
             if not any(REPO_ROOT.glob(path))
         )
         assert not missing, f"{doc} cites paths that do not exist: {missing}"
+
+    def test_every_cited_config_field_and_medium_member_exists(self, doc):
+        # An instance of each, so instance attributes count too.
+        owners = {
+            "NetworkConfig": NetworkConfig(),
+            "Medium": Medium(
+                Environment(),
+                np.zeros((2, 2)),
+                0.0,
+                np.ones(2),
+                lambda station, now: True,
+                lambda station: None,
+            ),
+        }
+        text = (REPO_ROOT / doc).read_text()
+        cited = [("NetworkConfig", name) for name in CONFIG_CALL.findall(text)]
+        cited += CITED_MEMBER.findall(text)
+        missing = sorted(
+            f"{owner}.{name}"
+            for owner, name in set(cited)
+            if not hasattr(owners[owner], name)
+        )
+        assert not missing, f"{doc} cites members that do not exist: {missing}"

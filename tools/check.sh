@@ -7,6 +7,9 @@
 #   3. reprolint   (per-file determinism lints — always runs)
 #   4. reproflow   (whole-program analysis: seeds, schema, fork, api)
 #   5. pytest      (tier-1 test suite — always runs)
+#   6. pytest perf (the benchmark harness's own tests: every workload at
+#                   toy scale, and every layer's span targets resolve;
+#                   tier-1 does not collect them)
 #
 # Exit code is non-zero if any executed check fails.  ruff and mypy are
 # optional because the offline development container does not ship them;
@@ -45,6 +48,7 @@ maybe_run_check mypy mypy python -m mypy
 run_check reprolint python -m tools.reprolint src tests benchmarks tools examples
 run_check reproflow python -m tools.reproflow
 PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" run_check pytest python -m pytest -x -q
+PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}" run_check pytest-perf python -m pytest perf -q
 
 if [ "${failures}" -gt 0 ]; then
     echo "check.sh: ${failures} check(s) failed"
