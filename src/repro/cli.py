@@ -11,8 +11,6 @@ Usage::
     python -m repro cache stats ~/.repro-cache --json
     python -m repro cache gc ~/.repro-cache --max-bytes 100000000
     python -m repro cache verify ~/.repro-cache --recompute 3
-    python -m repro serve --cache ~/.repro-cache --socket /tmp/repro.sock
-    python -m repro submit --socket /tmp/repro.sock --experiment T7
     python -m repro design --stations 1e9 --duty 0.5
     python -m repro metro --stations 1e6 --bandwidth 1e9
     python -m repro trace --experiment T7 --jsonl t7.jsonl --summary
@@ -384,111 +382,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.parallel.service import serve
-
-    def ready(server) -> None:
-        print(
-            f"repro sweep service: cache {args.cache}, "
-            f"socket {server.socket_path}, jobs {args.jobs} "
-            "(ctrl-C to stop)",
-            file=sys.stderr,
-        )
-
-    try:
-        serve(
-            args.cache,
-            args.socket,
-            jobs=args.jobs,
-            watchdog_s=args.watchdog_s,
-            ready=ready,
-        )
-    except ValueError as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
-        return 2
-    return 0
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.parallel.service import submit_request
-
-    request: Dict[str, Any] = {"op": args.op}
-    if args.op == "sweep":
-        if not args.experiment:
-            print("submit --op sweep needs --experiment ID", file=sys.stderr)
-            return 2
-        try:
-            values = (
-                [ast.literal_eval(part) for part in args.values.split(",") if part]
-                if args.values
-                else None
-            )
-            base_params = parse_overrides(args.set or [])
-        except (ValueError, SyntaxError) as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        request.update(
-            {
-                "experiment": args.experiment,
-                "parameter": args.parameter,
-                "values": values,
-                "replications": args.replications,
-                "root_seed": args.root_seed,
-                "base_params": base_params,
-                "trace": args.trace,
-                "records": args.json,
-            }
-        )
-
-    failed = False
-
-    def on_event(event: Dict[str, Any]) -> None:
-        nonlocal failed
-        kind = event.get("event")
-        if args.json:
-            print(json.dumps(event, sort_keys=True))
-            failed = failed or kind == "error" or bool(event.get("errors"))
-            return
-        if kind == "plan":
-            print(f"submitted: {event['total']} tasks", file=sys.stderr)
-        elif kind == "task":
-            status = "ok" if event["ok"] else "FAILED"
-            print(
-                f"[{event['done']}/{event['total']}] {event['task_id']}: "
-                f"{status} ({event['source']})",
-                file=sys.stderr,
-            )
-        elif kind == "done":
-            for key in ("hits", "joined", "executed", "errors"):
-                if key in event and event[key]:
-                    print(f"{key}: {event[key]}", file=sys.stderr)
-            if "results_digest" in event:
-                print(f"results digest: {event['results_digest']}")
-            if "stats" in event:
-                print(json.dumps(event["stats"], indent=2, sort_keys=True))
-            failed = failed or bool(event.get("errors"))
-        elif kind == "error":
-            print(f"error: {event.get('message')}", file=sys.stderr)
-            failed = True
-
-    try:
-        events = submit_request(args.socket, request, on_event=on_event)
-    except (ConnectionRefusedError, FileNotFoundError):
-        print(
-            f"no sweep service listening on {args.socket} "
-            "(start one with: repro serve --cache DIR --socket PATH)",
-            file=sys.stderr,
-        )
-        return 2
-    if not events:
-        print("the service closed the stream without answering",
-              file=sys.stderr)
-        return 1
-    return 1 if failed else 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     import json
 
@@ -835,79 +728,6 @@ def build_parser() -> argparse.ArgumentParser:
                 ),
             )
         sub.set_defaults(handler=_cmd_cache)
-
-    serve_cmd = commands.add_parser(
-        "serve",
-        help=(
-            "run the warm sweep service: a foreground daemon answering "
-            "sweep submissions from one shared result cache"
-        ),
-    )
-    serve_cmd.add_argument(
-        "--cache", required=True, metavar="DIR",
-        help="result cache directory backing the service",
-    )
-    serve_cmd.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="Unix socket to listen on",
-    )
-    serve_cmd.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes per submission's cache misses",
-    )
-    serve_cmd.add_argument(
-        "--watchdog-s", type=float, default=None, metavar="SECONDS",
-        help="fallback wall-clock limit per pooled task",
-    )
-    serve_cmd.set_defaults(handler=_cmd_serve)
-
-    submit_cmd = commands.add_parser(
-        "submit",
-        help="submit a sweep (or stats/ping) to a running sweep service",
-    )
-    submit_cmd.add_argument(
-        "--socket", required=True, metavar="PATH",
-        help="Unix socket of the running service",
-    )
-    submit_cmd.add_argument(
-        "--op", choices=("sweep", "stats", "ping"), default="sweep",
-        help="request type (default sweep)",
-    )
-    submit_cmd.add_argument(
-        "--experiment", metavar="ID", help="experiment id, e.g. T7",
-    )
-    submit_cmd.add_argument(
-        "--parameter", metavar="NAME",
-        help="sweep parameter (defaults to the experiment's natural one)",
-    )
-    submit_cmd.add_argument(
-        "--values", metavar="V1,V2,...",
-        help="comma-separated Python literals (default: experiment's own)",
-    )
-    submit_cmd.add_argument(
-        "--replications", type=int, default=1, metavar="R",
-        help="independently seeded runs per sweep point",
-    )
-    submit_cmd.add_argument(
-        "--root-seed", type=int, default=0,
-        help="seed-tree root; per-task seeds derive from it",
-    )
-    submit_cmd.add_argument(
-        "--set", action="append", metavar="KEY=VALUE",
-        help="extra experiment parameter applied to every task",
-    )
-    submit_cmd.add_argument(
-        "--trace", action="store_true",
-        help=(
-            "run this submission's misses under a JSONL event trace "
-            "(written into the cache's traces/ directory)"
-        ),
-    )
-    submit_cmd.add_argument(
-        "--json", action="store_true",
-        help="print the raw event stream as JSON lines",
-    )
-    submit_cmd.set_defaults(handler=_cmd_submit)
 
     design_cmd = commands.add_parser(
         "design", help="print the Section 6 link budget for a scale"

@@ -9,8 +9,8 @@ transmitting."
 A :class:`NeighborClockModel` is an affine fit
 ``neighbor_reading ~= intercept + slope * own_reading`` built from
 rendezvous samples, possibly noisy.  With two or more samples the slope
-captures the relative rate; with one sample the model assumes equal
-rates (slope 1).
+captures the relative rate; with one sample, or a fitted rate no
+oscillator has, the model assumes equal rates (slope 1).
 """
 
 from __future__ import annotations
@@ -23,6 +23,12 @@ import numpy as np
 from repro.clock.clock import Clock
 
 __all__ = ["ClockSample", "NeighborClockModel", "exchange_readings", "exact_model"]
+
+#: The widest ``|slope - 1|`` a least-squares fit may claim.  Oscillators
+#: are good to ~1 ppm, and the worst fit in the quick suite (the
+#: rendezvous-jitter ablation) is ~2e-3; a wider slope is refused in
+#: favour of the latest sample's equal-rate offset.
+_RATE_BAND = 1e-2
 
 
 @dataclass(frozen=True)
@@ -79,20 +85,24 @@ class NeighborClockModel:
         self._fit = None
 
     def _fitted(self) -> Tuple[float, float]:
-        if self._fit is not None:
-            return self._fit
+        if self._fit is None:
+            self._fit = self._refit()
+        return self._fit
+
+    def _refit(self) -> Tuple[float, float]:
+        """A fresh ``(intercept, slope)`` tuple: plans that map through
+        the fit compare it by identity to see whether it changed."""
         if not self._samples:
             raise RuntimeError("no rendezvous samples yet")
+        latest = self._samples[-1]
+        equal_rates = (latest.neighbor_reading - latest.own_reading, 1.0)
         if len(self._samples) == 1:
-            sample = self._samples[0]
-            self._fit = (sample.neighbor_reading - sample.own_reading, 1.0)
-            return self._fit
+            return equal_rates
         own = np.array([s.own_reading for s in self._samples])
         neighbor = np.array([s.neighbor_reading for s in self._samples])
         if np.ptp(own) == 0.0:
             # Degenerate: repeated exchanges at one instant.
-            self._fit = (float(neighbor.mean() - own.mean()), 1.0)
-            return self._fit
+            return (float(neighbor.mean() - own.mean()), 1.0)
         # Centre the data before fitting: own readings can be ~1e6
         # while the slope differs from 1 by ~1e-5, and an uncentred
         # normal-equation fit loses that signal to rounding.
@@ -102,9 +112,13 @@ class NeighborClockModel:
             np.dot(own - own_center, neighbor - neighbor_center)
             / np.dot(own - own_center, own - own_center)
         )
-        intercept = float(neighbor_center - slope * own_center)
-        self._fit = (intercept, slope)
-        return self._fit
+        if not abs(slope - 1.0) <= _RATE_BAND:
+            # No oscillator drifts this far: the samples straddle a
+            # clock step or carry gross jitter.  Mapping windows through
+            # such a rate can stall a window search, so trust only the
+            # latest sample's offset.
+            return equal_rates
+        return (float(neighbor_center - slope * own_center), slope)
 
     def predict_neighbor_reading(self, own_reading: float) -> float:
         """Predicted neighbour clock reading when ours shows ``own_reading``."""
@@ -114,8 +128,6 @@ class NeighborClockModel:
     def own_reading_for(self, neighbor_reading: float) -> float:
         """Our reading when the neighbour's clock shows ``neighbor_reading``."""
         intercept, slope = self._fitted()
-        if slope <= 0.0:
-            raise RuntimeError("fitted model is not invertible (slope <= 0)")
         return (neighbor_reading - intercept) / slope
 
     @property

@@ -127,11 +127,11 @@ class ReceptionTracker:
     _failed_at: Optional[float] = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        if self.threshold <= 0.0:
+        if not self.threshold > 0.0:
             raise ValueError("threshold must be positive")
-        if self.signal_power_w < 0.0:
+        if not self.signal_power_w >= 0.0:
             raise ValueError("signal power must be non-negative")
-        if self.noise_power_w < 0.0:
+        if not self.noise_power_w >= 0.0:
             raise ValueError("noise power must be non-negative")
 
     @property
@@ -150,11 +150,15 @@ class ReceptionTracker:
         return self._failed_at
 
     def update(self, now: float, interference_power_w: float) -> bool:
-        """Fold in the current interference level; returns current ok-ness."""
+        """Fold in the current interference level; returns current ok-ness.
+
+        A NaN level gives a NaN SIR, which fails the reception and, as
+        under ``np.minimum``, stays the worst SIR from then on.
+        """
         current = sir(self.signal_power_w, interference_power_w, self.noise_power_w)
-        if current < self._min_sir:
+        if current < self._min_sir or math.isnan(current):
             self._min_sir = current
-        if current < self.threshold and self._failed_at is None:
+        if not current >= self.threshold and self._failed_at is None:
             self._failed_at = now
         return self.ok
 
@@ -279,11 +283,11 @@ class TrackerBatch:
         tracker; ``min_sir`` starts at ``inf`` and nothing has failed)."""
         if tag in self._position:
             raise ValueError(f"tag {tag} is already tracked")
-        if threshold <= 0.0:
+        if not threshold > 0.0:
             raise ValueError("threshold must be positive")
-        if signal_power_w < 0.0:
+        if not signal_power_w >= 0.0:
             raise ValueError("signal power must be non-negative")
-        if noise_power_w < 0.0:
+        if not noise_power_w >= 0.0:
             raise ValueError("noise power must be non-negative")
         if self._count == len(self._receiver):
             self._grow()
@@ -300,7 +304,12 @@ class TrackerBatch:
 
     def update(self, now: float, interference_power_w: np.ndarray) -> Tuple[int, ...]:
         """Fold one interference level per reception (dense order) into
-        every tracker; returns the tags that failed *at this update*."""
+        every tracker; returns the tags that failed *at this update*.
+
+        A reception fails unless its SIR is at least its threshold, so
+        a NaN level (a NaN SIR) fails it.  The Medium hands over levels
+        that are non-negative or NaN, so no pass checks them here.
+        """
         count = self._count
         if count == 0:
             return ()
@@ -310,15 +319,15 @@ class TrackerBatch:
         denominator = self._scratch_denominator[:count]
         np.add(interference_power_w, self._noise[:count], out=denominator)
         mask = self._scratch_mask[:count]
-        np.greater(denominator, 0.0, out=mask)
+        np.not_equal(denominator, 0.0, out=mask)
         current = self._scratch_sir[:count]
         current.fill(math.inf)
         np.divide(signal, denominator, out=current, where=mask)
         np.minimum(self._min_sir[:count], current, out=self._min_sir[:count])
         newly = self._scratch_newly[:count]
-        np.less(current, self._threshold[:count], out=newly)
+        np.greater_equal(current, self._threshold[:count], out=newly)
         np.isnan(self._failed_at[:count], out=mask)
-        newly &= mask
+        np.greater(mask, newly, out=newly)  # unfailed and not ok
         if not newly.any():
             return ()
         self._failed_at[:count][newly] = now
@@ -359,7 +368,7 @@ class TrackerBatch:
         denominator = self._scratch_denominator[:touched]
         np.add(interference_power_w, self._noise[positions], out=denominator)
         mask = self._scratch_mask[:touched]
-        np.greater(denominator, 0.0, out=mask)
+        np.not_equal(denominator, 0.0, out=mask)
         current = self._scratch_sir[:touched]
         current.fill(math.inf)
         np.divide(
@@ -368,9 +377,9 @@ class TrackerBatch:
         np.minimum(self._min_sir[positions], current, out=current)
         self._min_sir[positions] = current
         newly = self._scratch_newly[:touched]
-        np.less(current, self._threshold[positions], out=newly)
+        np.greater_equal(current, self._threshold[positions], out=newly)
         np.isnan(self._failed_at[positions], out=mask)
-        newly &= mask
+        np.greater(mask, newly, out=newly)  # unfailed and not ok
         failed_positions = positions[newly]
         if failed_positions.size == 0:
             return ()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "ExperimentReport",
@@ -144,7 +144,6 @@ def all_experiments() -> Dict[str, Callable[..., ExperimentReport]]:
 def run_many(
     task_specs: Sequence[Any],
     jobs: int = 1,
-    progress: Optional[Callable[[int, int, Any], None]] = None,
 ) -> List[Any]:
     """Execute a list of :class:`repro.parallel.task.TaskSpec` over the
     worker pool, preserving spec order in the returned results.
@@ -157,4 +156,4 @@ def run_many(
     """
     from repro.parallel.pool import run_tasks
 
-    return run_tasks(task_specs, jobs=jobs, progress=progress)
+    return run_tasks(task_specs, jobs=jobs)

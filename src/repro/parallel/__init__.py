@@ -18,8 +18,6 @@ The pieces, bottom-up:
   list (``repro run-all``).
 * :mod:`repro.parallel.cache` — persistent content-addressed result
   store keyed by spec digest (``repro sweep --cache``, ``repro cache``).
-* :mod:`repro.parallel.service` — the warm sweep daemon sharing one
-  cache across concurrent clients (``repro serve`` / ``repro submit``).
 
 The invariant everything here preserves: for a fixed root seed, report
 rows and replay digests are identical at any worker count — and, with
@@ -29,7 +27,6 @@ a cache, identical whether a row was computed or recalled.
 from repro.parallel.aggregate import MetricSummary, summarize, summarize_rows
 from repro.parallel.cache import CacheDivergenceError, ResultCache
 from repro.parallel.pool import run_tasks
-from repro.parallel.service import SweepService, serve, submit_request
 from repro.parallel.seedtree import SeedTree, derive_seed
 from repro.parallel.suite import QUICK_PARAMS, SuiteResult, run_suite
 from repro.parallel.sweep import (
@@ -57,7 +54,6 @@ __all__ = [
     "SuiteResult",
     "SweepPlan",
     "SweepResult",
-    "SweepService",
     "TaskResult",
     "TaskSpec",
     "derive_seed",
@@ -67,9 +63,7 @@ __all__ = [
     "run_suite",
     "run_sweep",
     "run_tasks",
-    "serve",
     "spec_digest",
-    "submit_request",
     "summarize",
     "summarize_rows",
 ]

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.parallel.aggregate import failed_results, summarize_rows
-from repro.parallel.pool import ProgressCallback, run_tasks
+from repro.parallel.pool import run_tasks
 from repro.parallel.seedtree import SeedTree
 from repro.parallel.task import (
     TaskResult,
@@ -118,7 +118,6 @@ class SweepPlan:
         replications: independent seeded runs per point.
         root_seed: seed-tree root; per-task seeds derive from it.
         base_params: extra keyword overrides applied to every task.
-        sanitize: run each task under the determinism sanitizer.
         timeout_s: per-task timeout (pool-enforced).
         retries: crash/timeout retries per task.
     """
@@ -129,7 +128,6 @@ class SweepPlan:
     replications: int = 1
     root_seed: int = 0
     base_params: Mapping[str, Any] = field(default_factory=dict)
-    sanitize: bool = False
     timeout_s: Optional[float] = None
     retries: int = 1
 
@@ -181,7 +179,6 @@ def build_sweep_tasks(plan: SweepPlan) -> List[TaskSpec]:
                         if seeded
                         else None
                     ),
-                    sanitize=plan.sanitize,
                     timeout_s=plan.timeout_s,
                     retries=plan.retries,
                 )
@@ -338,7 +335,6 @@ def _table(
 def run_sweep(
     plan: SweepPlan,
     jobs: int = 1,
-    progress: Optional[ProgressCallback] = None,
     checkpoint: Optional[str] = None,
     watchdog_s: Optional[float] = None,
     cache: Optional[Any] = None,
@@ -363,14 +359,12 @@ def run_sweep(
             results = run_tasks(
                 specs,
                 jobs=jobs,
-                progress=progress,
                 journal=journal,
                 watchdog_s=watchdog_s,
                 cache=store,
             )
     else:
         results = run_tasks(
-            specs, jobs=jobs, progress=progress, watchdog_s=watchdog_s,
-            cache=store,
+            specs, jobs=jobs, watchdog_s=watchdog_s, cache=store
         )
     return SweepResult(plan=plan, specs=specs, results=results)

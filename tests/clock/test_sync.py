@@ -1,5 +1,7 @@
 """Tests for neighbour clock modelling via rendezvous."""
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,9 @@ from repro.clock.sync import (
     exact_model,
     exchange_readings,
 )
+from repro.core.access import ScheduleView, find_transmit_window
+from repro.core.schedule import Schedule
+from tests.core.test_access import stall_alarm
 
 
 class TestExchange:
@@ -102,3 +107,56 @@ class TestModelFitting:
         assert model.predict_neighbor_reading(own.reading(t)) == pytest.approx(
             neighbor.reading(t), abs=1e-4
         )
+
+
+class TestRateBand:
+    """A fitted rate no oscillator has is refused for the latest
+    sample's equal-rate offset."""
+
+    @staticmethod
+    def two_samples(slope):
+        model = NeighborClockModel()
+        model.add_sample(ClockSample(1000.0, 5000.0))
+        model.add_sample(ClockSample(1010.0, 5000.0 + 10.0 * slope))
+        return model
+
+    @pytest.mark.parametrize("slope", [1e9, 1.02, 0.98, 0.0, -1.0])
+    def test_implausible_rate_keeps_latest_offset(self, slope):
+        model = self.two_samples(slope)
+        assert model.relative_rate == 1.0
+        assert model.reading_offset == 5000.0 + 10.0 * slope - 1010.0
+
+    @pytest.mark.parametrize("slope", [1.009, 0.991, 1.0 + 1.81e-3, 1.0 - 3e-6])
+    def test_plausible_rate_is_fitted(self, slope):
+        assert self.two_samples(slope).relative_rate == pytest.approx(slope)
+
+    def test_each_refit_stores_a_fresh_fit(self):
+        # ShepardMac's plans compare the fit by identity.
+        model = NeighborClockModel()
+        model.add_sample(ClockSample(10.0, 25.0))
+        first = model._fitted()
+        model.add_sample(ClockSample(12.0, 27.0))
+        second = model._fitted()
+        assert second == first and second is not first
+        assert model._fitted() is second
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
+    def test_window_search_through_a_clock_step_ends(self):
+        # Two samples a nanosecond apart that straddle the neighbour's
+        # clock step fit a rate of ~1e9.  Mapped through it, each of
+        # the neighbour's receive windows is ~1e-9 s of global time
+        # long, and a search walking them does not reach its horizon.
+        schedule = Schedule(slot_time=1.0, receive_fraction=0.3, key=99)
+        own = Clock(offset=100.0)
+        model = NeighborClockModel()
+        model.add_sample(ClockSample(1000.0, 5000.0))
+        model.add_sample(ClockSample(1000.0 + 1e-9, 5001.0))
+        with stall_alarm(30, "window search through a clock step hung"):
+            start, end = find_transmit_window(
+                ScheduleView.own(schedule, own),
+                ScheduleView.of_neighbor(schedule, own, model),
+                0.2,
+                earliest=900.0,
+                search_slots=40,
+            )
+        assert 900.0 <= start and end - start == pytest.approx(0.2)

@@ -44,7 +44,14 @@ def neighbor_view(own_clock, neighbor_clock):
 
 @contextmanager
 def stall_alarm(seconds, message):
-    """Raise ``TimeoutError(message)`` if the block outlives ``seconds``."""
+    """Raise ``TimeoutError(message)`` if the block outlives ``seconds``.
+
+    Also a decorator: on a Hypothesis test, below ``@given``, it arms
+    one alarm per example.  Without ``SIGALRM`` the block runs unguarded.
+    """
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
 
     def stalled(signum, frame):
         raise TimeoutError(message)
@@ -506,6 +513,7 @@ class TestWindowTablesMatchReference:
         ),
         moves=st.lists(_moves, min_size=20, max_size=30),
     )
+    @stall_alarm(60, "a window search in this query sequence did not end")
     def test_query_sequence(
         self,
         slot_time,

@@ -105,6 +105,22 @@ class TestReceptionTracker:
         with pytest.raises(ValueError):
             ReceptionTracker(threshold=0.0, signal_power_w=1.0)
 
+    @pytest.mark.parametrize(
+        "field", ["threshold", "signal_power_w", "noise_power_w"]
+    )
+    def test_rejects_nan_parameters(self, field):
+        arguments = dict(threshold=0.1, signal_power_w=1.0, noise_power_w=0.0)
+        arguments[field] = math.nan
+        with pytest.raises(ValueError):
+            ReceptionTracker(**arguments)
+
+    def test_nan_interference_fails(self):
+        tracker = ReceptionTracker(threshold=0.5, signal_power_w=1e-3)
+        tracker.update(1.0, 0.0)
+        assert not tracker.update(2.0, math.nan)
+        assert tracker.failed_at == 2.0
+        assert math.isnan(tracker.min_sir)
+
 
 class TestTrackerBatch:
     def _batch(self):
@@ -114,7 +130,8 @@ class TestTrackerBatch:
 
     def test_matches_scalar_trackers(self):
         # The batch must report bit-identical min_sir/failed_at to a set
-        # of scalar trackers fed the same interference history.
+        # of scalar trackers fed the same interference history, NaN
+        # levels included, whether it updates every tracker or a subset.
         import numpy as np
 
         from repro.core.reception import TrackerBatch
@@ -136,30 +153,56 @@ class TestTrackerBatch:
             scalars[tag] = ReceptionTracker(
                 threshold=threshold, signal_power_w=signal, noise_power_w=noise
             )
+        nan_seen = 0
         for step in range(20):
             interference = rng.uniform(0.0, 5.0, batch.count)
+            interference[rng.random(batch.count) < 0.05] = math.nan
+            nan_seen += int(np.isnan(interference).sum())
             now = float(step)
-            failed = set(batch.update(now, interference))
+            if step % 2:
+                positions = np.flatnonzero(rng.random(batch.count) < 0.5)
+                interference = interference[positions]
+                failed = set(batch.update_where(now, interference, positions))
+            else:
+                positions = np.arange(batch.count)
+                failed = set(batch.update(now, interference))
             newly_scalar = set()
-            for position, tag in enumerate(batch.tags):
-                tracker = scalars[tag]
+            for level, position in zip(interference, positions):
+                tracker = scalars[batch.tags[position]]
                 was_ok = tracker.ok
-                tracker.update(now, float(interference[position]))
+                tracker.update(now, float(level))
                 if was_ok and not tracker.ok:
-                    newly_scalar.add(tag)
+                    newly_scalar.add(batch.tags[position])
             assert failed == newly_scalar
             if step == 9:  # mid-history removal exercises swap-remove
-                record = batch.remove(4)
-                scalar = scalars.pop(4)
-                assert record.ok == scalar.ok
-                assert record.min_sir == scalar.min_sir
-                assert record.failed_at == scalar.failed_at
+                self._assert_same(batch.remove(4), scalars.pop(4))
         for tag, scalar in scalars.items():
-            record = batch.remove(tag)
-            assert record.ok == scalar.ok
-            assert record.min_sir == scalar.min_sir
-            assert record.failed_at == scalar.failed_at
+            self._assert_same(batch.remove(tag), scalar)
         assert batch.count == 0
+        assert nan_seen > 0
+
+    @staticmethod
+    def _assert_same(record, scalar):
+        assert record.ok == scalar.ok
+        assert record.min_sir.hex() == scalar.min_sir.hex()
+        assert record.failed_at == scalar.failed_at
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_nan_interference_fails(self, subset):
+        import numpy as np
+
+        batch = self._batch()
+        batch.add(tag=1, receiver=0, threshold=0.5, signal_power_w=1e-3)
+        batch.add(tag=2, receiver=1, threshold=0.5, signal_power_w=1e-3)
+        levels = np.array([0.0, math.nan])
+        if subset:
+            failed = batch.update_where(3.0, levels[1:], np.array([1]))
+        else:
+            failed = batch.update(3.0, levels)
+        assert failed == (2,)
+        assert batch.ok(1) and not batch.ok(2)
+        assert math.isnan(batch.min_sir(2))
+        assert batch.remove(2).failed_at == 3.0
 
     def test_zero_denominator_gives_infinite_sir(self):
         import numpy as np
@@ -205,3 +248,9 @@ class TestTrackerBatch:
                 tag=3, receiver=0, threshold=0.1, signal_power_w=1.0,
                 noise_power_w=-1.0,
             )
+        for field in ("threshold", "signal_power_w", "noise_power_w"):
+            arguments = dict(threshold=0.1, signal_power_w=1.0, noise_power_w=0.0)
+            arguments[field] = math.nan
+            with pytest.raises(ValueError):
+                batch.add(tag=4, receiver=0, **arguments)
+        assert batch.count == 0

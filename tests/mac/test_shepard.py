@@ -22,7 +22,7 @@ from repro.obs.events import TxStart
 from repro.propagation.geometry import uniform_disk
 from repro.sim.engine import Environment
 from repro.sim.streams import RandomStreams
-from tests.core.test_access import _jittered_model, _samples
+from tests.core.test_access import _jittered_model, _samples, stall_alarm
 
 
 def running_network(count=15, seed=13, load=0.08, duration_slots=250, **overrides):
@@ -178,16 +178,15 @@ def _ulps(value, count):
 def _avoid_end(plan, count):
     """``count`` ulps past the end of the first receive window, at the
     plan's instant, of the plan's first avoid view (``None`` without
-    one, or when the view's model is degenerate and maps no window): a
-    query past it no longer subtracts that window."""
+    one, or when the view maps no window): a query past it no longer
+    subtracts that window."""
     if not plan.avoid:
         return None
     try:
         window = next(plan.avoid[0].receive_windows(plan.since))
     except (RuntimeError, ValueError):
-        # A sample taken across a clock replacement can refit the view's
-        # model to a slope that is not positive; ``_check`` asserts the
-        # MAC fails on it.
+        # The errors ``_check`` expects the MAC and the reference
+        # search to raise alike.
         return None
     return _ulps(window[1], count)
 
@@ -299,9 +298,10 @@ class TestPlanReuseMatchesSearch:
         start=330.0,
         moves=[("step", 0.7653595642186701)],
     )
-    # The clock step and the sample after it refit neighbour 1 to a
-    # slope of zero, so hop 3's plan has an avoid view that maps no
-    # window: aiming at it must leave the query where it is.
+    # The clock step and the sample after it fit neighbour 1 a slope
+    # of zero.  The model refuses it for the latest sample's offset, so
+    # hop 3's plan has an avoid view mapped through that fallback, and
+    # the aim lands just past its first receive window.
     @example(
         slot_time=0.05,
         own_clock=Clock(),
@@ -320,6 +320,7 @@ class TestPlanReuseMatchesSearch:
         start=0.0,
         moves=[("clock", 0.5, 0.0), ("sample", 1, 0.0), ("aim", 2, "avoid-end")],
     )
+    @stall_alarm(60, "a window search in this query sequence did not end")
     def test_query_sequence(
         self,
         slot_time,
@@ -424,8 +425,8 @@ class TestPlanReuseMatchesSearch:
             except NoTransmitWindowError:
                 window = None
             except (RuntimeError, ValueError) as error:
-                # Samples taken across a clock replacement can fit a
-                # degenerate model; its search fails in the MAC alike.
+                # An input the search refuses is refused in the MAC
+                # alike.
                 with pytest.raises(type(error)):
                     mac._best_candidate(now)
                 return

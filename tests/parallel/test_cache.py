@@ -45,8 +45,8 @@ def logged_spec(task_id, log_path, **params):
     return TaskSpec(
         task_id=task_id,
         kind="function",
-        target=f"{WORKERS}:slow_echo",
-        params={"log_path": str(log_path), "delay_s": 0.0, **params},
+        target=f"{WORKERS}:logged_echo",
+        params={"log_path": str(log_path), **params},
     )
 
 

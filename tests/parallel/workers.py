@@ -40,13 +40,12 @@ def sleep_forever():
         time.sleep(0.1)
 
 
-def slow_echo(log_path=None, delay_s=0.3, **kwargs):
-    """Echo after a delay, appending one line per *execution* to
-    ``log_path`` — the witness the in-flight dedup tests count."""
+def logged_echo(log_path=None, **kwargs):
+    """Echo, appending one line per *execution* to ``log_path`` — the
+    witness the cache tests count."""
     if log_path is not None:
         with open(log_path, "a", encoding="utf-8") as handle:
             handle.write(f"executed {sorted(kwargs.items())!r}\n")
-    time.sleep(delay_s)
     return dict(kwargs)
 
 

@@ -212,45 +212,6 @@ class TestCacheCommands:
         assert main(["cache", "stats", str(tmp_path)]) == 2
         assert "no cache marker" in capsys.readouterr().err
 
-    def test_submit_without_service_fails_cleanly(self, capsys, tmp_path):
-        code = main(
-            ["submit", "--socket", str(tmp_path / "none.sock"), "--op", "ping"]
-        )
-        assert code == 2
-        assert "no sweep service listening" in capsys.readouterr().err
-
-    def test_submit_sweep_requires_experiment(self, capsys, tmp_path):
-        code = main(
-            ["submit", "--socket", str(tmp_path / "x.sock"), "--op", "sweep"]
-        )
-        assert code == 2
-        assert "--experiment" in capsys.readouterr().err
-
-    def test_submit_round_trip_against_live_server(self, capsys, tmp_path):
-        import threading
-
-        from repro.parallel.cache import ResultCache
-        from repro.parallel.service import SweepServer, SweepService
-
-        cache_dir = tmp_path / "cache"
-        self.populate(cache_dir, capsys)  # warm the cache first
-        service = SweepService(ResultCache(str(cache_dir)), jobs=1)
-        server = SweepServer(service, str(tmp_path / "sweep.sock"))
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            code = main(
-                ["submit", "--socket", server.socket_path, *self.TINY_T7]
-            )
-            captured = capsys.readouterr()
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10)
-        assert code == 0
-        assert "hits: 1" in captured.err  # served entirely from the cache
-        assert "results digest:" in captured.out
-
 
 class TestTraceCommand:
     T7_TINY = [

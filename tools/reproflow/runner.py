@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -62,8 +62,6 @@ class ReproflowConfig:
         "repro.parallel.task:_run_scenario",
         "repro.parallel.pool:_worker_main",
         "repro.parallel.cache:ResultCache.verify",
-        "repro.parallel.service:SweepService.submit_specs",
-        "repro.parallel.service:SweepService.handle_request",
     )
     #: extra fork-safety roots (qualified names).
     extra_fork_roots: Tuple[str, ...] = (
@@ -75,9 +73,6 @@ class ReproflowConfig:
     baseline: Path = Path("tools/reproflow/baseline.json")
     #: passes to run (all four by default).
     select: Tuple[str, ...] = PASSES
-    #: extra paths whose inline suppressions should be honoured even
-    #: though they are outside the package (unused — reserved).
-    repo_root: Path = field(default_factory=Path.cwd)
 
 
 def _load(config: ReproflowConfig) -> Project:
@@ -162,7 +157,6 @@ def config_for_repo(root: Path) -> ReproflowConfig:
         schema_lock=root / "tools" / "reproflow" / "schema.lock",
         api_lock=root / "tools" / "reproflow" / "api.lock",
         baseline=root / "tools" / "reproflow" / "baseline.json",
-        repo_root=root,
     )
 
 
