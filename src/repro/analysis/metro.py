@@ -483,7 +483,6 @@ def run_metro_scene(
     traffic_seed: int = 99,
     despreader_channels: int = 12,
     guard_fraction: float = 0.01,
-    resync_events: Optional[int] = 4096,
     env: Optional[Environment] = None,
 ) -> MetroRunResult:
     """Simulate a metro scene under Poisson nearest-neighbour traffic.
@@ -507,7 +506,6 @@ def run_metro_scene(
         traffic_seed: seed for the Poisson arrival draw.
         despreader_channels: per-station despreader bank capacity.
         guard_fraction: window-edge inset as a fraction of a slot.
-        resync_events: medium drift-guard cadence.
         env: simulation environment (one is built when omitted; pass
             ``Environment(sanitize=True)`` to force the sanitizer).
     """
@@ -581,7 +579,6 @@ def run_metro_scene(
             now + offsets[station]
         ),
         channel_query=lambda station: banks[station],
-        resync_events=resync_events,
     )
 
     powers = scene.powers.tolist()

@@ -269,16 +269,14 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         timeout_s=args.timeout_s,
         retries=args.retries,
         progress=progress if not args.no_progress else None,
-        checkpoint=args.checkpoint,
-        watchdog_s=args.watchdog_s,
         cache=cache,
     )
     print(suite.format())
     _print_cache_traffic(cache)
     if args.output:
-        # sort_keys: journal replay and cache hits rebuild payloads from
-        # canonical (sorted) JSON, so sorting here keeps the artifact
-        # byte-identical however each row was obtained.
+        # sort_keys: cache hits rebuild payloads from canonical (sorted)
+        # JSON, so sorting here keeps the artifact byte-identical whether
+        # each row was computed or recalled.
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(suite.to_payload(), handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -321,13 +319,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
     cache = _open_cache(args.cache)
     try:
-        outcome = run_sweep(
-            plan,
-            jobs=args.jobs,
-            checkpoint=args.checkpoint,
-            watchdog_s=args.watchdog_s,
-            cache=cache,
-        )
+        outcome = run_sweep(plan, jobs=args.jobs, cache=cache)
     except ValueError as exc:
         print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
         return 2
@@ -335,7 +327,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _print_cache_traffic(cache)
     if args.output:
         # sort_keys: see _cmd_run_all — byte-identical artifacts whether
-        # rows were computed, journal-replayed, or cache hits.
+        # rows were computed or cache hits.
         with open(args.output, "w", encoding="utf-8") as handle:
             json.dump(outcome.to_payload(), handle, indent=2, sort_keys=True)
             handle.write("\n")
@@ -591,20 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write every report plus the suite digest as JSON",
     )
     run_all_cmd.add_argument(
-        "--checkpoint", metavar="PATH",
-        help=(
-            "journal completed experiments to PATH; a killed run "
-            "resumes from it with bit-identical final digests"
-        ),
-    )
-    run_all_cmd.add_argument(
-        "--watchdog-s", type=float, default=None, metavar="SECONDS",
-        help=(
-            "fallback wall-clock limit for experiments without "
-            "--timeout-s (converts a hung worker into a timeout)"
-        ),
-    )
-    run_all_cmd.add_argument(
         "--no-progress", action="store_true",
         help="suppress the per-experiment progress lines on stderr",
     )
@@ -612,7 +590,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", metavar="DIR",
         help=(
             "content-addressed result cache: experiments already stored "
-            "return instantly, only misses run"
+            "return instantly, only misses run; rerunning a killed run "
+            "over the same DIR resumes it"
         ),
     )
     run_all_cmd.set_defaults(handler=_cmd_run_all)
@@ -670,24 +649,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write rows, summaries, and digests as JSON",
     )
     sweep_cmd.add_argument(
-        "--checkpoint", metavar="PATH",
-        help=(
-            "journal completed tasks to PATH; a killed sweep resumes "
-            "from it with bit-identical final digests"
-        ),
-    )
-    sweep_cmd.add_argument(
-        "--watchdog-s", type=float, default=None, metavar="SECONDS",
-        help=(
-            "fallback wall-clock limit for tasks without --timeout-s "
-            "(converts a hung worker into a timeout)"
-        ),
-    )
-    sweep_cmd.add_argument(
         "--cache", metavar="DIR",
         help=(
             "content-addressed result cache: points already stored "
-            "return instantly (bit-identical), only misses run"
+            "return instantly (bit-identical), only misses run; "
+            "rerunning a killed sweep over the same DIR resumes it"
         ),
     )
     sweep_cmd.set_defaults(handler=_cmd_sweep)

@@ -342,9 +342,7 @@ class Medium:
             (disabled when omitted; emission is zero-cost then).
         resync_events: re-derive the incremental interference field from
             an exact ``gains @ powers`` recompute every this many field
-            changes (drift guard).  ``None`` disables periodic resync;
-            the field is still pinned to exactly zero whenever the
-            channel drains to idle.
+            changes (drift guard).
     """
 
     def __init__(
@@ -356,7 +354,7 @@ class Medium:
         listen_query: Callable[[int, float], bool],
         channel_query: Callable[[int], object],
         instrumentation: Optional[Instrumentation] = None,
-        resync_events: Optional[int] = 4096,
+        resync_events: int = 4096,
     ) -> None:
         self._field: Union[_DenseField, _CsrField] = (
             _CsrField(gains)
@@ -369,7 +367,7 @@ class Medium:
             raise ValueError("need one SIR threshold per station")
         if thermal_noise_w < 0.0:
             raise ValueError("thermal noise must be non-negative")
-        if resync_events is not None and resync_events < 1:
+        if resync_events < 1:
             raise ValueError("resync cadence must be at least 1 event")
         self.env = env
         self.thermal_noise_w = thermal_noise_w
@@ -630,10 +628,7 @@ class Medium:
         applied to ``_powers``.
         """
         self._field_changes += 1
-        if (
-            self._resync_events is not None
-            and self._field_changes >= self._resync_events
-        ):
+        if self._field_changes >= self._resync_events:
             self._resync_field()
         elif not self._active:
             self._interference[:] = 0.0

@@ -132,10 +132,6 @@ class NetworkConfig:
         queue_capacity: bound on each station's total transmit backlog;
             ``None`` (the default) keeps queues unbounded, leaving seed
             outputs unchanged.  Overflow drops are counted per station.
-        medium_resync_events: drift-guard cadence for the medium's
-            incremental interference field (exact recompute every this
-            many transmission starts/ends; ``None`` disables periodic
-            resync).
         arq_max_retries: when set, install a stop-and-wait ARQ
             sublayer (:mod:`repro.mac.arq`) on every station with this
             retry budget; ``None`` (the default) keeps transmit
@@ -184,7 +180,6 @@ class NetworkConfig:
     model_propagation_delay: bool = False
     rendezvous_refresh_slots: Optional[float] = None
     queue_capacity: Optional[int] = None
-    medium_resync_events: Optional[int] = 4096
     arq_max_retries: Optional[int] = None
     arq_timeout_slots: float = 4.0
     arq_backoff_slots: float = 2.0
@@ -232,8 +227,6 @@ class NetworkConfig:
             raise ValueError("rendezvous refresh interval must be positive")
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ValueError("queue capacity must be at least 1")
-        if self.medium_resync_events is not None and self.medium_resync_events < 1:
-            raise ValueError("medium resync cadence must be at least 1 event")
         if self.arq_max_retries is not None and self.arq_max_retries < 1:
             raise ValueError("ARQ needs at least one retry when enabled")
         if self.arq_timeout_slots <= 0.0:
@@ -837,7 +830,6 @@ def build_network(
         listen_query=lambda index, now: stations[index].mac.is_listening(now),
         channel_query=lambda index: stations[index].bank,
         instrumentation=instr,
-        resync_events=config.medium_resync_events,
     )
 
     guard = config.guard_fraction * budget.slot_time

@@ -16,12 +16,10 @@ Layout on disk (one directory per cache)::
     DIR/quarantine/<key>.<n>.json  corrupt entries set aside by reads
 
 Each entry is one JSON object ``{"key", "spec", "record", "digest"}``
-where ``digest`` seals the other three fields with the same
-BLAKE2b-over-canonical-JSON scheme the checkpoint journal uses
-(:func:`~repro.parallel.checkpoint.record_digest` — the (de)serialisers
-are shared, not duplicated).  The stored ``spec`` identity lets
-``verify --recompute`` re-execute an entry from the cache alone and
-hard-fail on divergence.
+where ``record`` is the result's canonical JSON form and ``digest``
+seals the other three fields with a BLAKE2b over their canonical JSON.
+The stored ``spec`` identity lets ``verify --recompute`` re-execute an
+entry from the cache alone and hard-fail on divergence.
 
 Durability discipline:
 
@@ -34,33 +32,34 @@ Durability discipline:
   *quarantines* it (moved aside for inspection, counted in stats) and
   reports a miss — corruption is never fatal and never served.
 * **Divergence is a hard error.**  When an independent recomputation
-  (or a checkpoint journal) disagrees with a stored entry,
-  :exc:`CacheDivergenceError` is raised; a stale row is never silently
-  returned.
+  disagrees with a stored entry, :exc:`CacheDivergenceError` is raised;
+  a stale row is never silently returned.
+* **Resume.**  :func:`~repro.parallel.pool.run_tasks` publishes each
+  successful result the moment it completes, so a killed run loses
+  only the tasks still in flight: rerunning it over the same cache
+  recalls every stored result and executes the rest, with the same
+  final digests as an uninterrupted run.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import time
 from typing import Any, Dict, List, Optional
 
-from repro.parallel.checkpoint import (
-    record_digest,
-    record_to_result,
-    result_to_record,
-)
 from repro.parallel.task import (
     TaskResult,
     TaskSpec,
     _json_digest,
+    canonicalize,
     execute_task,
     spec_digest,
     spec_identity,
 )
 
-__all__ = ["CacheDivergenceError", "ResultCache", "resolve_cache"]
+__all__ = ["CacheDivergenceError", "ResultCache"]
 
 # The REP002 exemption above covers host-side cache maintenance only:
 # entry ages for `gc --max-age` come from file modification times
@@ -72,8 +71,8 @@ _VERSION = 1
 
 
 class CacheDivergenceError(RuntimeError):
-    """A cached result disagrees with an independent recomputation (or
-    a checkpoint journal) of the same spec.
+    """A cached result disagrees with an independent recomputation of
+    the same spec.
 
     This is the one unrecoverable cache condition: either the cache was
     fed from a different build of the simulator, or determinism itself
@@ -82,8 +81,41 @@ class CacheDivergenceError(RuntimeError):
     """
 
 
+def _record_digest(record: Dict[str, Any]) -> str:
+    """BLAKE2b over a record's canonical JSON: the torn-write and
+    bit-flip witness that seals every entry."""
+    canonical = json.dumps(record, sort_keys=True)
+    return hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()
+
+
+def _result_to_record(result: TaskResult) -> Dict[str, Any]:
+    """A result as the canonical, JSON-safe record an entry stores."""
+    return {
+        "task_id": result.task_id,
+        "ok": result.ok,
+        "payload": canonicalize(result.payload) if result.payload is not None else None,
+        "error": result.error,
+        "attempts": result.attempts,
+        "replay_digest": result.replay_digest,
+        "payload_digest": result.payload_digest,
+    }
+
+
+def _record_to_result(record: Dict[str, Any]) -> TaskResult:
+    """Rebuild a :class:`TaskResult` from :func:`_result_to_record`."""
+    return TaskResult(
+        task_id=record["task_id"],
+        ok=record["ok"],
+        payload=record["payload"],
+        error=record["error"],
+        attempts=record["attempts"],
+        replay_digest=record["replay_digest"],
+        payload_digest=record["payload_digest"],
+    )
+
+
 def _entry_digest(key: str, spec: Dict[str, Any], record: Dict[str, Any]) -> str:
-    return record_digest({"key": key, "spec": spec, "record": record})
+    return _record_digest({"key": key, "spec": spec, "record": record})
 
 
 def _payload_matches(payload: Any, stored: Any) -> bool:
@@ -94,14 +126,6 @@ def _payload_matches(payload: Any, stored: Any) -> bool:
         return _json_digest(payload) == stored
     except ValueError:  # a NaN or Infinity token
         return False
-
-
-def resolve_cache(cache: Any) -> Optional["ResultCache"]:
-    """Accept ``None``, a directory path, or an open :class:`ResultCache`
-    (the convenience every ``cache=`` parameter upstream offers)."""
-    if cache is None or isinstance(cache, ResultCache):
-        return cache
-    return ResultCache(os.fspath(cache))
 
 
 class ResultCache:
@@ -248,7 +272,7 @@ class ResultCache:
         if entry is None:
             self.misses += 1
             return None
-        result = record_to_result(entry["record"])
+        result = _record_to_result(entry["record"])
         result.task_id = spec.task_id
         self.hits += 1
         return result
@@ -263,7 +287,7 @@ class ResultCache:
         if not result.ok or result.payload is None:
             return False
         key = self.key_for(spec)
-        record = result_to_record(result)
+        record = _result_to_record(result)
         entry = {
             "key": key,
             "spec": spec_identity(spec),
@@ -302,8 +326,10 @@ class ResultCache:
 
     # -- maintenance ---------------------------------------------------
 
-    def _entries(self) -> List[str]:
-        """Paths of every entry file, sorted for determinism."""
+    def _entries(self, temporary: bool = False) -> List[str]:
+        """Paths of every entry file, sorted for determinism; with
+        ``temporary``, the ``.tmp.*`` files of writes that never reached
+        their rename instead."""
         paths: List[str] = []
         if not os.path.isdir(self.objects_dir):
             return paths
@@ -312,7 +338,7 @@ class ResultCache:
             if not os.path.isdir(shard_dir):
                 continue
             for name in sorted(os.listdir(shard_dir)):
-                if name.endswith(".json") and not name.startswith(".tmp."):
+                if name.endswith(".json") and name.startswith(".tmp.") == temporary:
                     paths.append(os.path.join(shard_dir, name))
         return paths
 
@@ -403,9 +429,11 @@ class ResultCache:
         """Evict entries by age and/or total size; purge quarantine.
 
         ``max_age_s`` removes entries whose file mtime is older than
-        that many seconds; ``max_bytes`` then evicts oldest-first until
-        the store fits.  Host wall time only ever compares against file
-        mtimes here — simulation state is untouched.
+        that many seconds, and the temp files of writers killed before
+        their rename once they are as old; ``max_bytes`` then evicts
+        oldest-first until the store fits.  Host wall time only ever
+        compares against file mtimes here — simulation state is
+        untouched.
         """
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
@@ -430,6 +458,15 @@ class ResultCache:
                     pass
                 continue
             survivors.append((stat.st_mtime, path, stat.st_size))
+        orphans = 0
+        if max_age_s is not None:
+            for path in self._entries(temporary=True):
+                try:
+                    if now - os.stat(path).st_mtime > max_age_s:
+                        os.remove(path)
+                        orphans += 1
+                except FileNotFoundError:
+                    continue  # its writer renamed it after all
         if max_bytes is not None:
             total = sum(size for _mtime, _path, size in survivors)
             survivors.sort()  # oldest first
@@ -456,5 +493,6 @@ class ResultCache:
             "evicted": evicted,
             "freed_bytes": freed,
             "quarantine_purged": purged,
+            "temp_purged": orphans,
             "remaining_entries": len(self._entries()),
         }

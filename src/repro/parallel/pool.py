@@ -47,7 +47,6 @@ from repro.parallel.task import TaskResult, TaskSpec, execute_task
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.parallel.cache import ResultCache
-    from repro.parallel.checkpoint import ResultJournal
 
 __all__ = ["ProgressCallback", "run_tasks"]
 
@@ -98,13 +97,10 @@ class _Worker:
         self.task_index: Optional[int] = None
         self.deadline: Optional[float] = None
 
-    def assign(
-        self, index: int, spec: TaskSpec, watchdog_s: Optional[float] = None
-    ) -> None:
-        limit = spec.timeout_s if spec.timeout_s is not None else watchdog_s
+    def assign(self, index: int, spec: TaskSpec) -> None:
         self.task_index = index
-        if limit is not None:
-            self.deadline = time.monotonic() + limit  # reprolint: disable=REP002
+        if spec.timeout_s is not None:
+            self.deadline = time.monotonic() + spec.timeout_s  # reprolint: disable=REP002
         else:
             self.deadline = None
         self.conn.send((index, spec))
@@ -143,8 +139,6 @@ def run_tasks(
     specs: Sequence[TaskSpec],
     jobs: int = 1,
     progress: Optional[ProgressCallback] = None,
-    journal: Optional["ResultJournal"] = None,
-    watchdog_s: Optional[float] = None,
     cache: Optional["ResultCache"] = None,
 ) -> List[TaskResult]:
     """Execute tasks, returning one result per spec in spec order.
@@ -154,31 +148,18 @@ def run_tasks(
         jobs: worker processes.  ``jobs <= 1`` executes inline in this
             process (same code path per task; no timeout enforcement).
         progress: optional per-completion callback.
-        journal: checkpoint journal.  Tasks already completed in the
-            journal are replayed without re-execution (reported through
-            ``progress`` first, in spec order); fresh completions are
-            appended as they land, so a killed run resumes where it
-            stopped with bit-identical final results.
-        watchdog_s: fallback wall-clock limit applied (pooled execution
-            only) to tasks whose spec sets no ``timeout_s``, converting
-            a hung worker into a structured timeout instead of stalling
-            the run forever.
         cache: persistent content-addressed result store.  Specs whose
             work is already cached return instantly (bit-identical by
-            the key discipline); only misses are scheduled, and fresh
-            completions are written back.  Composes with ``journal``:
-            journal records win (and warm the cache), cache hits are
-            journaled so resumes stay complete, and a spec satisfied by
-            either source is never re-executed.  Disagreement between
-            journal and cache raises
-            :exc:`~repro.parallel.cache.CacheDivergenceError`.
+            the key discipline) and are reported through ``progress``
+            first, in spec order; only misses are scheduled.  Each fresh
+            completion is written back as it lands, so rerunning a
+            killed run over the same cache resumes where it stopped,
+            with bit-identical final results.
 
     Pooled execution is bit-identical to inline execution: only wall
     clock and the ``attempts`` counter of crashed-and-retried tasks can
     differ.
     """
-    if watchdog_s is not None and watchdog_s <= 0.0:
-        raise ValueError("watchdog must be positive")
     specs = list(specs)
     seen = set()
     for spec in specs:
@@ -190,29 +171,16 @@ def run_tasks(
         return []
 
     reused: Dict[int, TaskResult] = {}
-    if journal is not None:
-        for index, spec in enumerate(specs):
-            cached = journal.completed.get(spec.task_id)
-            if cached is not None:
-                reused[index] = cached
-                if cache is not None:
-                    # Backfill the cache from the journal; a conflicting
-                    # pre-existing entry is a hard divergence error.
-                    cache.ensure(spec, cached)
     if cache is not None:
         for index, spec in enumerate(specs):
-            if index in reused:
-                continue
             hit = cache.get(spec)
             if hit is not None:
                 reused[index] = hit
-                if journal is not None:
-                    journal.record(hit)
     done = 0
     if progress is not None:
-        for index in sorted(reused):
+        for hit in reused.values():  # filled in spec order
             done += 1
-            progress(done, total, reused[index])
+            progress(done, total, hit)
     remaining = [
         (index, spec) for index, spec in enumerate(specs) if index not in reused
     ]
@@ -223,8 +191,6 @@ def run_tasks(
 
     def on_fresh(result: TaskResult) -> None:
         nonlocal done
-        if journal is not None:
-            journal.record(result)
         if cache is not None:
             cache.ensure(spec_by_id[result.task_id], result)
         done += 1
@@ -239,9 +205,7 @@ def run_tasks(
             fresh.append(result)
             on_fresh(result)
     else:
-        fresh = _run_pooled(
-            fresh_specs, min(jobs, len(fresh_specs)), on_fresh, watchdog_s
-        )
+        fresh = _run_pooled(fresh_specs, min(jobs, len(fresh_specs)), on_fresh)
     for (index, _spec), result in zip(remaining, fresh):
         reused[index] = result
     return [reused[index] for index in range(total)]
@@ -251,7 +215,6 @@ def _run_pooled(
     specs: List[TaskSpec],
     jobs: int,
     completion: Optional[Callable[[TaskResult], None]],
-    watchdog_s: Optional[float] = None,
 ) -> List[TaskResult]:
     context = multiprocessing.get_context("spawn")
     total = len(specs)
@@ -291,7 +254,7 @@ def _run_pooled(
                 if worker.task_index is None and pending:
                     index = pending.popleft()
                     attempts[index] += 1
-                    worker.assign(index, specs[index], watchdog_s)
+                    worker.assign(index, specs[index])
 
             busy = [w for w in live if w.task_index is not None]
             if not busy:
@@ -341,17 +304,11 @@ def _run_pooled(
                 worker.clear()
                 worker.kill()
                 workers.remove(worker)
-                if specs[index].timeout_s is not None:
-                    reason = (
-                        f"task {specs[index].task_id!r} timed out after "
-                        f"{specs[index].timeout_s}s (attempt {attempts[index]})"
-                    )
-                else:
-                    reason = (
-                        f"task {specs[index].task_id!r} exceeded the pool "
-                        f"watchdog of {watchdog_s}s (attempt {attempts[index]})"
-                    )
-                fail_or_retry(index, reason)
+                fail_or_retry(
+                    index,
+                    f"task {specs[index].task_id!r} timed out after "
+                    f"{specs[index].timeout_s}s (attempt {attempts[index]})",
+                )
     finally:
         for worker in workers:
             worker.shutdown()

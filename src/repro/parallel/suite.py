@@ -11,7 +11,7 @@ use) so CI can exercise the whole registry per commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
 
 from repro.parallel.aggregate import failed_results, reports_in_order
 from repro.parallel.pool import ProgressCallback, run_tasks
@@ -21,6 +21,9 @@ from repro.parallel.task import (
     canonicalize,
     results_digest,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.parallel.cache import ResultCache
 
 __all__ = [
     "QUICK_PARAMS",
@@ -231,40 +234,17 @@ def run_suite(
     timeout_s: Optional[float] = None,
     retries: int = 1,
     progress: Optional[ProgressCallback] = None,
-    checkpoint: Optional[str] = None,
-    watchdog_s: Optional[float] = None,
-    cache: Optional[Any] = None,
+    cache: Optional["ResultCache"] = None,
 ) -> SuiteResult:
     """Run the whole experiment registry over ``jobs`` workers.
 
-    With ``checkpoint``, completed results are journaled to that path
-    so a killed run resumes where it stopped, with final digests
-    bit-identical to an uninterrupted run.  With ``cache`` (a directory
-    path or an open :class:`~repro.parallel.cache.ResultCache`),
-    experiments whose work is already stored return instantly and only
-    misses are scheduled.
+    With ``cache``, experiments whose work is already stored return
+    instantly and only misses are scheduled; each fresh result is stored
+    as it completes, so rerunning a killed suite over the same cache
+    resumes it with final digests bit-identical to an uninterrupted run.
     """
-    from repro.parallel.cache import resolve_cache
-
-    store = resolve_cache(cache)
     specs = build_suite_tasks(
         quick=quick, overrides=overrides, timeout_s=timeout_s, retries=retries
     )
-    if checkpoint is not None:
-        from repro.parallel.checkpoint import ResultJournal
-
-        with ResultJournal(checkpoint, specs) as journal:
-            results = run_tasks(
-                specs,
-                jobs=jobs,
-                progress=progress,
-                journal=journal,
-                watchdog_s=watchdog_s,
-                cache=store,
-            )
-    else:
-        results = run_tasks(
-            specs, jobs=jobs, progress=progress, watchdog_s=watchdog_s,
-            cache=store,
-        )
+    results = run_tasks(specs, jobs=jobs, progress=progress, cache=cache)
     return SuiteResult(specs=specs, results=results, jobs=jobs, quick=quick)

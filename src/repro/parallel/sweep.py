@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.parallel.aggregate import failed_results, summarize_rows
 from repro.parallel.pool import run_tasks
@@ -27,6 +27,9 @@ from repro.parallel.task import (
     canonicalize,
     payload_to_report,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.parallel.cache import ResultCache
 
 __all__ = [
     "SWEEPABLE_PARAMS",
@@ -335,36 +338,16 @@ def _table(
 def run_sweep(
     plan: SweepPlan,
     jobs: int = 1,
-    checkpoint: Optional[str] = None,
-    watchdog_s: Optional[float] = None,
-    cache: Optional[Any] = None,
+    cache: Optional["ResultCache"] = None,
 ) -> SweepResult:
     """Build the task list, execute it, and wrap the ordered results.
 
-    With ``checkpoint``, completed results are journaled to that path
-    so a killed sweep resumes where it stopped, with final digests
-    bit-identical to an uninterrupted run.  With ``cache`` (a directory
-    path or an open :class:`~repro.parallel.cache.ResultCache`), points
-    whose work is already stored return instantly and only misses are
-    scheduled — overlapping sweeps share one warm store.
+    With ``cache``, points whose work is already stored return instantly
+    and only misses are scheduled — overlapping sweeps share one warm
+    store.  Each fresh result is stored as it completes, so rerunning a
+    killed sweep over the same cache resumes it with final digests
+    bit-identical to an uninterrupted run.
     """
-    from repro.parallel.cache import resolve_cache
-
-    store = resolve_cache(cache)
     specs = build_sweep_tasks(plan)
-    if checkpoint is not None:
-        from repro.parallel.checkpoint import ResultJournal
-
-        with ResultJournal(checkpoint, specs) as journal:
-            results = run_tasks(
-                specs,
-                jobs=jobs,
-                journal=journal,
-                watchdog_s=watchdog_s,
-                cache=store,
-            )
-    else:
-        results = run_tasks(
-            specs, jobs=jobs, watchdog_s=watchdog_s, cache=store
-        )
+    results = run_tasks(specs, jobs=jobs, cache=cache)
     return SweepResult(plan=plan, specs=specs, results=results)

@@ -146,7 +146,7 @@ def resolve_function(dotted: str) -> Callable[..., Any]:
 #: Canonical spellings of the floats JSON cannot carry.  ``json.dumps``
 #: would otherwise emit the non-standard tokens ``NaN``/``Infinity``
 #: (which ``json.loads`` turns back into values that break ``==``
-#: comparisons, so journal/cache round-trips would silently diverge).
+#: comparisons, so cache round-trips would silently diverge).
 _NONFINITE = {"nan": "nan", "inf": "inf", "-inf": "-inf"}
 
 

@@ -9,8 +9,10 @@ The pinned properties:
   execution that populated it, without re-executing anything;
 * corruption (torn writes, bit flips) quarantines the entry and reads
   as a miss — never an exception, never a wrong row;
-* genuine divergence (journal vs cache, recompute vs cache) is a hard
-  :class:`CacheDivergenceError`, never a silent stale row.
+* genuine divergence (recompute vs cache) is a hard
+  :class:`CacheDivergenceError`, never a silent stale row;
+* a killed run, rerun over the same cache, executes only what it had
+  not finished and ends with the digests of an uninterrupted run.
 """
 
 import json
@@ -18,14 +20,9 @@ import os
 
 import pytest
 
-from repro.parallel.cache import (
-    CacheDivergenceError,
-    ResultCache,
-    resolve_cache,
-)
-from repro.parallel.checkpoint import ResultJournal
+from repro.parallel.cache import CacheDivergenceError, ResultCache
 from repro.parallel.pool import run_tasks
-from repro.parallel.task import TaskSpec, execute_task
+from repro.parallel.task import TaskSpec, execute_task, results_digest
 
 WORKERS = "tests.parallel.workers"
 
@@ -98,13 +95,6 @@ class TestCacheSetup:
         with pytest.raises(ValueError, match="version"):
             ResultCache(str(root))
 
-    def test_resolve_cache_accepts_all_spellings(self, tmp_path):
-        assert resolve_cache(None) is None
-        opened = ResultCache(str(tmp_path / "a"))
-        assert resolve_cache(opened) is opened
-        from_path = resolve_cache(str(tmp_path / "b"))
-        assert isinstance(from_path, ResultCache)
-
 
 class TestKeyDiscipline:
     def test_task_id_not_part_of_key(self, cache):
@@ -159,6 +149,12 @@ class TestHitIdentity:
         assert hit.payload == stored.payload
         assert hit.payload_digest == stored.payload_digest
         assert hit.ok
+
+    def test_hit_equals_the_stored_result(self, cache):
+        spec = echo_spec("t", value=7, tag="x")
+        stored = run_tasks([spec], jobs=1)[0]
+        cache.put(spec, stored)
+        assert cache.get(spec) == stored
 
     def test_hit_carries_the_requesting_task_id(self, cache):
         spec = echo_spec("first-label", value=1)
@@ -233,49 +229,49 @@ class TestPoolIntegration:
         assert execution_count(log) == 3  # 1 cold + 2 misses
 
 
-class TestJournalComposition:
-    def test_journal_and_cache_never_double_execute(self, cache, tmp_path):
-        log = tmp_path / "executions.log"
-        journal_path = tmp_path / "j.jsonl"
-        specs = [logged_spec(f"t{i}", log, value=i) for i in range(3)]
-        with ResultJournal(journal_path, specs) as journal:
-            run_tasks(specs, jobs=1, journal=journal, cache=cache)
-        assert execution_count(log) == 3
-        with ResultJournal(journal_path, specs) as journal:
-            run_tasks(specs, jobs=1, journal=journal, cache=cache)
-        assert execution_count(log) == 3
+class TestKillAndResume:
+    """Every fresh result is stored as it completes, so rerunning a
+    killed run over the same cache is its resume."""
 
-    def test_journal_hits_backfill_the_cache(self, cache, tmp_path):
+    def test_interrupted_run_resumes_to_identical_digest(self, cache, tmp_path):
         log = tmp_path / "executions.log"
-        journal_path = tmp_path / "j.jsonl"
-        specs = [logged_spec(f"t{i}", log, value=i) for i in range(2)]
-        with ResultJournal(journal_path, specs) as journal:
-            run_tasks(specs, jobs=1, journal=journal)  # no cache yet
-        assert cache.stats()["entries"] == 0
-        with ResultJournal(journal_path, specs) as journal:
-            run_tasks(specs, jobs=1, journal=journal, cache=cache)
-        assert execution_count(log) == 2  # journal replay, no re-run
+        specs = [logged_spec(f"task-{i}", log, value=i) for i in range(6)]
+        baseline = run_tasks(specs, jobs=1)
+
+        class Kill(Exception):
+            pass
+
+        def die_after_two(done, _total, _result):
+            if done == 2:
+                raise Kill()
+
+        with pytest.raises(Kill):
+            run_tasks(specs, jobs=1, progress=die_after_two, cache=cache)
         assert cache.stats()["entries"] == 2
 
-    def test_cache_hits_are_journaled(self, cache, tmp_path):
-        log = tmp_path / "executions.log"
-        specs = [logged_spec(f"t{i}", log, value=i) for i in range(2)]
-        run_tasks(specs, jobs=1, cache=cache)
-        journal_path = tmp_path / "j.jsonl"
-        with ResultJournal(journal_path, specs) as journal:
-            run_tasks(specs, jobs=1, journal=journal, cache=cache)
-        assert execution_count(log) == 2
-        with ResultJournal(journal_path, specs) as journal:
-            assert set(journal.completed) == {"t0", "t1"}
+        resumed = run_tasks(specs, jobs=1, cache=cache)
+        assert cache.hits == 2
+        assert execution_count(log) == 6 + 2 + 4  # only the rest re-ran
+        assert results_digest(resumed) == results_digest(baseline)
+        assert [r.payload_digest for r in resumed] == [
+            r.payload_digest for r in baseline
+        ]
 
-    def test_results_accessor_preserves_order(self, tmp_path):
-        journal_path = tmp_path / "j.jsonl"
-        specs = [echo_spec(f"t{i}", value=i) for i in range(3)]
-        with ResultJournal(journal_path, specs) as journal:
-            run_tasks(specs, jobs=1, journal=journal)
-            recorded = journal.results()
-        assert [r.task_id for r in recorded] == ["t0", "t1", "t2"]
-        assert all(r.ok for r in recorded)
+    def test_resume_skips_completed_tasks(self, cache, tmp_path):
+        log = tmp_path / "executions.log"
+        specs = [logged_spec(f"task-{i}", log, value=i) for i in range(3)]
+        run_tasks(specs, jobs=1, cache=cache)
+        reported = []
+        run_tasks(
+            specs,
+            jobs=1,
+            cache=cache,
+            progress=lambda d, t, r: reported.append(r.task_id),
+        )
+        # All three are reported through progress, and all came from
+        # the cache: nothing executed a second time.
+        assert reported == ["task-0", "task-1", "task-2"]
+        assert execution_count(log) == 3
 
 
 class TestDivergence:
@@ -337,6 +333,23 @@ class TestCorruption:
             json.dump(entry, handle)
         assert cache.get(specs[0]) is None
         assert cache.stats()["quarantined"] == 1
+
+    def test_seal_ignores_key_order(self, cache):
+        def reversed_keys(value):
+            if isinstance(value, dict):
+                return {k: reversed_keys(value[k]) for k in reversed(list(value))}
+            return value
+
+        specs = self.populate(cache, count=1)
+        path = entry_paths(cache)[0]
+        original = open(path, "r", encoding="utf-8").read()
+        reordered = json.dumps(reversed_keys(json.loads(original)))
+        assert reordered != original
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(reordered)
+        hit = cache.get(specs[0])
+        assert hit is not None and hit.payload == {"value": 0}
+        assert cache.corrupt == 0
 
     def test_verify_reports_corruption_without_raising(self, cache):
         self.populate(cache, count=3)
@@ -541,6 +554,22 @@ class TestGc:
         report = cache.gc(max_age_s=10**9)
         assert report["quarantine_purged"] == 1
         assert cache.stats()["quarantined"] == 0
+
+    def test_max_age_removes_only_old_temp_files(self, cache):
+        self.populate(cache)
+        shard = os.path.dirname(entry_paths(cache)[0])
+        old = os.path.join(shard, ".tmp.999.old.json")
+        fresh = os.path.join(shard, ".tmp.999.fresh.json")
+        for path in (old, fresh):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write('{"torn')  # a writer killed before its rename
+        os.utime(old, (1_000_000, 1_000_000))
+        report = cache.gc(max_age_s=3600.0)
+        assert not os.path.exists(old)
+        assert os.path.exists(fresh)
+        assert report["temp_purged"] == 1
+        assert report["evicted"] == 0
+        assert cache.stats()["entries"] == report["remaining_entries"] == 3
 
     def test_negative_limits_refused(self, cache):
         with pytest.raises(ValueError):

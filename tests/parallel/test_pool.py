@@ -76,6 +76,21 @@ class TestPooledPath:
         assert crashed.attempts == 2
         assert results[0].ok and results[2].ok
 
+    def test_retries_exhausted_yields_structured_error(self):
+        spec = TaskSpec(
+            task_id="crasher",
+            kind="function",
+            target=f"{WORKERS}:crash",
+            params={},
+            retries=1,
+        )
+        results = run_tasks([spec, echo_spec("fine", value=1)], jobs=2)
+        crashed = results[0]
+        assert not crashed.ok
+        assert "died" in crashed.error
+        assert crashed.attempts == 2  # first try + one retry
+        assert results[1].ok
+
     def test_timeout_yields_structured_error(self):
         specs = [
             TaskSpec(

@@ -1,6 +1,6 @@
 """Documentation consistency: DESIGN.md's experiment index, the
 experiment registry, and the benchmark files must agree, and the docs
-cite only commands and files that exist."""
+cite only commands, options and files that exist."""
 
 import argparse
 import pathlib
@@ -77,6 +77,13 @@ BENCH_RECORDS = tuple(sorted(path.name for path in REPO_ROOT.glob("BENCH_*.json"
 #: ``repro <command>`` as a shell line or prose cites it.
 REPRO_COMMAND = re.compile(r"(?<![\w/.-])repro ([a-z][a-z-]*)")
 
+#: Where a cited command ends: a closing code span or string quote, a
+#: shell comment, pipe, list or redirection, or the next cited command.
+COMMAND_END = re.compile(r"[`\"|;&>]|\s#|" + REPRO_COMMAND.pattern)
+
+#: A long option as a command line spells it.
+LONG_FLAG = re.compile(r"(?<![\w-])--[a-z][\w-]*")
+
 #: A repository path under one of the code trees.
 REPO_PATH = re.compile(
     r"(?<![\w/.-])((?:src|tools|benchmarks|examples|tests|perf)/[\w./*-]*[\w*])"
@@ -91,11 +98,35 @@ CITED_MEMBER = re.compile(r"\b(NetworkConfig|Medium)\.(\w+)")
 
 
 def _subcommands():
+    """``build_parser()``'s subcommand parsers, keyed by name."""
     parser = build_parser()
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
-            return set(action.choices)
+            return action.choices
     raise AssertionError("build_parser() has no subcommands")
+
+
+def _command_options(parser, words):
+    """The long options of ``parser``, and of the nested subcommand that
+    the first of ``words`` names, if it names one."""
+    options = set()
+    nested = None
+    for action in parser._actions:
+        options.update(flag for flag in action.option_strings if flag.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            nested = action.choices
+    if nested is not None and words and words[0] in nested:
+        options |= _command_options(nested[words[0]], words[1:])
+    return options
+
+
+def _cited_commands(text):
+    """``(command, rest)`` for each cited ``repro <command>``, where
+    ``rest`` runs to the end of that command: on its line, or on the
+    next while a line ends in a backslash."""
+    for line in re.sub(r"\\[ \t]*\n", " ", text).splitlines():
+        for match in REPRO_COMMAND.finditer(line):
+            yield match.group(1), COMMAND_END.split(line[match.end():], 1)[0]
 
 
 class TestDocsCiteWhatExists:
@@ -104,10 +135,23 @@ class TestDocsCiteWhatExists:
         commands = _subcommands()
         text = (REPO_ROOT / doc).read_text()
         cited = set(REPRO_COMMAND.findall(text))
-        assert not cited - commands, (
+        assert not cited - set(commands), (
             f"{doc} cites repro subcommands that do not exist: "
-            f"{sorted(cited - commands)}"
+            f"{sorted(cited - set(commands))}"
         )
+
+    @pytest.mark.parametrize("doc", CITING_DOCS + BENCH_RECORDS)
+    def test_every_cited_option_belongs_to_its_command(self, doc):
+        commands = _subcommands()
+        text = (REPO_ROOT / doc).read_text()
+        stale = sorted(
+            f"repro {command} {flag}"
+            for command, rest in _cited_commands(text)
+            if command in commands
+            for flag in LONG_FLAG.findall(rest)
+            if flag not in _command_options(commands[command], rest.split())
+        )
+        assert not stale, f"{doc} cites options its commands lack: {stale}"
 
     @pytest.mark.parametrize("doc", CITING_DOCS + BENCH_RECORDS)
     def test_every_cited_path_exists(self, doc):

@@ -1,22 +1,24 @@
 #!/usr/bin/env python
-"""Kill-and-resume smoke test for checkpointed sweeps.
+"""Kill-and-resume smoke test for sweeps run through the result cache.
 
-Runs the same small sweep three ways and asserts the checkpoint
-machinery is invisible in the results:
+Runs the same small sweep three ways and asserts that resuming through
+the cache is invisible in the results:
 
-1. uninterrupted, no journal — the reference digests;
-2. with ``--checkpoint``, SIGKILLed as soon as the journal holds at
-   least one completed task;
-3. resumed from the journal to completion.
+1. uninterrupted, no cache — the reference artifact;
+2. with ``--cache DIR``, SIGKILLed as soon as the cache holds at least
+   one entry;
+3. rerun with the same ``--cache DIR`` to completion.
 
-The resumed run's per-task payload and replay digests must be
-bit-identical to the uninterrupted run's.  Exit status is non-zero on
-any mismatch, so CI can gate on it directly.
+The rerun's ``--output`` JSON must be byte-identical to the
+uninterrupted run's, and its ``cache:`` traffic line must count as hits
+exactly the entries the cache held before the rerun.  Exit status is
+non-zero on any mismatch, so CI can gate on it directly.
 """
 
 import argparse
-import json
+import glob
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -34,31 +36,31 @@ SWEEP_ARGS = [
     "duration_slots=100",
 ]
 
+#: The ``cache: H/T hits ...`` line a cached sweep prints to stderr.
+TRAFFIC = re.compile(r"^cache: (\d+)/(\d+) hits", re.MULTILINE)
 
-def sweep_command(jobs, output, checkpoint=None):
+
+def sweep_command(jobs, output, cache_dir=None):
     command = [sys.executable, "-m", "repro", "sweep", *SWEEP_ARGS]
     command += ["--jobs", str(jobs), "--output", output]
-    if checkpoint is not None:
-        command += ["--checkpoint", checkpoint]
+    if cache_dir is not None:
+        command += ["--cache", cache_dir]
     return command
 
 
-def journal_records(path):
-    """Completed-record count in the journal (0 if absent/header-only)."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return max(0, sum(1 for _ in handle) - 1)
-    except OSError:
-        return 0
+def stored_entries(cache_dir):
+    """Published entries in the cache (a killed write's temp file is
+    not one)."""
+    pattern = os.path.join(cache_dir, "objects", "*", "*.json")
+    return sum(
+        1 for path in glob.glob(pattern)
+        if not os.path.basename(path).startswith(".tmp.")
+    )
 
 
-def task_digests(path):
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    return [
-        (task["task_id"], task["payload_digest"], task["replay_digest"])
-        for task in payload["tasks"]
-    ]
+def read_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
 
 
 def main():
@@ -78,7 +80,7 @@ def main():
     with tempfile.TemporaryDirectory() as scratch:
         baseline = os.path.join(scratch, "baseline.json")
         resumed = os.path.join(scratch, "resumed.json")
-        journal = os.path.join(scratch, "journal.jsonl")
+        cache_dir = os.path.join(scratch, "cache")
 
         print("== uninterrupted reference run ==", flush=True)
         subprocess.run(
@@ -89,52 +91,62 @@ def main():
             stdout=subprocess.DEVNULL,
         )
 
-        print("== checkpointed run, killed mid-flight ==", flush=True)
+        print("== cached run, killed mid-flight ==", flush=True)
         child = subprocess.Popen(
-            sweep_command(args.jobs, os.path.join(scratch, "ignored.json"),
-                          checkpoint=journal),
+            sweep_command(
+                args.jobs, os.path.join(scratch, "ignored.json"), cache_dir
+            ),
             env=env,
             stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
         )
         deadline = time.monotonic() + args.timeout_s
-        while journal_records(journal) < 1 and child.poll() is None:
+        while stored_entries(cache_dir) < 1 and child.poll() is None:
             if time.monotonic() > deadline:
                 child.kill()
-                raise SystemExit("journal never gained a record")
+                raise SystemExit("the cache never gained an entry")
             time.sleep(0.1)
         if child.poll() is None:
             child.send_signal(signal.SIGKILL)
             child.wait()
-            print(f"killed after {journal_records(journal)} journaled task(s)")
+            print(f"killed after {stored_entries(cache_dir)} stored task(s)")
         else:
-            # The sweep was too fast to interrupt; the resume below then
-            # reuses every task, which still exercises the journal path.
-            print("sweep finished before the kill; resuming a complete journal")
+            # The sweep was too fast to interrupt; the rerun below then
+            # recalls every task, which still exercises the resume path.
+            print("sweep finished before the kill; rerunning a full cache")
 
-        completed_before_resume = journal_records(journal)
-        if completed_before_resume >= 4:
-            print("note: nothing left to execute on resume")
-
-        print("== resumed run ==", flush=True)
-        subprocess.run(
-            sweep_command(args.jobs, resumed, checkpoint=journal),
+        stored = stored_entries(cache_dir)
+        print("== rerun over the same cache ==", flush=True)
+        rerun = subprocess.run(
+            sweep_command(args.jobs, resumed, cache_dir),
             env=env,
             check=True,
             timeout=args.timeout_s,
             stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
         )
+        traffic = TRAFFIC.search(rerun.stderr)
+        if traffic is None:
+            raise SystemExit(f"no cache traffic line in stderr:\n{rerun.stderr}")
+        print(traffic.group(0))
 
-        reference = task_digests(baseline)
-        after = task_digests(resumed)
-        if reference != after:
-            print("MISMATCH between uninterrupted and resumed digests:")
-            for ref, got in zip(reference, after):
-                marker = "  " if ref == got else "!!"
-                print(f"{marker} {ref} vs {got}")
+        failures = []
+        if read_bytes(resumed) != read_bytes(baseline):
+            failures.append("the rerun's --output differs from the uninterrupted run's")
+        hits = int(traffic.group(1))
+        if hits != stored:
+            failures.append(
+                f"the rerun hit {hits} entries, but the cache held {stored}"
+            )
+        if failures:
+            for failure in failures:
+                print(f"MISMATCH: {failure}")
             raise SystemExit(1)
+        total = int(traffic.group(2))
         print(
-            f"resume OK: {len(reference)} tasks bit-identical "
-            f"({completed_before_resume} reused from the journal)"
+            f"resume OK: {total} tasks byte-identical "
+            f"({hits} recalled from the cache, {total - hits} rerun)"
         )
 
 
