@@ -110,8 +110,9 @@ class ReceptionTracker:
     "The criterion for successful reception of a packet is then that the
     signal-to-noise ratio be greater than the required minimum for the
     duration of its reception."  The simulator calls :meth:`update`
-    whenever the interference environment changes (a transmission starts
-    or ends); the tracker records the worst SIR seen.
+    whenever interference can rise (a transmission starts, or a resync
+    or a link write changes the field); the tracker records the worst
+    SIR seen.
 
     Attributes:
         threshold: required SIR for this reception.
@@ -186,9 +187,12 @@ class TrackerBatch:
     """A vectorised bank of in-progress receptions (batch form of
     :class:`ReceptionTracker`).
 
-    The medium updates *every* in-progress reception whenever the
-    interference environment changes, which makes the per-reception
-    tracker update the simulator's hot path.  This class keeps the
+    The medium updates *every* in-progress reception whenever
+    interference can rise: when a burst begins, and after a resync or
+    a link write.  A burst's end only lowers it, so that update is
+    skipped unless a resync or a cancelling receiver model needs it
+    (``Medium._fold_retirement``).  The per-reception tracker update is
+    still the simulator's hot path.  This class keeps the
     tracker state (threshold, wanted-signal power, noise, worst SIR,
     failure time) in dense parallel arrays so one :meth:`update` call
     folds the new interference level into all receptions with a handful

@@ -1,9 +1,10 @@
 """The shared radio medium: the simulator's physical-layer oracle.
 
 This module operationalises the Section 3 model.  It keeps the set of
-in-flight transmissions and, at every change of that set, re-evaluates
-the signal-to-interference ratio of every in-progress reception against
-the continuous criterion (Eq. 4-6).  A reception succeeds iff:
+in-flight transmissions and, at every change of that set that can lower
+an SIR, re-evaluates the signal-to-interference ratio of every
+in-progress reception against the continuous criterion (Eq. 4-6).  A
+reception succeeds iff:
 
 * the destination was committed to listening when the transmission
   began (its published schedule, for the paper's scheme; "not currently
@@ -34,6 +35,15 @@ the channel drains to idle, where the field is exactly zero), bounding
 floating-point accumulation; under the determinism sanitizer the
 resync also *asserts* that the incremental field still matches the
 exact recomputation.
+
+The trackers are folded only where an SIR can fall.  A burst that
+ends or is aborted only takes power out of the field, and every step
+from the field to an SIR is monotone under round-to-nearest, so no
+tracked SIR can drop below what the last pass saw: such a retirement
+skips the tracker pass, byte-identically.  It runs the pass anyway
+after a resync (the exact field may sit above the incremental one) and
+while a cancelling receiver model is tracked (its reduced level is not
+monotone in floating point).
 
 Two gain representations sit behind one small private interface, and
 the medium picks one from the type of the gains it is handed: a dense
@@ -186,6 +196,11 @@ class _DenseField:
         gains = np.asarray(gains, dtype=float)
         if gains.ndim != 2 or gains.shape[0] != gains.shape[1]:
             raise ValueError("gain matrix must be square")
+        # A retirement may skip the tracker pass only because it never
+        # raises the field: every gain it subtracts must be finite and
+        # >= 0.
+        if gains.size and not (gains.min() >= 0.0 and gains.max() < math.inf):
+            raise ValueError("power gains must be non-negative and finite")
         self.gains = gains
         self.count = int(gains.shape[0])
         self._columns = np.ascontiguousarray(gains.T)
@@ -397,6 +412,9 @@ class Medium:
         self._tx_count = np.zeros(stations, dtype=np.int64)
         self._resync_events = resync_events
         self._field_changes = 0
+        # Set when a resync replaces the field, cleared by an unscoped
+        # tracker pass: until then a retirement may not skip its pass.
+        self._resynced = False
         # Scratch buffers for the hot path (the per-attempt gathers and
         # the touched-receiver mask of a scoped update); contents
         # meaningless between calls.
@@ -649,6 +667,7 @@ class Medium:
             self._check_bound_terms()
         self._interference = exact
         self._field_changes = 0
+        self._resynced = True
 
     def _check_bound_terms(self) -> None:
         """Sanitizer: the cached culling-bound terms must cover exactly
@@ -791,6 +810,7 @@ class Medium:
             interference += self._powers[targets] * SELF_COUPLING_GAIN
             interference -= batch.signals[positions]
         else:
+            self._resynced = False
             # Gather the incremental field at each attempt's receiver,
             # then apply the two per-attempt corrections: the receiver's
             # own transmitter couples in, and the wanted signal (stored
@@ -838,6 +858,28 @@ class Medium:
                 attempt.transmission.destination, seq
             )
 
+    def _fold_retirement(self, tx: Optional[Transmission] = None) -> None:
+        """The tracker pass after bursts left the field, when it can
+        change anything.
+
+        A retirement only subtracts non-negative products from the
+        field and ``_powers``, and each step from there to an SIR
+        (``+ own``, ``- signal``, ``max(., 0)``, ``+ noise``,
+        ``signal / .``) is monotone under round-to-nearest.  So every
+        SIR the pass would compute is at least the one the reception's
+        last pass folded in: no ``min_sir``, ``failed_at`` or failure
+        source could change, and the pass is skipped.  Two cases still
+        run it:
+
+        * a resync replaced the field since the last unscoped pass: the
+          exact field can sit above the incremental one, and a CSR
+          medium's scoped passes leave untouched rows unevaluated;
+        * a cancelling receiver model is tracked: its reduced level is
+          monotone only in exact arithmetic.
+        """
+        if self._resynced or self._sic_models:
+            self._update_attempts(tx)
+
     def _notify_overhearers(self, tx: Transmission) -> None:
         """One vectorised eligibility pass over all registered overhearers.
 
@@ -875,9 +917,9 @@ class Medium:
         if self.instr.active:
             self.instr.emit(TxEnd(self.env.now, tx.source, tx.destination))
         record = self._trackers.remove(tx.seq) if attempt is not None else None
-        # Interference at the remaining receivers drops; fold that in
-        # after removing the ended transmission.
-        self._update_attempts(tx)
+        # Interference at the remaining receivers only drops, so this
+        # folds the trackers only where an SIR may still have fallen.
+        self._fold_retirement(tx)
         self._notify_overhearers(tx)
 
         if attempt is None or record is None:
@@ -1026,7 +1068,7 @@ class Medium:
                     TxAbort(self.env.now, tx.source, tx.destination)
                 )
         if aborted:
-            self._update_attempts()
+            self._fold_retirement()
 
     def scale_link(self, receiver: int, source: int, factor: float) -> None:
         """Fade (or restore) one link: gain becomes ``nominal * factor``.

@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from typing import Any, Dict, List, Optional
 
@@ -68,6 +69,10 @@ __all__ = ["CacheDivergenceError", "ResultCache"]
 
 _MAGIC = "repro-result-cache"
 _VERSION = 1
+
+#: The temp file a marker write leaves in the root when its opener is
+#: killed before the rename (:meth:`ResultCache._atomic_write` naming).
+_MARKER_TEMP = re.compile(r"\.tmp\.\d+\.cache\.json")
 
 
 class CacheDivergenceError(RuntimeError):
@@ -162,7 +167,11 @@ class ResultCache:
                     f" this build reads version {_VERSION}"
                 )
         else:
-            if os.path.isdir(self.root) and os.listdir(self.root):
+            # A root holding only the marker temp files of killed
+            # openers is empty: this opener writes under its own pid.
+            if os.path.isdir(self.root) and not all(
+                _MARKER_TEMP.fullmatch(name) for name in os.listdir(self.root)
+            ):
                 raise ValueError(
                     f"{self.root} exists, is not empty, and has no cache "
                     "marker; refusing to adopt it"
@@ -329,8 +338,14 @@ class ResultCache:
     def _entries(self, temporary: bool = False) -> List[str]:
         """Paths of every entry file, sorted for determinism; with
         ``temporary``, the ``.tmp.*`` files of writes that never reached
-        their rename instead."""
+        their rename instead, the root's marker writes included."""
         paths: List[str] = []
+        if temporary:
+            paths.extend(
+                os.path.join(self.root, name)
+                for name in sorted(os.listdir(self.root))
+                if _MARKER_TEMP.fullmatch(name)
+            )
         if not os.path.isdir(self.objects_dir):
             return paths
         for shard in sorted(os.listdir(self.objects_dir)):
@@ -430,7 +445,8 @@ class ResultCache:
 
         ``max_age_s`` removes entries whose file mtime is older than
         that many seconds, and the temp files of writers killed before
-        their rename once they are as old; ``max_bytes`` then evicts
+        their rename (entries and the root's marker alike) once they are
+        as old; ``max_bytes`` then evicts
         oldest-first until the store fits.  Host wall time only ever
         compares against file mtimes here — simulation state is
         untouched.

@@ -35,6 +35,8 @@ perf harness).  REP008 makes this file the single sanctioned home of
 from __future__ import annotations
 
 import multiprocessing  # reprolint: disable=REP008
+import os
+import threading
 import time
 from collections import deque
 from multiprocessing.connection import (  # reprolint: disable=REP008
@@ -61,13 +63,32 @@ _POLL_CAP_S = 0.25
 _JOIN_GRACE_S = 2.0
 
 
+def _exit_with_parent() -> None:
+    """Exit at once when the parent process dies, mid-task or idle.
+
+    A SIGKILLed parent closes no pipe the worker reads while it runs a
+    task, so without this watch an orphan would run its task to the end
+    and notice only at ``conn.send``.
+    """
+    parent = multiprocessing.parent_process()
+    if parent is None:
+        return
+
+    def watch() -> None:
+        _connection_wait([parent.sentinel])
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()
+
+
 def _worker_main(conn: Connection) -> None:
     """Worker loop: receive a spec, execute, send the result back.
 
     Runs in a spawned interpreter; exits on the ``None`` sentinel or a
-    closed pipe.  Everything task-related is already exception-safe via
-    ``execute_task``.
+    closed pipe, and at once if the parent dies.  Everything
+    task-related is already exception-safe via ``execute_task``.
     """
+    _exit_with_parent()
     while True:
         try:
             message = conn.recv()

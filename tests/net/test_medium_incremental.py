@@ -10,12 +10,13 @@ zero when the channel drains.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.net.medium import Medium, Transmission
 from repro.net.packet import Packet
 from repro.propagation.sparse import SparseGainField
+from repro.radio.receiver_model import SicReceiver
 from repro.radio.spreadspectrum import DespreaderBank
 from repro.sim.engine import Environment
 from repro.sim.sanitizer import SanitizerError
@@ -24,8 +25,14 @@ STATIONS = 6
 
 
 class World:
-    def __init__(self, count, channels=2):
-        self.banks = [DespreaderBank(capacity=channels) for _ in range(count)]
+    def __init__(self, count, channels=2, sic_stations=()):
+        self.banks = [
+            DespreaderBank(
+                capacity=channels,
+                model=SicReceiver() if station in sic_stations else None,
+            )
+            for station in range(count)
+        ]
 
     def listen(self, station, now):
         return True
@@ -43,20 +50,31 @@ def make_gains(seed=0):
 
 
 def build_medium(
-    seed=0, resync_events=4096, sanitize=False, cull_gain=None, sir_threshold=0.05
+    seed=0,
+    resync_events=4096,
+    sanitize=False,
+    cull_gain=None,
+    sir_threshold=0.05,
+    sic_stations=(),
+    gains=None,
+    medium_class=Medium,
 ):
     """A test medium; ``cull_gain=None`` is dense, a float selects the
-    sparse CSR representation at that significance threshold."""
-    gains = make_gains(seed)
+    sparse CSR representation at that significance threshold.  The
+    banks at ``sic_stations`` cancel interference; ``gains`` replaces
+    the seeded random matrix."""
+    if gains is None:
+        gains = make_gains(seed)
+    count = len(gains)
     if cull_gain is not None:
         gains = SparseGainField.from_dense(gains, cull_gain=cull_gain)
     env = Environment(sanitize=sanitize)
-    world = World(STATIONS)
-    medium = Medium(
+    world = World(count, sic_stations=sic_stations)
+    medium = medium_class(
         env=env,
         gains=gains,
         thermal_noise_w=1e-12,
-        sir_thresholds=np.full(STATIONS, sir_threshold),
+        sir_thresholds=np.full(count, sir_threshold),
         listen_query=world.listen,
         channel_query=world.bank,
         resync_events=resync_events,
@@ -261,11 +279,11 @@ def drive_pair(dense, sparse, ops, check):
     ``station`` has in flight is cut short through
     ``abort_transmissions_from`` (the fault path's removal route).
 
-    Both mediums keep the default 4096-change resync cadence and the
-    op sequences stay far below it, so the incremental paths — whose
-    equivalence these tests pin — are what is exercised (the resync
-    recompute intentionally uses a different summation order in each
-    mode, which would cloud a bit-identity comparison).
+    The dense-vs-CSR tests keep the default 4096-change resync cadence
+    and the op sequences stay far below it, so the incremental paths —
+    whose equivalence those tests pin — are what is exercised (the
+    resync recompute intentionally uses a different summation order in
+    each mode, which would cloud a bit-identity comparison).
     """
     seq = 0
     active = []
@@ -404,3 +422,150 @@ class TestSparseEquivalence:
         with pytest.raises(ValueError, match="read-only"):
             medium.update_links(np.array([0]), np.array([1]), np.array([1e-4]))
         assert medium.channel_drift_from_nominal() == 0.0
+
+
+class AlwaysFold(Medium):
+    """The reference: every retirement folds the trackers, as if no
+    pass were ever skipped.  The extra pass is idempotent, so it leaves
+    a retirement that already folded as it was."""
+
+    def _end(self, tx):
+        outcome = super()._end(tx)
+        self._update_attempts(tx)
+        return outcome
+
+    def abort_transmissions_from(self, station, reason="source_down"):
+        aborting = self.is_station_transmitting(station)
+        super().abort_transmissions_from(station, reason)
+        if aborting:
+            self._update_attempts()
+
+
+def burst(seq, source, destination, power_w):
+    return Transmission(
+        seq=seq,
+        source=source,
+        destination=destination,
+        packet=packet(source, destination),
+        power_w=power_w,
+        start=0.0,
+        duration=1.0,
+    )
+
+
+class TestRetirementFold:
+    """A retirement skips the tracker pass unless a resync or a
+    cancelling receiver needs it; every outcome must match a medium
+    that always folds, to the last bit of each worst SIR."""
+
+    @staticmethod
+    def assert_matches_always_fold(ops, **options):
+        _, medium = build_medium(**options)
+        _, reference = build_medium(medium_class=AlwaysFold, **options)
+        heard = overheard(medium), overheard(reference)
+
+        def check(m, r):
+            assert receptions(m) == receptions(r)
+
+        drive_pair(medium, reference, ops, check)
+        assert heard[0] == heard[1]
+        assert outcomes(medium) == outcomes(reference)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=drive_ops_strategy,
+        seed=st.integers(min_value=0, max_value=7),
+        field=st.sampled_from(["dense", "cull0", "median"]),
+        resync_events=st.integers(min_value=1, max_value=8),
+        sic_stations=st.frozensets(st.integers(min_value=0, max_value=STATIONS - 1)),
+        sir_threshold=st.sampled_from([0.05, 2.0]),
+    )
+    def test_matches_always_fold(
+        self, ops, seed, field, resync_events, sic_stations, sir_threshold
+    ):
+        gains = make_gains(seed)
+        cull_gain = {
+            "dense": None,
+            "cull0": 0.0,
+            "median": float(np.median(gains[gains > 0])),
+        }[field]
+        self.assert_matches_always_fold(
+            ops,
+            seed=seed,
+            cull_gain=cull_gain,
+            resync_events=resync_events,
+            sic_stations=sic_stations,
+            sir_threshold=sir_threshold,
+        )
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ops=drive_ops_strategy,
+        seed=st.integers(min_value=0, max_value=7),
+        sir_threshold=st.sampled_from([0.05, 2.0]),
+    )
+    # When 2 -> 3 ends, station 1's field keeps a rounding residue of the
+    # interferer its SIC receiver had cancelled, above the level it saw.
+    @example(ops=[(2, 3.0, -1, False), (0, 1.0, 0, False)], seed=2, sir_threshold=0.05)
+    def test_sic_receivers_match_always_fold(self, ops, seed, sir_threshold):
+        # Every bank cancels, and no resync ever forces a pass, so only
+        # the cancelling-receiver condition keeps a retirement folding.
+        self.assert_matches_always_fold(
+            ops,
+            seed=seed,
+            sic_stations=frozenset(range(STATIONS)),
+            sir_threshold=sir_threshold,
+        )
+
+    def test_resync_refolds_a_retirement(self):
+        # A 1e16 W burst cancels station 0's incremental field to 0
+        # while the exact field holds 1 W: the resync at X's end lifts
+        # W's interference from ~1e-3 W to 1 W, which only a pass at
+        # that retirement can fold in.
+        gains = np.full((5, 5), 1e-9)
+        np.fill_diagonal(gains, 0.0)
+        gains[0, 1] = gains[0, 2] = gains[0, 3] = 1.0
+        gains[0, 4] = 1e-3
+        # The planted drift exceeds the sanitizer's tolerance by design.
+        _, medium = build_medium(gains=gains, resync_events=6)
+        a = burst(0, 1, 2, 1e16)
+        b = burst(1, 2, 1, 1.0)
+        w = burst(2, 3, 0, 1.0)
+        x = burst(3, 4, 3, 1.0)
+        medium._begin(a)
+        medium._begin(b)
+        medium._end(a)
+        assert medium._interference[0] == 0.0
+        assert medium._field.exact(medium._powers)[0] == 1.0
+        medium._begin(w)
+        medium._begin(x)
+        assert medium._trackers.min_sir(w.seq) > 999.0
+        medium._end(x)  # the sixth field change: the resync
+        assert medium._field_changes == 0
+        assert float.hex(medium._trackers.min_sir(w.seq)) == "0x1.fffffffffdcd0p-1"
+
+    def test_retirement_skips_the_pass(self, monkeypatch):
+        _, medium = build_medium()
+        calls = []
+        update = medium._trackers.update
+        monkeypatch.setattr(
+            medium._trackers,
+            "update",
+            lambda now, levels: calls.append(now) or update(now, levels),
+        )
+        first, second = burst(0, 0, 1, 1.0), burst(1, 2, 3, 1.0)
+        medium._begin(first)
+        medium._begin(second)
+        assert len(calls) == 2
+        medium._end(first)
+        medium.abort_transmissions_from(second.source)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("gain", [-1e-6, np.nan, np.inf])
+    def test_refuses_negative_or_non_finite_gains(self, gain):
+        # The skip is exact only while a retirement subtracts products
+        # that are finite and >= 0.
+        gains = make_gains(0)
+        gains[1, 2] = gain
+        with pytest.raises(ValueError, match="non-negative and finite"):
+            build_medium(gains=gains)

@@ -79,6 +79,23 @@ class TestCacheSetup:
         with pytest.raises(ValueError, match="no cache marker"):
             ResultCache(str(tmp_path))
 
+    def test_opens_past_a_killed_marker_write(self, tmp_path):
+        # An opener killed between its marker's temp write and the
+        # rename leaves that temp file as the root's only entry.
+        orphan = tmp_path / f".tmp.{os.getpid() + 1}.cache.json"
+        orphan.write_text('{"cache": "repro-res')
+        cache = ResultCache(str(tmp_path))
+        marker = json.loads((tmp_path / "cache.json").read_text())
+        assert marker["cache"] == "repro-result-cache"
+        assert orphan.exists()  # another opener's file is never touched
+        assert cache.stats()["entries"] == 0
+
+    def test_marker_temp_does_not_hide_other_files(self, tmp_path):
+        (tmp_path / f".tmp.{os.getpid() + 1}.cache.json").write_text("{")
+        (tmp_path / "stuff.txt").write_text("precious data\n")
+        with pytest.raises(ValueError, match="no cache marker"):
+            ResultCache(str(tmp_path))
+
     def test_refuses_foreign_marker(self, tmp_path):
         root = tmp_path / "cache"
         root.mkdir()
@@ -570,6 +587,19 @@ class TestGc:
         assert report["temp_purged"] == 1
         assert report["evicted"] == 0
         assert cache.stats()["entries"] == report["remaining_entries"] == 3
+
+    def test_max_age_removes_old_marker_temp_files(self, tmp_path):
+        old = tmp_path / f".tmp.{os.getpid() + 1}.cache.json"
+        fresh = tmp_path / f".tmp.{os.getpid() + 2}.cache.json"
+        for path in (old, fresh):
+            path.write_text('{"cache": "repro-res')  # killed before its rename
+        os.utime(old, (1_000_000, 1_000_000))
+        cache = ResultCache(str(tmp_path))
+        report = cache.gc(max_age_s=3600.0)
+        assert not old.exists()
+        assert fresh.exists()
+        assert report["temp_purged"] == 1
+        assert (tmp_path / "cache.json").exists()
 
     def test_negative_limits_refused(self, cache):
         with pytest.raises(ValueError):

@@ -4,12 +4,50 @@ Cross-process determinism is the load-bearing property: every pooled
 test compares against inline execution of the same specs.
 """
 
+import os
+import signal
+import subprocess
+import sys
+import time
+
 import pytest
 
 from repro.parallel.pool import run_tasks
 from repro.parallel.task import TaskSpec, results_digest
 
 WORKERS = "tests.parallel.workers"
+
+#: A helper process that fans two pid-publishing sleepers out over a
+#: two-worker pool; the test SIGKILLs it mid-task.
+ORPHAN_SCRIPT = """
+import sys
+from repro.parallel.pool import run_tasks
+from repro.parallel.task import TaskSpec
+pid_dir = sys.argv[1]
+run_tasks(
+    [
+        TaskSpec(
+            task_id=name,
+            kind="function",
+            target="tests.parallel.workers:pid_then_sleep",
+            params={"pid_dir": pid_dir, "name": name},
+        )
+        for name in ("first", "second")
+    ],
+    jobs=2,
+)
+"""
+
+
+def running(pid):
+    """Whether ``pid`` is a live, non-zombie process (an orphan that
+    exited may wait as a zombie for a reaper that never comes)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except (FileNotFoundError, ProcessLookupError):
+        return False
+    return state != "Z"
 
 
 def echo_spec(task_id, **params):
@@ -121,3 +159,37 @@ class TestPooledPath:
         assert "ValueError: boom" in result.error
         # Captured by execute_task inside the worker: one attempt only.
         assert result.attempts == 1
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads process state from /proc")
+class TestOrphanedWorkers:
+    def test_workers_exit_when_the_parent_is_killed(self, tmp_path):
+        pid_paths = [tmp_path / "first", tmp_path / "second"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        helper = subprocess.Popen(
+            [sys.executable, "-c", ORPHAN_SCRIPT, str(tmp_path)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 60.0
+            while not all(path.exists() for path in pid_paths):
+                assert helper.poll() is None, "the helper exited early"
+                assert time.monotonic() < deadline, "workers never started"
+                time.sleep(0.05)
+            pids = [int(path.read_text()) for path in pid_paths]
+            assert all(running(pid) for pid in pids)
+            helper.send_signal(signal.SIGKILL)
+            helper.wait(timeout=10.0)
+            deadline = time.monotonic() + 10.0
+            while any(running(pid) for pid in pids) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not [pid for pid in pids if running(pid)]
+        finally:
+            if helper.poll() is None:
+                helper.kill()
+                helper.wait(timeout=10.0)
+            for path in pid_paths:
+                if path.exists() and running(pid := int(path.read_text())):
+                    os.kill(pid, signal.SIGKILL)

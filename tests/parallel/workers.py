@@ -66,3 +66,14 @@ def cache_put_echo(cache_root, value):
     for _attempt in range(20):
         cache.put(spec, result)
     return {"stored": cache.key_for(spec)}
+
+
+def pid_then_sleep(pid_dir, name, seconds=60.0):
+    """Publish this worker's pid as ``pid_dir/name``, then sleep far
+    longer than the orphan test waits for the worker to go."""
+    path = os.path.join(pid_dir, name)
+    with open(f"{path}.tmp", "w", encoding="utf-8") as handle:
+        handle.write(str(os.getpid()))
+    os.replace(f"{path}.tmp", path)
+    time.sleep(seconds)
+    return {"slept": seconds}

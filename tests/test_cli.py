@@ -207,6 +207,14 @@ class TestCacheCommands:
         assert main(["cache", "gc", str(cache_dir)]) == 2
         assert "--max-bytes" in capsys.readouterr().err
 
+    def test_cache_opens_past_a_killed_marker_write(self, capsys, tmp_path):
+        import json
+        import os
+
+        (tmp_path / f".tmp.{os.getpid() + 1}.cache.json").write_text("{")
+        assert main(["cache", "stats", str(tmp_path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 0
+
     def test_cache_refuses_foreign_directory(self, capsys, tmp_path):
         (tmp_path / "precious.txt").write_text("data")
         assert main(["cache", "stats", str(tmp_path)]) == 2
