@@ -16,9 +16,9 @@ offered loads, and prints the comparison the paper's Section 2 implies:
 The contender list is the MAC registry — register a new scheme with
 :func:`repro.mac.register_mac` and it appears here by name.
 
-Each run streams its typed events into a
-:class:`~repro.obs.MetricTimelines` sink, which is where every printed
-number comes from — losses, control overhead, delay.
+Every printed number comes from the run's
+:class:`~repro.net.NetworkResult` — losses, delay — except control
+overhead, which counts the RTS and CTS frames each MACA station sent.
 
 Run::
 
@@ -26,9 +26,8 @@ Run::
 """
 
 import repro
-from repro.mac import mac_names
+from repro.mac import MacaMac, mac_names
 from repro.net import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
 
 
 def main() -> None:
@@ -56,25 +55,23 @@ def main() -> None:
     }
     for load in loads:
         for name in mac_names():
-            timelines = MetricTimelines(station_count=station_count)
-            outcome = repro.simulate(
-                scenario_by_load[load],
-                seed=seed,
-                mac=name,
-                instrumentation=Instrumentation((timelines,)),
-            )
+            outcome = repro.simulate(scenario_by_load[load], seed=seed, mac=name)
+            result = outcome.result
             loss_pct = (
-                100.0 * timelines.losses_total / timelines.transmissions
-                if timelines.transmissions
+                100.0 * result.losses_total / result.transmissions
+                if result.transmissions
                 else 0.0
             )
-            delay_slots = (
-                timelines.mean_delay() / outcome.network.budget.slot_time
-            )
+            control = sum(
+                station.mac.rts_sent + station.mac.cts_sent
+                for station in outcome.network.stations
+                if isinstance(station.mac, MacaMac)
+            ) / max(result.hop_deliveries, 1)
+            delay_slots = result.mean_delay / outcome.network.budget.slot_time
             print(
                 f"{name:>14s} {load:>9.2f} "
-                f"{timelines.end_to_end_deliveries:>6d} "
-                f"{loss_pct:>6.2f}% {timelines.control_overhead():>9.2f} "
+                f"{result.delivered_end_to_end:>6d} "
+                f"{loss_pct:>6.2f}% {control:>9.2f} "
                 f"{delay_slots:>14.1f}"
             )
         print()

@@ -24,7 +24,6 @@ Run::
 import repro
 from repro.experiments.simsetup import standard_network
 from repro.net import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
 
 
 def run_variant(label, slot, refresh, model_delay):
@@ -37,8 +36,7 @@ def run_variant(label, slot, refresh, model_delay):
         rendezvous_refresh_slots=refresh,
         model_propagation_delay=model_delay,
     )
-    timelines = MetricTimelines(station_count=15)
-    outcome = repro.simulate(
+    result = repro.simulate(
         repro.Scenario(
             station_count=15,
             load_packets_per_slot=0.04,
@@ -46,14 +44,13 @@ def run_variant(label, slot, refresh, model_delay):
             config=config,
         ),
         seed=7,
-        instrumentation=Instrumentation((timelines,)),
-    )
-    missed = timelines.losses_by_reason().get("not_listening", 0)
+    ).result
+    missed = result.losses_by_reason.get("not_listening", 0)
     print(
-        f"  {label:<38s} losses {timelines.losses_total:4d} "
-        f"(missed windows {missed:4d}), hop deliveries {timelines.hop_deliveries}"
+        f"  {label:<38s} losses {result.losses_total:4d} "
+        f"(missed windows {missed:4d}), hop deliveries {result.hop_deliveries}"
     )
-    return outcome.result
+    return result
 
 
 def main() -> None:

@@ -467,19 +467,32 @@ def _sparkline(values: Sequence[float], peak: float) -> str:
     return "".join(cells)
 
 
+def _positive_finite(text: str) -> float:
+    """argparse type: a float that is positive and finite."""
+    import math
+
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text!r}"
+        )
+    return value
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.simsetup import add_uniform_poisson, standard_network
     from repro.net.network import NetworkConfig
-    from repro.obs import Instrumentation, MetricTimelines
+    from repro.obs import Instrumentation, MetricTimelines, use_instrumentation
+    from repro.parallel.aggregate import summarize
 
-    timelines = MetricTimelines(station_count=args.stations)
-    network = standard_network(
-        args.stations,
-        args.seed,
-        NetworkConfig(seed=args.seed),
-        trace=False,
-        instrumentation=Instrumentation((timelines,)),
-    )
+    timelines = MetricTimelines()
+    with use_instrumentation(Instrumentation((timelines,))):
+        network = standard_network(
+            args.stations, args.seed, NetworkConfig(seed=args.seed)
+        )
     slot = network.budget.slot_time
     # The window is in slots on the CLI but seconds internally; the slot
     # time is only known once the network's link budget is calibrated,
@@ -508,8 +521,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     )
     print(
         f"load {args.load:g} pkt/slot/station | "
-        f"hop deliveries {timelines.hop_deliveries} | "
-        f"losses {timelines.losses_total} | peak {peak:.4g}"
+        f"hop deliveries {result.hop_deliveries} | "
+        f"losses {result.losses_total} | peak {peak:.4g}"
     )
     for station in range(args.stations):
         values = [value for _t, value in rows[station]]
@@ -517,7 +530,9 @@ def _cmd_report(args: argparse.Namespace) -> int:
         tail = max((v for v in values if v == v), default=0.0)
         print(f"  s{station:03d} |{line}| max {tail:.3g}")
     if metric == "duty":
-        summary = timelines.duty_summary(result.duration)
+        summary = summarize(
+            station.duty_cycle(result.duration) for station in network.stations
+        )
         print(
             f"duty cycle across stations: mean {summary.mean:.4f}, "
             f"std {summary.stddev:.4f}, max {summary.maximum:.4f}"
@@ -818,7 +833,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--duration-slots", type=float, default=300.0, metavar="SLOTS",
     )
     report_cmd.add_argument(
-        "--window-slots", type=float, default=10.0, metavar="SLOTS",
+        "--window-slots", type=_positive_finite, default=10.0, metavar="SLOTS",
         help="aggregation window width in slots (default 10)",
     )
     report_cmd.add_argument("--seed", type=int, default=7)

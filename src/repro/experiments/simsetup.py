@@ -12,7 +12,6 @@ from repro.net.network import (
     build_network,
 )
 from repro.net.traffic import PoissonTraffic
-from repro.obs.api import Instrumentation
 from repro.propagation.geometry import uniform_disk
 from repro.propagation.models import PropagationModel
 from repro.sim.streams import RandomStreams
@@ -27,13 +26,14 @@ def standard_network(
     mac: Union[str, MacFactory, None] = None,
     model: Optional[PropagationModel] = None,
     radius: float = 1000.0,
-    trace: bool = True,
-    instrumentation: Optional[Instrumentation] = None,
+    trace: bool = False,
 ) -> Network:
     """A uniform-disk network with the repository's default design.
 
     ``mac`` is a registered MAC name (see :func:`repro.mac.mac_names`)
-    or an explicit per-station factory.
+    or an explicit per-station factory.  ``trace=True`` keeps the run's
+    typed events in memory (``network.instrumentation.events()``);
+    further sinks attach through :func:`repro.obs.use_instrumentation`.
     """
     placement = uniform_disk(station_count, radius=radius, seed=placement_seed)
     return build_network(
@@ -42,7 +42,6 @@ def standard_network(
         model=model,
         mac=mac,
         trace=trace,
-        instrumentation=instrumentation,
     )
 
 
@@ -87,8 +86,7 @@ def run_loaded_network(
     traffic_seed: int = 99,
     config: Optional[NetworkConfig] = None,
     mac: Union[str, MacFactory, None] = None,
-    trace: bool = True,
-    instrumentation: Optional[Instrumentation] = None,
+    trace: bool = False,
 ) -> Tuple[Network, "NetworkResult"]:
     """Build, load, and run a standard network; returns (network, result)."""
     network = standard_network(
@@ -97,7 +95,6 @@ def run_loaded_network(
         config,
         mac,
         trace=trace,
-        instrumentation=instrumentation,
     )
     add_uniform_poisson(network, packets_per_slot, traffic_seed)
     result = network.run(duration_slots * network.budget.slot_time)

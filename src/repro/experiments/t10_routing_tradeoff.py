@@ -100,6 +100,7 @@ def run(
             placement_seed=seed,
             traffic_seed=seed + 1,
             config=config,
+            trace=True,
         )
         energy = _mean_packet_energy(network)
         slot = network.budget.slot_time

@@ -23,9 +23,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults import StationChurn, compile_plan, install_faults
+from repro.faults.resilience import FAULT_LOSS_REASONS
 from repro.mac.registry import get_mac, mac_names
-from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
+from repro.net.network import NetworkConfig, NetworkResult
 from repro.parallel.seedtree import derive_seed
 
 __all__ = ["RECOVERY_FRACTION", "run", "run_resilience_point"]
@@ -35,11 +35,11 @@ __all__ = ["RECOVERY_FRACTION", "run", "run_resilience_point"]
 RECOVERY_FRACTION = 0.95
 
 
-def _window_ratio(before: Tuple[int, int], after: Tuple[int, int]) -> float:
-    """Delivery ratio of the window between two snapshots (NaN if no
-    traffic originated in the window)."""
-    originated = after[0] - before[0]
-    delivered = after[1] - before[1]
+def _window_ratio(before: NetworkResult, after: NetworkResult) -> float:
+    """Delivery ratio of the window between two cumulative results (NaN
+    if no traffic originated in the window)."""
+    originated = after.originated - before.originated
+    delivered = after.delivered_end_to_end - before.delivered_end_to_end
     if originated <= 0:
         return float("nan")
     return delivered / originated
@@ -94,14 +94,11 @@ def run_resilience_point(
     rows: List[Tuple[Any, ...]] = []
     recoveries: Dict[str, float] = {}
     for name in names:
-        timelines = MetricTimelines(station_count=station_count)
         network = standard_network(
             station_count,
             placement_seed=seed,
             config=NetworkConfig(seed=seed),
             mac=name,
-            trace=False,
-            instrumentation=Instrumentation((timelines,)),
         )
         add_uniform_poisson(network, load_packets_per_slot, seed + 1)
         injector = install_faults(network, plan)
@@ -110,15 +107,13 @@ def run_resilience_point(
 
         # The first window absorbs the pipeline-fill transient (deliveries
         # lag originations until queues reach steady state) and is
-        # excluded from the pre-fault baseline.
-        network.run(window_slots * slot)
-        fill_snapshot = timelines.delivery_snapshot()
-        network.run((warmup_slots - window_slots) * slot)
-        pre_snapshot = timelines.delivery_snapshot()
+        # excluded from the pre-fault baseline.  Each result's counters
+        # are cumulative over the network's whole run.
+        fill_snapshot = network.run(window_slots * slot)
+        pre_snapshot = network.run((warmup_slots - window_slots) * slot)
         pre_ratio = _window_ratio(fill_snapshot, pre_snapshot)
 
-        network.run(churn_slots * slot)
-        churn_snapshot = timelines.delivery_snapshot()
+        churn_snapshot = network.run(churn_slots * slot)
         churn_ratio = _window_ratio(pre_snapshot, churn_snapshot)
 
         threshold = RECOVERY_FRACTION * pre_ratio
@@ -127,30 +122,34 @@ def run_resilience_point(
         elapsed = 0.0
         last = churn_snapshot
         while elapsed < recovery_slots:
-            network.run(window_slots * slot)
+            snapshot = network.run(window_slots * slot)
             elapsed += window_slots
-            snapshot = timelines.delivery_snapshot()
             final_ratio = _window_ratio(last, snapshot)
             last = snapshot
             if math.isnan(recovery_latency) and final_ratio >= threshold:
                 recovery_latency = elapsed
 
         reroute_slots = injector.log.mean_time_to_reroute() / slot
+        fault_losses = sum(
+            count
+            for reason, count in last.losses_by_reason.items()
+            if reason in FAULT_LOSS_REASONS
+        )
         rows.append(
             (
                 name,
                 churn_rate,
-                timelines.fault_count("down"),
+                len(injector.log.crashes),
                 pre_ratio,
                 churn_ratio,
                 final_ratio,
                 recovery_latency,
                 reroute_slots,
-                timelines.fault_losses(),
-                timelines.sir_losses(),
-                timelines.fault_queue_drops,
-                timelines.arq_retries,
-                timelines.arq_giveups,
+                fault_losses,
+                last.losses_total - fault_losses,
+                last.fault_drops,
+                last.arq_retries,
+                last.arq_giveups,
             )
         )
         recoveries[name] = (

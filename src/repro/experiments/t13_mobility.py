@@ -36,6 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
+from repro.faults.resilience import FAULT_LOSS_REASONS
 from repro.mac.registry import get_mac
 from repro.mobility import (
     ChannelSpec,
@@ -43,8 +44,7 @@ from repro.mobility import (
     RandomWaypoint,
     install_channel,
 )
-from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
+from repro.net.network import NetworkConfig, NetworkResult
 
 __all__ = ["RECOVERY_FRACTION", "run", "run_mobility_point"]
 
@@ -68,11 +68,11 @@ def _resolve_variant(name: str) -> Tuple[str, bool]:
 RECOVERY_FRACTION = 0.9
 
 
-def _window_ratio(before: Tuple[int, int], after: Tuple[int, int]) -> float:
-    """Delivery ratio of the window between two snapshots (NaN if no
-    traffic originated in the window)."""
-    originated = after[0] - before[0]
-    delivered = after[1] - before[1]
+def _window_ratio(before: NetworkResult, after: NetworkResult) -> float:
+    """Delivery ratio of the window between two cumulative results (NaN
+    if no traffic originated in the window)."""
+    originated = after.originated - before.originated
+    delivered = after.delivered_end_to_end - before.delivered_end_to_end
     if originated <= 0:
         return float("nan")
     return delivered / originated
@@ -127,14 +127,11 @@ def run_mobility_point(
             arq_max_retries=arq_max_retries if arq_on else None,
             arq_backoff_slots=arq_backoff_slots,
         )
-        timelines = MetricTimelines(station_count=station_count)
         network = standard_network(
             station_count,
             placement_seed=seed,
             config=config,
             mac=base_mac,
-            trace=False,
-            instrumentation=Instrumentation((timelines,)),
         )
         add_uniform_poisson(network, load_packets_per_slot, seed + 1)
         # Speed in metres per slot: churn_rate R0 per 100 slots.  A
@@ -161,14 +158,11 @@ def run_mobility_point(
 
         # The first window absorbs the pipeline-fill transient and is
         # excluded from the pre-churn baseline (same discipline as T12).
-        network.run(window_slots * slot)
-        fill_snapshot = timelines.delivery_snapshot()
-        network.run((warmup_slots - window_slots) * slot)
-        pre_snapshot = timelines.delivery_snapshot()
+        fill_snapshot = network.run(window_slots * slot)
+        pre_snapshot = network.run((warmup_slots - window_slots) * slot)
         pre_ratio = _window_ratio(fill_snapshot, pre_snapshot)
 
-        network.run(churn_slots * slot)
-        churn_snapshot = timelines.delivery_snapshot()
+        churn_snapshot = network.run(churn_slots * slot)
         churn_ratio = _window_ratio(pre_snapshot, churn_snapshot)
 
         threshold = RECOVERY_FRACTION * pre_ratio
@@ -177,9 +171,8 @@ def run_mobility_point(
         last = churn_snapshot
         tail_start = churn_snapshot
         while elapsed < recovery_slots:
-            network.run(window_slots * slot)
+            snapshot = network.run(window_slots * slot)
             elapsed += window_slots
-            snapshot = timelines.delivery_snapshot()
             window_ratio = _window_ratio(last, snapshot)
             last = snapshot
             if elapsed == window_slots:
@@ -206,9 +199,13 @@ def run_mobility_point(
                 recovery_latency,
                 rendezvous_slots,
                 len(channel.log.mobility_reroutes),
-                timelines.sir_losses(),
-                timelines.arq_retries,
-                timelines.arq_giveups,
+                sum(
+                    count
+                    for reason, count in last.losses_by_reason.items()
+                    if reason not in FAULT_LOSS_REASONS
+                ),
+                last.arq_retries,
+                last.arq_giveups,
             )
         )
         recoveries[name] = (

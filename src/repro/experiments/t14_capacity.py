@@ -30,7 +30,6 @@ from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.registry import get_mac
 from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
 
 __all__ = ["DEFAULT_MACS", "run", "run_capacity_point", "fit_exponent"]
 
@@ -78,27 +77,24 @@ def run_capacity_point(
     rows: List[Tuple[Any, ...]] = []
     per_node: Dict[str, float] = {}
     for name in names:
-        timelines = MetricTimelines(station_count=station_count)
         network = standard_network(
             station_count,
             placement_seed=seed,
             config=NetworkConfig(seed=seed),
             mac=name,
-            trace=False,
-            instrumentation=Instrumentation((timelines,)),
         )
         add_uniform_poisson(network, load_packets_per_slot, seed + 1)
         slot = network.budget.slot_time
+        # A result's counters are cumulative over the network's whole run.
+        delivered_before = 0
         if fill_slots > 0.0:
-            network.run(fill_slots * slot)
-        before = timelines.delivery_snapshot()
-        network.run(duration_slots * slot)
-        after = timelines.delivery_snapshot()
-        delivered = after[1] - before[1]
+            delivered_before = network.run(fill_slots * slot).delivered_end_to_end
+        result = network.run(duration_slots * slot)
+        delivered = result.delivered_end_to_end - delivered_before
         throughput = delivered / (duration_slots * station_count)
         loss_ratio = (
-            timelines.losses_total / timelines.transmissions
-            if timelines.transmissions
+            result.losses_total / result.transmissions
+            if result.transmissions
             else 0.0
         )
         per_node[name] = throughput

@@ -15,7 +15,6 @@ from typing import Any, Dict, Sequence
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import run_loaded_network
 from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
 
 __all__ = ["run", "run_duty_point"]
 
@@ -34,14 +33,8 @@ def run_duty_point(
     The importable unit of work the parallel task layer fans out; seeds
     are explicit so replications can vary them while replication 0
     keeps the legacy ``(seed, seed + 1, seed)`` assignment bit-exactly.
-
-    The reported numbers are read from a :class:`MetricTimelines` sink
-    (whose cumulative accessors are bit-exact ports of the legacy
-    station/medium counters), so the same run can stream its trace to
-    any further sinks the caller composes in.
     """
     config = NetworkConfig(receive_fraction=receive_fraction, seed=config_seed)
-    timelines = MetricTimelines(station_count=station_count)
     _, result = run_loaded_network(
         station_count,
         load_packets_per_slot,
@@ -49,18 +42,15 @@ def run_duty_point(
         placement_seed=placement_seed,
         traffic_seed=traffic_seed,
         config=config,
-        trace=False,
-        instrumentation=Instrumentation((timelines,)),
     )
-    hop_rate = timelines.hop_deliveries / duration_slots
     return {
         "p": receive_fraction,
-        "hop_deliveries": timelines.hop_deliveries,
-        "e2e_deliveries": timelines.end_to_end_deliveries,
-        "hop_rate": hop_rate,
-        "mean_duty": timelines.mean_duty_cycle(result.duration),
-        "unreachable_drops": timelines.unreachable_drops,
-        "no_route_drops": timelines.no_route_drops,
+        "hop_deliveries": result.hop_deliveries,
+        "e2e_deliveries": result.delivered_end_to_end,
+        "hop_rate": result.hop_deliveries / duration_slots,
+        "mean_duty": result.mean_duty_cycle,
+        "unreachable_drops": result.unreachable_drops,
+        "no_route_drops": result.no_route_drops,
     }
 
 

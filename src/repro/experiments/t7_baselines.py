@@ -21,9 +21,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import run_loaded_network
+from repro.mac.maca import MacaMac
 from repro.mac.registry import mac_names
 from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
 
 __all__ = ["run", "run_load_point"]
 
@@ -48,8 +48,7 @@ def run_load_point(
     shepard_losses = 0
     baseline_losses = 0
     for name in mac_names() if macs is None else tuple(macs):
-        timelines = MetricTimelines(station_count=station_count)
-        network, _result = run_loaded_network(
+        network, result = run_loaded_network(
             station_count,
             load,
             duration_slots,
@@ -57,37 +56,41 @@ def run_load_point(
             traffic_seed=seed + 1,
             config=NetworkConfig(seed=seed),
             mac=name,
-            trace=False,
-            instrumentation=Instrumentation((timelines,)),
         )
         loss_ratio = (
-            timelines.losses_total / timelines.transmissions
-            if timelines.transmissions
+            result.losses_total / result.transmissions
+            if result.transmissions
             else 0.0
         )
-        control = timelines.control_overhead()
+        # Only MACA sends control frames: its RTS and CTS bursts.
+        control_frames = sum(
+            station.mac.rts_sent + station.mac.cts_sent
+            for station in network.stations
+            if isinstance(station.mac, MacaMac)
+        )
+        control = control_frames / max(result.hop_deliveries, 1)
         slot = network.budget.slot_time
-        mean_delay = timelines.mean_delay()
+        mean_delay = result.mean_delay
         rows.append(
             (
                 name,
                 load,
-                timelines.end_to_end_deliveries,
+                result.delivered_end_to_end,
                 loss_ratio,
                 control,
                 mean_delay / slot
                 if mean_delay == mean_delay
                 else float("nan"),
-                timelines.unreachable_drops,
-                timelines.no_route_drops,
-                timelines.arq_retries,
-                timelines.arq_giveups,
+                result.unreachable_drops,
+                result.no_route_drops,
+                result.arq_retries,
+                result.arq_giveups,
             )
         )
         if name == "shepard":
-            shepard_losses += timelines.losses_total
+            shepard_losses += result.losses_total
         else:
-            baseline_losses += timelines.losses_total
+            baseline_losses += result.losses_total
     return {
         "rows": rows,
         "shepard_losses": shepard_losses,

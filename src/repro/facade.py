@@ -10,14 +10,16 @@ observability sinks — as explicit keyword arguments::
     outcome = repro.simulate(repro.Scenario(station_count=40), seed=7)
     assert outcome.result.collision_free
 
-    # Stream a trace and fold metric timelines while it runs:
+    # Count the run's typed events by kind while it runs (the counters
+    # themselves are in outcome.result):
     from repro.obs import Instrumentation, MetricTimelines
-    timelines = MetricTimelines(station_count=40)
+    timelines = MetricTimelines()
     outcome = repro.simulate(
         repro.Scenario(station_count=40),
         seed=7,
         instrumentation=Instrumentation((timelines,)),
     )
+    print(timelines.kinds())
 
 Everything stays bit-reproducible: the same scenario and seed produce
 the same replay digest regardless of which sinks (if any) observe the

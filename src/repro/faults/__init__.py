@@ -20,7 +20,7 @@ package imported.
 """
 
 from repro.faults.injector import FaultInjector, install_faults
-from repro.faults.resilience import ResilienceLog, ResilienceReport
+from repro.faults.resilience import ResilienceLog
 from repro.faults.spec import (
     ClockStep,
     FaultEvent,
@@ -40,7 +40,6 @@ __all__ = [
     "LinkFade",
     "PacketCorruption",
     "ResilienceLog",
-    "ResilienceReport",
     "StationChurn",
     "StationCrash",
     "compile_plan",

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.faults.resilience import ResilienceLog, ResilienceReport
+from repro.faults.resilience import ResilienceLog
 from repro.faults.spec import FaultEvent, FaultPlan
 from repro.net.network import Network
 from repro.obs.events import FaultInject, FaultRecover
@@ -121,23 +121,6 @@ class FaultInjector:
                 instr.emit(FaultRecover(now, "corrupt"))
         else:  # pragma: no cover - compile_plan validates kinds
             raise ValueError(f"unknown fault event kind {event.kind!r}")
-
-    def report(self) -> ResilienceReport:
-        """Summarise the finished run for experiment payloads."""
-        fault_queue_drops = sum(
-            station.stats.fault_drops for station in self.network.stations
-        )
-        return ResilienceReport.from_run(
-            self.log,
-            self.network.medium.loss_counts_by_reason(),
-            fault_queue_drops,
-            arq_retries=sum(
-                station.stats.arq_retries for station in self.network.stations
-            ),
-            arq_giveups=sum(
-                station.stats.arq_giveups for station in self.network.stations
-            ),
-        )
 
 
 def install_faults(network: Network, plan: FaultPlan) -> Optional[FaultInjector]:

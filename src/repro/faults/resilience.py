@@ -3,18 +3,19 @@
 The :class:`ResilienceLog` is the injector's journal — every applied
 event is recorded with its simulation time, so experiments can pair a
 crash with the routing re-derivation that followed it and report the
-*time to reroute*.  :class:`ResilienceReport` condenses a finished run
-into a small, canonical-JSON-friendly summary (plain ints/floats only)
-suitable for experiment payloads.
+*time to reroute*.  The run's counters (losses by reason, queue drops,
+ARQ retries) are in its :class:`~repro.net.network.NetworkResult`;
+:data:`FAULT_LOSS_REASONS` splits its loss taxonomy into fault and SIR
+losses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
-__all__ = ["FAULT_LOSS_REASONS", "ResilienceLog", "ResilienceReport"]
+__all__ = ["FAULT_LOSS_REASONS", "ResilienceLog"]
 
 
 @dataclass
@@ -105,109 +106,3 @@ class ResilienceLog:
 FAULT_LOSS_REASONS = frozenset(
     {"receiver_down", "source_down", "corrupted"}
 )
-
-
-@dataclass(frozen=True)
-class ResilienceReport:
-    """Summary of a fault run for experiment payloads.
-
-    Attributes:
-        crash_count: stations taken down (churn samples included).
-        recovery_count: stations brought back up.
-        reroute_count: routing re-derivations performed.
-        mean_time_to_reroute: mean lifecycle-to-reroute delay in
-            global seconds (NaN when nothing rerouted).
-        fault_losses: in-flight deliveries lost to injected faults
-            (dead endpoint or corruption).
-        sir_losses: deliveries lost to ordinary channel physics.
-        fault_queue_drops: packets discarded from queues by crashes
-            or rejected while a station was down.
-        turnover_count: mobility-induced neighbour-set turnovers
-            detected (per station, per scan).
-        reacquire_count: stations whose turnover was resolved by a
-            §7.1 re-convergence.
-        mobility_reroute_count: re-convergences triggered by mobility
-            churn (disjoint from ``reroute_count``'s fault reroutes).
-        mean_rendezvous_recovery: mean turnover-to-reacquisition delay
-            in global seconds (NaN when nothing was paired).
-        arq_retries: bounded retransmissions the ARQ sublayer
-            scheduled across all stations.
-        arq_giveups: packets the ARQ sublayer abandoned — the loud
-            replacement for the MACs' silent drops.
-    """
-
-    crash_count: int
-    recovery_count: int
-    reroute_count: int
-    mean_time_to_reroute: float
-    fault_losses: int
-    sir_losses: int
-    fault_queue_drops: int
-    turnover_count: int = 0
-    reacquire_count: int = 0
-    mobility_reroute_count: int = 0
-    mean_rendezvous_recovery: float = math.nan
-    arq_retries: int = 0
-    arq_giveups: int = 0
-
-    @classmethod
-    def from_run(
-        cls,
-        log: ResilienceLog,
-        losses_by_reason: Dict[str, int],
-        fault_queue_drops: int,
-        arq_retries: int = 0,
-        arq_giveups: int = 0,
-    ) -> "ResilienceReport":
-        """Build the report from the injector log and medium loss counters.
-
-        Args:
-            log: the injector's :class:`ResilienceLog`.
-            losses_by_reason: the medium's per-reason loss counts.
-            fault_queue_drops: summed ``StationStats.fault_drops``.
-            arq_retries: summed ``StationStats.arq_retries``.
-            arq_giveups: summed ``StationStats.arq_giveups``.
-        """
-        fault_losses = sum(
-            count
-            for reason, count in losses_by_reason.items()
-            if reason in FAULT_LOSS_REASONS
-        )
-        sir_losses = sum(
-            count
-            for reason, count in losses_by_reason.items()
-            if reason not in FAULT_LOSS_REASONS
-        )
-        return cls(
-            crash_count=len(log.crashes),
-            recovery_count=len(log.recoveries),
-            reroute_count=len(log.reroutes),
-            mean_time_to_reroute=log.mean_time_to_reroute(),
-            fault_losses=fault_losses,
-            sir_losses=sir_losses,
-            fault_queue_drops=fault_queue_drops,
-            turnover_count=len(log.turnovers),
-            reacquire_count=len(log.reacquired),
-            mobility_reroute_count=len(log.mobility_reroutes),
-            mean_rendezvous_recovery=log.mean_rendezvous_recovery(),
-            arq_retries=arq_retries,
-            arq_giveups=arq_giveups,
-        )
-
-    def to_payload(self) -> Dict[str, object]:
-        """Plain-dict form for canonical JSON experiment payloads."""
-        return {
-            "crash_count": self.crash_count,
-            "recovery_count": self.recovery_count,
-            "reroute_count": self.reroute_count,
-            "mean_time_to_reroute": self.mean_time_to_reroute,
-            "fault_losses": self.fault_losses,
-            "sir_losses": self.sir_losses,
-            "fault_queue_drops": self.fault_queue_drops,
-            "turnover_count": self.turnover_count,
-            "reacquire_count": self.reacquire_count,
-            "mobility_reroute_count": self.mobility_reroute_count,
-            "mean_rendezvous_recovery": self.mean_rendezvous_recovery,
-            "arq_retries": self.arq_retries,
-            "arq_giveups": self.arq_giveups,
-        }

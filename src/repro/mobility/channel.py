@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING, Optional, Set
 
 import numpy as np
 
-from repro.faults.resilience import ResilienceLog, ResilienceReport
+from repro.faults.resilience import ResilienceLog
 from repro.faults.spec import _require_finite
 from repro.mobility.models import MobilityModel
 from repro.obs.events import (
@@ -171,9 +171,9 @@ class ChannelSpec:
 class ChannelProcess:
     """The running channel: per-tick gain updates plus re-acquisition.
 
-    Construct via :func:`install_channel`.  Exposes the same
-    ``log``/``report()`` surface as the fault injector so experiments
-    treat discrete faults and continuous churn uniformly.
+    Construct via :func:`install_channel`.  Exposes the same ``log``
+    as the fault injector so experiments treat discrete faults and
+    continuous churn uniformly.
     """
 
     def __init__(
@@ -417,23 +417,6 @@ class ChannelProcess:
             if spec.reacquire_delay_slots > 0.0:
                 yield env.timeout(spec.reacquire_delay_slots * slot)
             self._reconverge()
-
-    # -- reporting ------------------------------------------------------
-
-    def report(self) -> ResilienceReport:
-        """Summarise the finished run for experiment payloads."""
-        stations = self.network.stations
-        return ResilienceReport.from_run(
-            self.log,
-            self.medium.loss_counts_by_reason(),
-            sum(station.stats.fault_drops for station in stations),
-            arq_retries=sum(
-                station.stats.arq_retries for station in stations
-            ),
-            arq_giveups=sum(
-                station.stats.arq_giveups for station in stations
-            ),
-        )
 
 
 def install_channel(

@@ -29,7 +29,7 @@ explicit *link-budget calibration*:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
@@ -147,13 +147,6 @@ class NetworkConfig:
             otherwise keeps the plain default receiver, bit-identical
             to pre-model behaviour.
         seed: master seed for clocks and any stochastic pieces.
-        instrumentation: the typed-event facade handed down to the
-            medium, stations, MACs and fault injector
-            (:class:`repro.obs.Instrumentation`); ``None`` leaves the
-            choice to ``build_network``'s ``instrumentation``/``trace``
-            arguments or the ambient default.  Excluded from equality:
-            two configs describing the same physics compare equal
-            regardless of who is watching.
     """
 
     bandwidth_hz: float = 1e6
@@ -185,9 +178,6 @@ class NetworkConfig:
     arq_backoff_slots: float = 2.0
     receiver_model: Optional[str] = None
     seed: int = 0
-    instrumentation: Optional[Instrumentation] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         if self.bandwidth_hz <= 0.0:
@@ -729,6 +719,11 @@ def _calibrate(
     else:
         bounds = raw_bounds
 
+    if float(bounds.max()) <= 0.0:
+        raise ValueError(
+            "cannot calibrate the link budget: no receiver has a positive "
+            "interference bound (a one-station placement has none)"
+        )
     thermal = config.thermal_fraction * float(bounds.min())
     worst = float(bounds.max()) + thermal
     threshold = target / (config.safety_margin * worst)
@@ -781,14 +776,13 @@ def build_network(
             ``network.instrumentation.events()`` (adds a memory sink if
             none is present).
         instrumentation: explicit typed-event facade.  Sinks from this
-            argument, from ``config.instrumentation`` and from the
-            ambient :func:`repro.obs.use_instrumentation` default are
-            all folded into the network's facade; with none of the
-            three (and ``trace=False``) instrumentation is disabled and
-            zero-cost.
+            argument and from the ambient
+            :func:`repro.obs.use_instrumentation` default are both
+            folded into the network's facade; with neither (and
+            ``trace=False``) instrumentation is disabled and zero-cost.
     """
     config = config or NetworkConfig()
-    instr = _resolve_instrumentation(instrumentation, config, trace)
+    instr = _resolve_instrumentation(instrumentation, trace)
     model = model or FreeSpace(near_field_clamp=1e-6)
     streams = RandomStreams(config.seed)
     matrix = PropagationMatrix.from_placement(placement, model)
@@ -948,24 +942,22 @@ def build_network(
 
 def _resolve_instrumentation(
     explicit: Optional[Instrumentation],
-    config: NetworkConfig,
     trace: bool,
 ) -> Instrumentation:
-    """Fold every instrumentation source into one facade.
+    """Fold both instrumentation sources into one facade.
 
-    Sources, outermost first: the explicit ``build_network`` argument,
-    ``config.instrumentation``, and the ambient
-    :func:`repro.obs.use_instrumentation` default.  A single source is
-    used as-is (the caller keeps querying its own sinks) unless
-    ``trace=True`` needs a memory sink it lacks; otherwise the sources
-    compose into a fresh facade sharing all their sinks, plus a new
-    memory sink for ``trace=True``.  A caller's facade is never
-    mutated, so a sink added for one network cannot collect another
-    network's events.
+    Sources, outermost first: the explicit ``build_network`` argument
+    and the ambient :func:`repro.obs.use_instrumentation` default.  A
+    single source is used as-is (the caller keeps querying its own
+    sinks) unless ``trace=True`` needs a memory sink it lacks; otherwise
+    the sources compose into a fresh facade sharing all their sinks,
+    plus a new memory sink for ``trace=True``.  A caller's facade is
+    never mutated, so a sink added for one network cannot collect
+    another network's events.
     """
     sources = [
         source
-        for source in (explicit, config.instrumentation, ambient_instrumentation())
+        for source in (explicit, ambient_instrumentation())
         if source is not None
     ]
     if len(sources) == 1 and not (trace and sources[0].memory is None):

@@ -8,9 +8,9 @@ carries it to pluggable sinks:
   layer (medium, stations, MACs, fault injector) emits through.
 * :mod:`repro.obs.sinks` — pluggable sinks: in-memory ring, JSONL
   stream with rotation, compact binary columnar files.
-* :mod:`repro.obs.metrics` — windowed per-station metric timelines
-  (duty cycle, queue depth, SIR margin, loss taxonomy) whose
-  cumulative accessors reproduce the legacy counters bit-exactly.
+* :mod:`repro.obs.metrics` — per-kind event counts and windowed
+  per-station metric timelines (duty cycle, queue depth, SIR margin,
+  losses).  Cumulative counts come from the run's ``NetworkResult``.
 
 Instrumentation is non-perturbing by construction: emission never
 touches the event wheel or a random stream, so replay digests are

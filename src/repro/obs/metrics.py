@@ -1,21 +1,14 @@
 """Metric timelines: windowed per-station series derived from events.
 
 A :class:`MetricTimelines` is a :class:`~repro.obs.sinks.Sink` that
-folds the typed event stream into counters, gauges and per-station
-time series as it flows — duty cycle, queue depth, SIR margin, the
-loss taxonomy — in O(stations x windows) memory, never retaining the
-events themselves.
+folds the typed event stream into per-kind counts and per-station time
+series as it flows — duty cycle, queue depth, SIR margin, losses — in
+O(stations x windows) memory, never retaining the events themselves.
 
-The cumulative accessors are *bit-exact* ports of the legacy
-station/medium counters: airtime accumulates per station in the same
-order and with the same float operations as
-``Transmitter._time_transmitting`` (open bursts at the run horizon are
-uncounted in both), ``transmissions`` counts ``tx_outcome`` events
-emitted exactly where ``StationStats.sent`` increments, and
-:meth:`mean_delay` folds per-station delay lists through a Welford
-accumulator in station-index order exactly as ``Network.collect``
-does.  That is what lets experiments T2/T7/T12 read their reported
-rows from a timelines sink bit-identically to the old stats plumbing.
+It folds only what a run's :class:`~repro.net.network.NetworkResult`
+cannot give: the result already carries every cumulative counter
+(deliveries, the loss taxonomy, delay, duty cycle), and experiments
+read their rows from it.  ``repro report`` draws the windowed series.
 """
 
 from __future__ import annotations
@@ -32,40 +25,22 @@ __all__ = ["MetricTimelines"]
 
 
 class MetricTimelines(Sink):
-    """Windowed counters, gauges and summaries over the event stream.
+    """Per-kind event counts and windowed per-station series.
 
     Args:
-        station_count: number of stations (needed by the accessors that
-            iterate stations in index order; series work without it).
         window: window length in simulated time units for the per-window
-            series; ``None`` collects cumulative metrics only.  May be
-            assigned after construction (e.g. once the built network's
-            slot time is known) as long as no event has been emitted.
+            series; ``None`` counts event kinds only.  May be assigned
+            after construction (e.g. once the built network's slot time
+            is known) as long as no event has been emitted.
     """
 
-    def __init__(
-        self,
-        station_count: Optional[int] = None,
-        window: Optional[float] = None,
-    ) -> None:
-        if window is not None and window <= 0.0:
-            raise ValueError("window must be positive")
-        self.station_count = station_count
+    def __init__(self, window: Optional[float] = None) -> None:
+        if window is not None and not (math.isfinite(window) and window > 0.0):
+            raise ValueError("window must be positive and finite")
         self.window = window
         self._counts: Counter = Counter()
-        self._losses_by_reason: Counter = Counter()
-        self._originated = 0
-        self._forwarded = 0
-        self._delivered: Counter = Counter()
-        self._delays: Dict[int, List[float]] = {}
-        self._airtime: Dict[int, float] = {}
-        self._tx_open: Dict[int, float] = {}
-        self._control: Counter = Counter()
-        self._faults: Counter = Counter()
-        self._flush_station_down = 0
-        self._queue_depth: Dict[int, int] = {}
-        self._sic_cancelled = 0
         self._last_time = 0.0
+        self._tx_open: Dict[int, float] = {}
         # Windowed series state, all keyed by (station, window index).
         self._duty_w: Dict[Tuple[int, int], float] = {}
         self._queue_w: Dict[Tuple[int, int], Tuple[int, int]] = {}
@@ -80,11 +55,12 @@ class MetricTimelines(Sink):
         self._counts[kind] += 1
         if event.time > self._last_time:
             self._last_time = event.time
-        handler = _HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, event)
+        if self.window is not None:
+            handler = _HANDLERS.get(kind)
+            if handler is not None:
+                handler(self, event)
 
-    # -- per-kind folds ------------------------------------------------
+    # -- per-kind folds (windowed only) --------------------------------
 
     def _on_tx_start(self, event: TraceEvent) -> None:
         self._tx_open[event.source] = event.time
@@ -93,149 +69,39 @@ class MetricTimelines(Sink):
         start = self._tx_open.pop(event.source, None)
         if start is None:
             return
-        duration = event.time - start
-        # Same accumulation order and float ops as Transmitter.end.
-        self._airtime[event.source] = (
-            self._airtime.get(event.source, 0.0) + duration
-        )
-        if self.window is not None:
-            self._fold_duty(event.source, start, event.time)
-
-    def _fold_duty(self, station: int, start: float, end: float) -> None:
         window = self.window
         first = int(start // window)
-        last = int(end // window)
+        last = int(event.time // window)
         for index in range(first, last + 1):
             low = max(start, index * window)
-            high = min(end, (index + 1) * window)
+            high = min(event.time, (index + 1) * window)
             if high > low:
-                key = (station, index)
+                key = (event.source, index)
                 self._duty_w[key] = self._duty_w.get(key, 0.0) + (high - low)
 
     def _on_rx_ok(self, event: TraceEvent) -> None:
-        if self.window is not None:
-            key = (event.receiver, int(event.time // self.window))
-            welford = self._sir_w.get(key)
-            if welford is None:
-                welford = self._sir_w[key] = Welford()
-            welford.add(event.min_sir)
+        key = (event.receiver, int(event.time // self.window))
+        welford = self._sir_w.get(key)
+        if welford is None:
+            welford = self._sir_w[key] = Welford()
+        welford.add(event.min_sir)
 
     def _on_rx_fail(self, event: TraceEvent) -> None:
-        self._losses_by_reason[event.reason] += 1
-        if self.window is not None:
-            self._loss_w[
-                (event.receiver, int(event.time // self.window))
-            ] += 1
+        self._loss_w[(event.receiver, int(event.time // self.window))] += 1
 
-    def _on_delivered(self, event: TraceEvent) -> None:
-        self._delivered[event.station] += 1
-        self._delays.setdefault(event.station, []).append(event.delay)
-
-    def _on_queue_enter(self, event: TraceEvent) -> None:
-        # ARQ re-enqueues (v2 retry flag) are neither origins nor
-        # forwards: the packet was already counted on first enqueue.
-        if event.origin:
-            self._originated += 1
-        elif not event.control and not event.retry:
-            self._forwarded += 1
-        self._set_queue_depth(event.station, event.depth, event.time)
-
-    def _on_queue_leave(self, event: TraceEvent) -> None:
+    def _on_queue_change(self, event: TraceEvent) -> None:
         self._set_queue_depth(event.station, event.depth, event.time)
 
     def _on_queue_flush(self, event: TraceEvent) -> None:
-        if event.reason == "station_down":
-            self._flush_station_down += event.count
         self._set_queue_depth(event.station, 0, event.time)
 
     def _set_queue_depth(self, station: int, depth: int, time: float) -> None:
-        self._queue_depth[station] = depth
-        if self.window is not None:
-            key = (station, int(time // self.window))
-            previous = self._queue_w.get(key)
-            peak = depth if previous is None else max(previous[1], depth)
-            self._queue_w[key] = (depth, peak)
+        key = (station, int(time // self.window))
+        previous = self._queue_w.get(key)
+        peak = depth if previous is None else max(previous[1], depth)
+        self._queue_w[key] = (depth, peak)
 
-    def _on_control_sent(self, event: TraceEvent) -> None:
-        self._control[event.frame] += 1
-
-    def _on_fault_inject(self, event: TraceEvent) -> None:
-        self._faults[event.fault] += 1
-
-    def _on_sic_cancel(self, event: TraceEvent) -> None:
-        self._sic_cancelled += event.cancelled
-
-    # -- cumulative accessors (bit-exact legacy ports) -----------------
-
-    @property
-    def hop_deliveries(self) -> int:
-        """Successful hop receptions (``Medium.deliveries``)."""
-        return self._counts["rx_ok"]
-
-    @property
-    def end_to_end_deliveries(self) -> int:
-        """Packets that reached their final destination."""
-        return self._counts["delivered"]
-
-    @property
-    def transmissions(self) -> int:
-        """Completed transmit attempts (sum of ``StationStats.sent``)."""
-        return self._counts["tx_outcome"]
-
-    @property
-    def losses_total(self) -> int:
-        """Lost hops (``len(Medium.losses)``)."""
-        return self._counts["rx_fail"]
-
-    @property
-    def unreachable_drops(self) -> int:
-        """Schedule-unreachable neighbour incidents."""
-        return self._counts["unreachable"]
-
-    @property
-    def no_route_drops(self) -> int:
-        """Packets dropped for lack of a route."""
-        return self._counts["drop_no_route"]
-
-    @property
-    def fault_queue_drops(self) -> int:
-        """Packets discarded by crashes (sum of ``fault_drops``)."""
-        return self._counts["drop_station_down"] + self._flush_station_down
-
-    @property
-    def arq_retries(self) -> int:
-        """Bounded retransmissions the ARQ sublayer scheduled."""
-        return self._counts["arq_retry"]
-
-    @property
-    def arq_giveups(self) -> int:
-        """Packets the ARQ sublayer abandoned after its retry budget."""
-        return self._counts["arq_give_up"]
-
-    @property
-    def sic_receptions(self) -> int:
-        """Receptions during which SIC cancelled at least one interferer."""
-        return self._counts["sic_cancel"]
-
-    @property
-    def sic_cancellations(self) -> int:
-        """Total peak interferers cancelled across all SIC receptions."""
-        return self._sic_cancelled
-
-    @property
-    def power_level_draws(self) -> int:
-        """Transmit power levels drawn by multi-level power MACs."""
-        return self._counts["tx_power_level"]
-
-    @property
-    def total_originated(self) -> int:
-        """First-hop enqueues (sum of ``StationStats.originated``)."""
-        return self._originated
-
-    @property
-    def total_forwarded(self) -> int:
-        """Transit enqueues (sum of ``StationStats.forwarded``)."""
-        return self._forwarded
+    # -- counts --------------------------------------------------------
 
     def count(self, kind: str) -> int:
         """Occurrences of one event kind."""
@@ -244,89 +110,6 @@ class MetricTimelines(Sink):
     def kinds(self) -> Dict[str, int]:
         """Mapping of event kind to occurrence count."""
         return dict(self._counts)
-
-    def losses_by_reason(self) -> Dict[str, int]:
-        """Tally of lost hops per mechanical reason string."""
-        return dict(self._losses_by_reason)
-
-    def fault_count(self, fault: str) -> int:
-        """Applied fault injections of one family (e.g. ``"down"``)."""
-        return self._faults[fault]
-
-    def fault_losses(self) -> int:
-        """Hops lost to injected faults rather than channel physics."""
-        from repro.faults.resilience import FAULT_LOSS_REASONS
-
-        return sum(
-            count
-            for reason, count in self._losses_by_reason.items()
-            if reason in FAULT_LOSS_REASONS
-        )
-
-    def sir_losses(self) -> int:
-        """Hops lost to ordinary channel physics."""
-        from repro.faults.resilience import FAULT_LOSS_REASONS
-
-        return sum(
-            count
-            for reason, count in self._losses_by_reason.items()
-            if reason not in FAULT_LOSS_REASONS
-        )
-
-    def delivery_snapshot(self) -> Tuple[int, int]:
-        """Cumulative ``(originated, delivered end-to-end)`` counters."""
-        return self._originated, self._counts["delivered"]
-
-    def station_airtime(self, station: int) -> float:
-        """Total transmit airtime of one station (closed bursts only)."""
-        return self._airtime.get(station, 0.0)
-
-    def _require_station_count(self) -> int:
-        if self.station_count is None:
-            raise ValueError(
-                "this accessor iterates stations in index order; "
-                "construct MetricTimelines with station_count set"
-            )
-        return self.station_count
-
-    def mean_duty_cycle(self, elapsed: float) -> float:
-        """Mean per-station duty cycle (``NetworkResult.mean_duty_cycle``).
-
-        Folds stations in index order through a Welford accumulator,
-        dividing each station's accumulated airtime by ``elapsed`` —
-        operation-for-operation what ``Network.collect`` computes from
-        the transmitters.
-        """
-        return self.duty_welford(elapsed).mean
-
-    def duty_welford(self, elapsed: float) -> Welford:
-        """The per-station duty-cycle accumulator behind the mean/max."""
-        duty = Welford()
-        for station in range(self._require_station_count()):
-            duty.add(
-                self._airtime.get(station, 0.0) / elapsed
-                if elapsed > 0
-                else 0.0
-            )
-        return duty
-
-    def mean_delay(self) -> float:
-        """Mean end-to-end delivery delay (``NetworkResult.mean_delay``).
-
-        Per-station delay lists extend the accumulator in station-index
-        order, matching ``Network.collect``'s iteration bit-exactly.
-        """
-        delays = Welford()
-        for station in range(self._require_station_count()):
-            station_delays = self._delays.get(station)
-            if station_delays:
-                delays.extend(station_delays)
-        return delays.mean
-
-    def control_overhead(self) -> float:
-        """Control frames per delivered data hop (T7's ``ctrl`` column)."""
-        control = self._control["rts"] + self._control["cts"]
-        return control / max(self.hop_deliveries, 1)
 
     # -- time series ---------------------------------------------------
 
@@ -403,18 +186,6 @@ class MetricTimelines(Sink):
             series.append((index * window, total))
         return series
 
-    def duty_summary(self, elapsed: float):
-        """Welford summary of per-station duty cycles (via the
-        :mod:`repro.parallel.aggregate` helpers)."""
-        from repro.parallel.aggregate import summarize
-
-        return summarize(
-            [
-                self._airtime.get(station, 0.0) / elapsed if elapsed > 0 else 0.0
-                for station in range(self._require_station_count())
-            ]
-        )
-
 
 _HANDLERS = {
     "tx_start": MetricTimelines._on_tx_start,
@@ -422,11 +193,7 @@ _HANDLERS = {
     "tx_abort": MetricTimelines._on_tx_end,
     "rx_ok": MetricTimelines._on_rx_ok,
     "rx_fail": MetricTimelines._on_rx_fail,
-    "delivered": MetricTimelines._on_delivered,
-    "queue_enter": MetricTimelines._on_queue_enter,
-    "queue_leave": MetricTimelines._on_queue_leave,
+    "queue_enter": MetricTimelines._on_queue_change,
+    "queue_leave": MetricTimelines._on_queue_change,
     "queue_flush": MetricTimelines._on_queue_flush,
-    "control_sent": MetricTimelines._on_control_sent,
-    "fault_inject": MetricTimelines._on_fault_inject,
-    "sic_cancel": MetricTimelines._on_sic_cancel,
 }

@@ -1,12 +1,12 @@
 """Task descriptions and execution: one seeded simulation run per task.
 
 A :class:`TaskSpec` is a picklable, self-contained description of one
-unit of work — an experiment from the registry, a dotted-name callable,
-or the standard loaded-network scenario — plus the derived seed that
-makes it reproducible.  :func:`execute_task` turns a spec into a
-:class:`TaskResult` *without ever raising*: exceptions become
-structured error rows, so a pool of workers can aggregate outcomes
-deterministically whatever happens inside a task.
+unit of work — an experiment from the registry or a dotted-name
+callable — plus the derived seed that makes it reproducible.
+:func:`execute_task` turns a spec into a :class:`TaskResult` *without
+ever raising*: exceptions become structured error rows, so a pool of
+workers can aggregate outcomes deterministically whatever happens
+inside a task.
 
 Because a task is fully described by its spec (parameters and seed
 included), executing it inline, in a spawned worker, or on another
@@ -37,9 +37,9 @@ __all__ = [
     "spec_digest",
 ]
 
-#: Task kinds: an experiment id from the registry, a ``module:callable``
-#: dotted name, or the standard ``run_loaded_network`` scenario.
-_KINDS = ("experiment", "function", "scenario")
+#: Task kinds: an experiment id from the registry, or a
+#: ``module:callable`` dotted name.
+_KINDS = ("experiment", "function")
 
 
 @dataclass(frozen=True)
@@ -50,10 +50,8 @@ class TaskSpec:
         task_id: unique, stable identifier; aggregation merges results
             in spec order, keyed by this id.
         kind: ``"experiment"`` (``target`` is a registry id such as
-            ``"T7"``), ``"function"`` (``target`` is a picklable-safe
-            ``"package.module:callable"`` dotted name), or
-            ``"scenario"`` (the ``run_loaded_network`` family;
-            ``target`` is ignored).
+            ``"T7"``) or ``"function"`` (``target`` is a picklable-safe
+            ``"package.module:callable"`` dotted name).
         target: what to run, interpreted per ``kind``.
         params: keyword arguments for the target (must be picklable).
         seed: derived seed from the task tree; when set it is passed to
@@ -82,7 +80,7 @@ class TaskSpec:
             raise ValueError("task_id must be non-empty")
         if self.kind not in _KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}; one of {_KINDS}")
-        if self.kind in ("experiment", "function") and not self.target:
+        if not self.target:
             raise ValueError(f"{self.kind} tasks need a target")
         if self.timeout_s is not None and self.timeout_s <= 0.0:
             raise ValueError("timeout must be positive")
@@ -307,49 +305,9 @@ def _run_function(spec: TaskSpec) -> Dict[str, Any]:
     return {"value": outcome}
 
 
-def _run_scenario(spec: TaskSpec) -> Dict[str, Any]:
-    """The ``run_loaded_network`` family, always sanitized so the
-    engine's replay digest rides along as the determinism witness."""
-    from repro.experiments.simsetup import run_loaded_network
-    from repro.sim.sanitizer import sanitized
-
-    kwargs = dict(spec.params)
-    stations = int(kwargs.pop("stations"))
-    load = float(kwargs.pop("load"))
-    duration_slots = float(kwargs.pop("duration_slots"))
-    seed = spec.seed if spec.seed is not None else 29
-    placement_seed = int(kwargs.pop("placement_seed", seed + stations))
-    traffic_seed = int(kwargs.pop("traffic_seed", seed))
-    if kwargs:
-        unknown = ", ".join(sorted(kwargs))
-        raise TypeError(f"unknown scenario parameters: {unknown}")
-    with sanitized(True):
-        network, result = run_loaded_network(
-            stations,
-            load,
-            duration_slots,
-            placement_seed=placement_seed,
-            traffic_seed=traffic_seed,
-        )
-        digest = network.env.replay_digest()
-    return {
-        "stations": stations,
-        "load": load,
-        "duration_slots": duration_slots,
-        "seed": seed,
-        "events": network.env.events_processed,
-        "deliveries": result.hop_deliveries,
-        "delivered_end_to_end": result.delivered_end_to_end,
-        "losses": result.losses_total,
-        "collision_free": result.collision_free,
-        "replay_digest": digest,
-    }
-
-
 _RUNNERS = {
     "experiment": _run_experiment,
     "function": _run_function,
-    "scenario": _run_scenario,
 }
 
 
@@ -364,7 +322,7 @@ def execute_task(spec: TaskSpec) -> TaskResult:
 
     runner = _RUNNERS[spec.kind]
     try:
-        if spec.sanitize and spec.kind != "scenario":
+        if spec.sanitize:
             with sanitized(True):
                 payload = runner(spec)
         else:

@@ -6,26 +6,30 @@ import pytest
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.multilevel_power import MultilevelPowerMac
 from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MemorySink, MetricTimelines
 from repro.sim.sanitizer import sanitized
 
 
 def mlp_run(seed=29, count=12, load=0.2, duration_slots=60.0):
-    timelines = MetricTimelines(station_count=count)
-    sink = MemorySink()
     with sanitized(True):
         network = standard_network(
             count,
             seed,
             NetworkConfig(seed=seed),
             mac="multilevel_power",
-            trace=False,
-            instrumentation=Instrumentation((sink, timelines)),
+            trace=True,
         )
         add_uniform_poisson(network, load, seed + 1)
-        network.run(duration_slots * network.budget.slot_time)
+        result = network.run(duration_slots * network.budget.slot_time)
         digest = network.env.replay_digest()
-    return network, timelines, sink, digest
+    return network, result, digest
+
+
+def level_draws(network):
+    return [
+        event
+        for event in network.instrumentation.events()
+        if event.KIND == "tx_power_level"
+    ]
 
 
 class TestValidation:
@@ -44,10 +48,9 @@ class TestValidation:
 
 class TestBehaviour:
     def test_every_attempt_draws_a_level(self):
-        _network, timelines, sink, _digest = mlp_run()
-        draws = [r for r in sink.events() if r.KIND == "tx_power_level"]
+        network, _result, _digest = mlp_run()
+        draws = level_draws(network)
         assert draws
-        assert timelines.power_level_draws == len(draws)
         # Drawn levels live on the configured ladder with the expected
         # downward-geometric scales.
         for record in draws:
@@ -57,22 +60,22 @@ class TestBehaviour:
         assert {record.level for record in draws} == {0, 1, 2}
 
     def test_scaled_bursts_stay_under_power_budget(self):
-        network, _timelines, _sink, _digest = mlp_run(duration_slots=30.0)
+        network, _result, _digest = mlp_run(duration_slots=30.0)
         max_power = network.stations[0].transmitter.max_power_w
         for station in network.stations:
             assert station.transmitter.max_power_w == max_power
 
     def test_still_delivers(self):
-        _network, timelines, _sink, _digest = mlp_run()
-        assert timelines.end_to_end_deliveries > 0
+        _network, result, _digest = mlp_run()
+        assert result.delivered_end_to_end > 0
 
 
 class TestDeterminism:
     def test_replay_digest_bit_identical(self):
-        _n1, t1, _s1, d1 = mlp_run()
-        _n2, t2, _s2, d2 = mlp_run()
+        n1, _r1, d1 = mlp_run()
+        n2, _r2, d2 = mlp_run()
         assert d1 == d2
-        assert t1.power_level_draws == t2.power_level_draws
+        assert len(level_draws(n1)) == len(level_draws(n2))
 
     def test_t7_rows_identical_jobs_1_vs_2(self):
         from repro.experiments.t7_baselines import run

@@ -4,26 +4,33 @@ import pytest
 
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.net.network import NetworkConfig
-from repro.obs import Instrumentation, MetricTimelines
 from repro.radio.receiver_model import DefaultReceiver, SicReceiver
 from repro.sim.sanitizer import sanitized
 
 
 def sic_run(seed=31, count=12, load=0.25, duration_slots=80.0, **config_kw):
-    timelines = MetricTimelines(station_count=count)
     with sanitized(True):
         network = standard_network(
             count,
             seed,
             NetworkConfig(seed=seed, **config_kw),
             mac="sic_aloha",
-            trace=False,
-            instrumentation=Instrumentation((timelines,)),
+            trace=True,
         )
         add_uniform_poisson(network, load, seed + 1)
-        network.run(duration_slots * network.budget.slot_time)
+        result = network.run(duration_slots * network.budget.slot_time)
         digest = network.env.replay_digest()
-    return network, timelines, digest
+    return network, result, digest
+
+
+def cancellations(network):
+    """The run's ``sic_cancel`` events: one per reception during which
+    SIC cancelled at least one interferer."""
+    return [
+        event
+        for event in network.instrumentation.events()
+        if event.KIND == "sic_cancel"
+    ]
 
 
 class TestWiring:
@@ -49,45 +56,42 @@ class TestWiring:
 
 class TestBehaviour:
     def test_cancellations_happen_under_contention(self):
-        _network, timelines, _digest = sic_run()
-        assert timelines.sic_receptions > 0
-        assert timelines.sic_cancellations >= timelines.sic_receptions
+        network, _result, _digest = sic_run()
+        receptions = cancellations(network)
+        assert receptions
+        assert sum(event.cancelled for event in receptions) >= len(receptions)
 
     def test_sic_models_track_only_live_attempts(self):
         # Every cancelled-model entry must be popped by the end/fail/
         # abort lifecycle: a leak would cancel against stale attempts.
         # Transmissions still in flight when the run stops legitimately
         # keep their entry, so the invariant is subset-of-attempts.
-        network, _timelines, _digest = sic_run()
+        network, _result, _digest = sic_run()
         assert set(network.medium._sic_models) <= set(
             network.medium._attempts
         )
 
     def test_sic_recovers_deliveries_vs_plain_slotted_aloha(self):
         seed, count, load, duration = 31, 12, 0.25, 80.0
-        _n, sic_timelines, _d = sic_run(seed, count, load, duration)
-        plain = MetricTimelines(station_count=count)
+        _n, sic_result, _d = sic_run(seed, count, load, duration)
         with sanitized(True):
             network = standard_network(
-                count,
-                seed,
-                NetworkConfig(seed=seed),
-                mac="slotted_aloha",
-                trace=False,
-                instrumentation=Instrumentation((plain,)),
+                count, seed, NetworkConfig(seed=seed), mac="slotted_aloha"
             )
             add_uniform_poisson(network, load, seed + 1)
-            network.run(duration * network.budget.slot_time)
-        assert sic_timelines.hop_deliveries >= plain.hop_deliveries
+            plain = network.run(duration * network.budget.slot_time)
+        assert sic_result.hop_deliveries >= plain.hop_deliveries
 
 
 class TestDeterminism:
     def test_replay_digest_bit_identical(self):
-        _n1, t1, d1 = sic_run()
-        _n2, t2, d2 = sic_run()
+        n1, r1, d1 = sic_run()
+        n2, r2, d2 = sic_run()
         assert d1 == d2
-        assert t1.sic_cancellations == t2.sic_cancellations
-        assert t1.hop_deliveries == t2.hop_deliveries
+        assert sum(event.cancelled for event in cancellations(n1)) == sum(
+            event.cancelled for event in cancellations(n2)
+        )
+        assert r1.hop_deliveries == r2.hop_deliveries
 
     def test_t7_rows_identical_jobs_1_vs_2(self):
         from repro.experiments.t7_baselines import run

@@ -7,7 +7,6 @@ from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.sinr_adaptive import SinrAdaptiveMac
 from repro.net.network import NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic
-from repro.obs import Instrumentation, MetricTimelines
 from repro.propagation.geometry import uniform_disk
 from repro.sim.sanitizer import sanitized
 from repro.sim.streams import RandomStreams
@@ -30,20 +29,14 @@ def budget_stub():
 
 
 def adaptive_run(seed=37, count=12, load=0.2, duration_slots=60.0):
-    timelines = MetricTimelines(station_count=count)
     with sanitized(True):
         network = standard_network(
-            count,
-            seed,
-            NetworkConfig(seed=seed),
-            mac="sinr_adaptive",
-            trace=False,
-            instrumentation=Instrumentation((timelines,)),
+            count, seed, NetworkConfig(seed=seed), mac="sinr_adaptive"
         )
         add_uniform_poisson(network, load, seed + 1)
-        network.run(duration_slots * network.budget.slot_time)
+        result = network.run(duration_slots * network.budget.slot_time)
         digest = network.env.replay_digest()
-    return network, timelines, digest
+    return network, result, digest
 
 
 class TestValidation:
@@ -88,17 +81,17 @@ class TestBehaviour:
         assert result.losses_total == 0
 
     def test_backs_off_under_load_but_still_delivers(self):
-        _network, timelines, _digest = adaptive_run()
-        assert timelines.end_to_end_deliveries > 0
-        assert timelines.transmissions > 0
+        _network, result, _digest = adaptive_run()
+        assert result.delivered_end_to_end > 0
+        assert result.transmissions > 0
 
 
 class TestDeterminism:
     def test_replay_digest_bit_identical(self):
-        _n1, t1, d1 = adaptive_run()
-        _n2, t2, d2 = adaptive_run()
+        _n1, r1, d1 = adaptive_run()
+        _n2, r2, d2 = adaptive_run()
         assert d1 == d2
-        assert t1.end_to_end_deliveries == t2.end_to_end_deliveries
+        assert r1.delivered_end_to_end == r2.delivered_end_to_end
 
     def test_t7_rows_identical_jobs_1_vs_2(self):
         from repro.experiments.t7_baselines import run

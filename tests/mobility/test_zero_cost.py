@@ -87,15 +87,16 @@ class TestLiveChannelIsDeterministic:
             reacquire_every_slots=20.0,
         )
         channel = install_channel(network, spec, seed=5)
-        network.run(250.0 * network.budget.slot_time)
-        return network, channel
+        result = network.run(250.0 * network.budget.slot_time)
+        return network, channel, result
 
     def test_channel_runs_are_bit_deterministic(self, monkeypatch):
         monkeypatch.setenv("REPRO_SANITIZE", "1")
-        one, ch1 = self.run_once()
-        two, ch2 = self.run_once()
+        one, ch1, r1 = self.run_once()
+        two, ch2, r2 = self.run_once()
         assert one.env.replay_digest() == two.env.replay_digest()
         assert ch1.ticks == ch2.ticks
         assert ch1.log.turnovers == ch2.log.turnovers
         assert ch1.log.mobility_reroutes == ch2.log.mobility_reroutes
-        assert ch1.report() == ch2.report()
+        assert ch1.log == ch2.log
+        assert r1.losses_by_reason == r2.losses_by_reason

@@ -75,6 +75,13 @@ class TestCalibration:
                     2.0 * network.config.target_delivered_w / network.budget.min_gain
                 )
 
+    def test_one_station_is_refused_by_name(self):
+        # No receiver has an interference bound to calibrate against;
+        # the design rate used to divide by zero.
+        lone = uniform_disk(1, radius=100.0, seed=1)
+        with pytest.raises(ValueError, match="interference bound"):
+            build_network(lone, NetworkConfig(seed=1))
+
     def test_processing_gain_reported(self):
         network = loaded_network()
         budget = network.budget

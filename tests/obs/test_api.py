@@ -52,7 +52,7 @@ class TestAmbient:
 
 
 class TestResolution:
-    """How build_network folds explicit/config/ambient sources."""
+    """How build_network folds explicit and ambient sources."""
 
     PLACEMENT = uniform_disk(8, radius=400.0, seed=3)
 
@@ -62,12 +62,6 @@ class TestResolution:
     def test_single_explicit_source_used_as_is(self):
         instr = Instrumentation((MemorySink(),))
         network = self.build(trace=False, instrumentation=instr)
-        assert network.instrumentation is instr
-
-    def test_config_source_used_as_is(self):
-        instr = Instrumentation((MemorySink(),))
-        config = NetworkConfig(seed=3, instrumentation=instr)
-        network = build_network(self.PLACEMENT, config, trace=False)
         assert network.instrumentation is instr
 
     def test_multiple_sources_compose_sinks(self):

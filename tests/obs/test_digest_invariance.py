@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.simsetup import add_uniform_poisson, standard_network
-from repro.net.network import NetworkConfig
+from repro.experiments.simsetup import add_uniform_poisson
+from repro.net.network import NetworkConfig, build_network
 from repro.obs import (
     BinarySink,
     Instrumentation,
@@ -26,17 +26,23 @@ from repro.obs import (
     read_binary,
     read_jsonl,
 )
+from repro.propagation.geometry import uniform_disk
 from repro.sim.sanitizer import sanitized
+
+
+def observed_network(count, seed, config, instrumentation):
+    """The ``standard_network`` deployment with explicit sinks."""
+    return build_network(
+        uniform_disk(count, radius=1000.0, seed=seed),
+        config,
+        instrumentation=instrumentation,
+    )
 
 
 def digest_of(seed, load, duration_slots, instrumentation):
     with sanitized(True):
-        network = standard_network(
-            12,
-            seed,
-            NetworkConfig(seed=seed),
-            trace=False,
-            instrumentation=instrumentation,
+        network = observed_network(
+            12, seed, NetworkConfig(seed=seed), instrumentation
         )
         add_uniform_poisson(network, load, seed + 1)
         network.run(duration_slots * network.budget.slot_time)
@@ -56,7 +62,8 @@ class TestDigestInvariance:
             seed,
             load,
             duration,
-            Instrumentation((MemorySink(), MetricTimelines(station_count=12))),
+            # Any window width exercises every fold of the timelines.
+            Instrumentation((MemorySink(), MetricTimelines(window=1.0))),
         )
         assert instrumented == bare
 
@@ -114,9 +121,7 @@ def canonical(result):
 
 class TestResultIgnoresSinks:
     def result_of(self, instrumentation):
-        network = standard_network(
-            60, 89, trace=False, instrumentation=instrumentation
-        )
+        network = observed_network(60, 89, NetworkConfig(), instrumentation)
         add_uniform_poisson(network, 0.1, 7)
         return network.run(60 * network.budget.slot_time)
 

@@ -44,10 +44,10 @@ class TestTaskSpecValidation:
     def test_rejects_bad_timeout_and_retries(self):
         with pytest.raises(ValueError):
             TaskSpec(
-                task_id="t", kind="scenario", timeout_s=0.0
+                task_id="t", kind="experiment", target="F1", timeout_s=0.0
             )
         with pytest.raises(ValueError):
-            TaskSpec(task_id="t", kind="scenario", retries=-1)
+            TaskSpec(task_id="t", kind="experiment", target="F1", retries=-1)
 
     def test_kwargs_merges_seed(self):
         spec = TaskSpec(
@@ -105,36 +105,6 @@ class TestExecuteTask:
         )
         result = execute_task(spec)
         assert not result.ok and "ModuleNotFoundError" in result.error
-
-    def test_scenario_reports_replay_digest(self):
-        spec = TaskSpec(
-            task_id="s",
-            kind="scenario",
-            params={"stations": 12, "load": 0.05, "duration_slots": 30.0},
-            seed=29,
-        )
-        result = execute_task(spec)
-        assert result.ok
-        assert result.replay_digest
-        assert result.payload["replay_digest"] == result.replay_digest
-        # Identical spec, identical everything.
-        again = execute_task(spec)
-        assert again.payload_digest == result.payload_digest
-        assert again.replay_digest == result.replay_digest
-
-    def test_scenario_rejects_unknown_parameters(self):
-        spec = TaskSpec(
-            task_id="s",
-            kind="scenario",
-            params={
-                "stations": 12,
-                "load": 0.05,
-                "duration_slots": 30.0,
-                "bogus": 1,
-            },
-        )
-        result = execute_task(spec)
-        assert not result.ok and "bogus" in result.error
 
     def test_experiment_kind_runs_registry(self):
         spec = TaskSpec(

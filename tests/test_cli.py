@@ -81,6 +81,10 @@ class TestCommands:
         ]
         assert len(digests) == 2 and digests[0] == digests[1]
 
+    def test_verify_determinism_refuses_one_station_by_name(self):
+        with pytest.raises(ValueError, match="interference bound"):
+            main(["verify-determinism", "--stations", "1"])
+
 
 class TestParallelCommands:
     TINY_T2 = [
@@ -342,3 +346,12 @@ class TestReportCommand:
 
         with pytest.raises(SystemExit):
             build_parser().parse_args(["report", "--timeline", "bogus"])
+
+    @pytest.mark.parametrize("width", ["0", "-5", "nan", "inf", "wide"])
+    def test_rejects_a_window_that_is_not_positive_and_finite(
+        self, capsys, width
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--timeline", "duty", "--window-slots", width])
+        assert exc.value.code == 2
+        assert "--window-slots" in capsys.readouterr().err

@@ -46,14 +46,14 @@ class TestSimulate:
         assert TxStart in kinds and Delivered in kinds
 
     def test_instrumentation_sink_observes_the_run(self):
-        timelines = MetricTimelines(station_count=14)
+        timelines = MetricTimelines()
         outcome = repro.simulate(
             SCENARIO, seed=3, instrumentation=Instrumentation((timelines,))
         )
-        assert timelines.transmissions == outcome.result.transmissions
-        assert timelines.hop_deliveries == outcome.result.hop_deliveries
+        assert timelines.count("tx_outcome") == outcome.result.transmissions
+        assert timelines.count("rx_ok") == outcome.result.hop_deliveries
         assert (
-            timelines.end_to_end_deliveries
+            timelines.count("delivered")
             == outcome.result.delivered_end_to_end
         )
 
@@ -123,6 +123,13 @@ class TestSimulate:
         )
         assert installed == [21]
         assert outcome.network.station_count == 10
+
+    def test_one_station_placement_is_refused_by_name(self):
+        # A lone station has no interference bound to calibrate the
+        # link budget against; that used to divide by zero.
+        lone = repro.Scenario(placement=uniform_disk(1, radius=100.0, seed=1))
+        with pytest.raises(ValueError, match="interference bound"):
+            repro.simulate(lone, seed=1)
 
     def test_scenario_validation(self):
         with pytest.raises(ValueError):

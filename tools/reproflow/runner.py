@@ -59,7 +59,6 @@ class ReproflowConfig:
         "repro.parallel.task:execute_task",
         "repro.parallel.task:_run_experiment",
         "repro.parallel.task:_run_function",
-        "repro.parallel.task:_run_scenario",
         "repro.parallel.pool:_worker_main",
         "repro.parallel.cache:ResultCache.verify",
     )
