@@ -18,7 +18,8 @@ The contender list is the MAC registry — register a new scheme with
 
 Every printed number comes from the run's
 :class:`~repro.net.NetworkResult` — losses, delay — except control
-overhead, which counts the RTS and CTS frames each MACA station sent.
+overhead, which counts the RTS and CTS frames each MACA station sent
+(T7's :func:`~repro.experiments.t7_baselines.control_per_hop`).
 
 Run::
 
@@ -26,7 +27,8 @@ Run::
 """
 
 import repro
-from repro.mac import MacaMac, mac_names
+from repro.experiments.t7_baselines import control_per_hop
+from repro.mac import mac_names
 from repro.net import NetworkConfig
 
 
@@ -62,11 +64,7 @@ def main() -> None:
                 if result.transmissions
                 else 0.0
             )
-            control = sum(
-                station.mac.rts_sent + station.mac.cts_sent
-                for station in outcome.network.stations
-                if isinstance(station.mac, MacaMac)
-            ) / max(result.hop_deliveries, 1)
+            control = control_per_hop(outcome.network, result)
             delay_slots = result.mean_delay / outcome.network.budget.slot_time
             print(
                 f"{name:>14s} {load:>9.2f} "

@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults import StationChurn, compile_plan, install_faults
-from repro.faults.resilience import FAULT_LOSS_REASONS
+from repro.faults.resilience import split_losses
 from repro.mac.registry import get_mac, mac_names
 from repro.net.network import NetworkConfig, NetworkResult
 from repro.parallel.seedtree import derive_seed
@@ -130,11 +130,7 @@ def run_resilience_point(
                 recovery_latency = elapsed
 
         reroute_slots = injector.log.mean_time_to_reroute() / slot
-        fault_losses = sum(
-            count
-            for reason, count in last.losses_by_reason.items()
-            if reason in FAULT_LOSS_REASONS
-        )
+        fault_losses, sir_losses = split_losses(last.losses_by_reason)
         rows.append(
             (
                 name,
@@ -146,7 +142,7 @@ def run_resilience_point(
                 recovery_latency,
                 reroute_slots,
                 fault_losses,
-                last.losses_total - fault_losses,
+                sir_losses,
                 last.fault_drops,
                 last.arq_retries,
                 last.arq_giveups,

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
-from repro.faults.resilience import FAULT_LOSS_REASONS
+from repro.faults.resilience import split_losses
 from repro.mac.registry import get_mac
 from repro.mobility import (
     ChannelSpec,
@@ -188,6 +188,7 @@ def run_mobility_point(
         final_ratio = _window_ratio(tail_start, last)
 
         rendezvous_slots = channel.log.mean_rendezvous_recovery() / slot
+        _fault_losses, sir_losses = split_losses(last.losses_by_reason)
         rows.append(
             (
                 name,
@@ -199,11 +200,7 @@ def run_mobility_point(
                 recovery_latency,
                 rendezvous_slots,
                 len(channel.log.mobility_reroutes),
-                sum(
-                    count
-                    for reason, count in last.losses_by_reason.items()
-                    if reason not in FAULT_LOSS_REASONS
-                ),
+                sir_losses,
                 last.arq_retries,
                 last.arq_giveups,
             )

@@ -23,9 +23,23 @@ from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import run_loaded_network
 from repro.mac.maca import MacaMac
 from repro.mac.registry import mac_names
-from repro.net.network import NetworkConfig
+from repro.net.network import Network, NetworkConfig, NetworkResult
 
-__all__ = ["run", "run_load_point"]
+__all__ = ["control_per_hop", "run", "run_load_point"]
+
+
+def control_per_hop(network: Network, result: NetworkResult) -> float:
+    """Control frames sent per hop delivery: T7's overhead column.
+
+    Only MACA sends control frames, its RTS and CTS bursts, so every
+    other MAC scores 0.
+    """
+    frames = sum(
+        station.mac.rts_sent + station.mac.cts_sent
+        for station in network.stations
+        if isinstance(station.mac, MacaMac)
+    )
+    return frames / max(result.hop_deliveries, 1)
 
 
 def run_load_point(
@@ -62,13 +76,7 @@ def run_load_point(
             if result.transmissions
             else 0.0
         )
-        # Only MACA sends control frames: its RTS and CTS bursts.
-        control_frames = sum(
-            station.mac.rts_sent + station.mac.cts_sent
-            for station in network.stations
-            if isinstance(station.mac, MacaMac)
-        )
-        control = control_frames / max(result.hop_deliveries, 1)
+        control = control_per_hop(network, result)
         slot = network.budget.slot_time
         mean_delay = result.mean_delay
         rows.append(

@@ -5,17 +5,17 @@ event is recorded with its simulation time, so experiments can pair a
 crash with the routing re-derivation that followed it and report the
 *time to reroute*.  The run's counters (losses by reason, queue drops,
 ARQ retries) are in its :class:`~repro.net.network.NetworkResult`;
-:data:`FAULT_LOSS_REASONS` splits its loss taxonomy into fault and SIR
-losses.
+:func:`split_losses` splits its loss taxonomy into fault and SIR losses
+by :data:`FAULT_LOSS_REASONS`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Mapping, Tuple
 
-__all__ = ["FAULT_LOSS_REASONS", "ResilienceLog"]
+__all__ = ["FAULT_LOSS_REASONS", "ResilienceLog", "split_losses"]
 
 
 @dataclass
@@ -106,3 +106,18 @@ class ResilienceLog:
 FAULT_LOSS_REASONS = frozenset(
     {"receiver_down", "source_down", "corrupted"}
 )
+
+
+def split_losses(losses_by_reason: Mapping[str, int]) -> Tuple[int, int]:
+    """``(fault, sir)`` loss counts of a run's ``losses_by_reason``.
+
+    Fault losses are those with a reason in :data:`FAULT_LOSS_REASONS`;
+    every other reason is an SIR loss, so the two sum to the run's
+    ``losses_total``.
+    """
+    fault = sum(
+        count
+        for reason, count in losses_by_reason.items()
+        if reason in FAULT_LOSS_REASONS
+    )
+    return fault, sum(losses_by_reason.values()) - fault

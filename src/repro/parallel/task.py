@@ -57,8 +57,8 @@ class TaskSpec:
         seed: derived seed from the task tree; when set it is passed to
             the target as its ``seed`` keyword (the builder is
             responsible for only seeding seed-taking targets).
-        sanitize: run under the determinism sanitizer; targets that
-            expose a ``replay_digest`` in their payload need this.
+        sanitize: run under the determinism sanitizer, which checks
+            the event wheel and keeps the engine's replay digest.
         timeout_s: per-task wall-clock limit (enforced only by the
             multiprocess pool; inline execution cannot be interrupted).
         retries: extra attempts after a worker crash or timeout (a task
@@ -107,8 +107,9 @@ class TaskResult:
         error: failure description (exception, crash, or timeout).
         attempts: how many times the task was started (> 1 after a
             worker crash or timeout triggered a retry).
-        replay_digest: the engine's replay digest, when the task ran
-            sanitized and its payload carried one.
+        replay_digest: the string a function target's payload
+            carries under ``replay_digest``, if any; no target in the
+            package returns one.
         payload_digest: BLAKE2b fingerprint of the canonicalised
             payload — the cross-process bit-exactness check.
     """

@@ -67,7 +67,7 @@ class TestTdmaInNetwork:
         usable = probe.matrix.usable_links(probe.budget.min_gain)
         plan = build_tdma_plan(usable, probe.budget.packet_airtime)
         network = standard_network(
-            20, seed, config, mac=lambda i, b: TdmaMac(plan)
+            20, seed, config, mac=lambda i, b: TdmaMac(plan), trace=True
         )
         add_uniform_poisson(network, 0.1, seed + 1)
         result = network.run(300 * network.budget.slot_time)
@@ -75,11 +75,14 @@ class TestTdmaInNetwork:
 
     @staticmethod
     def tx_starts(network):
-        return [
+        starts = [
             (event.time, event.source)
             for event in network.instrumentation.events()
             if isinstance(event, TxStart)
         ]
+        # An empty trace would pass the checks below vacuously.
+        assert starts
+        return starts
 
     def test_loss_free(self, outcome):
         _network, _plan, result = outcome

@@ -18,7 +18,9 @@ from repro.experiments.simsetup import (
     run_loaded_network,
     standard_network,
 )
+from repro.experiments.t7_baselines import control_per_hop
 from repro.faults import StationChurn, compile_plan, install_faults
+from repro.faults.resilience import FAULT_LOSS_REASONS, split_losses
 from repro.mac import MacaMac
 from repro.net.network import NetworkConfig
 from repro.obs import Instrumentation, MetricTimelines, use_instrumentation
@@ -112,7 +114,7 @@ class TestCountersMatchOtherRuns:
     """The equalities experiments rely on outside the plain network."""
 
     def test_maca_control_frames(self):
-        network, _result = run_loaded_network(
+        network, result = run_loaded_network(
             STATIONS, LOAD, DURATION_SLOTS, mac="maca", trace=True
         )
         sent = Counter(
@@ -124,6 +126,9 @@ class TestCountersMatchOtherRuns:
         assert sent["rts"] == sum(mac.rts_sent for mac in macs) > 0
         assert sent["cts"] == sum(mac.cts_sent for mac in macs) > 0
         assert sum(sent.values()) == sent["rts"] + sent["cts"]
+        assert control_per_hop(network, result) == (
+            sum(sent.values()) / result.hop_deliveries
+        )
 
     def test_station_churn_drops_and_crashes(self):
         network = standard_network(
@@ -160,6 +165,13 @@ class TestCountersMatchOtherRuns:
             if event.fault == "down"
         ]
         assert len(crashes) == len(injector.log.crashes) > 0
+        fault_failures = [
+            event for event in of_kind(events, "rx_fail")
+            if event.reason in FAULT_LOSS_REASONS
+        ]
+        fault_losses, sir_losses = split_losses(result.losses_by_reason)
+        assert fault_losses == len(fault_failures) > 0
+        assert fault_losses + sir_losses == result.losses_total
 
     def test_arq_retries_and_giveups(self):
         network, result = run_loaded_network(
