@@ -482,6 +482,18 @@ def _positive_finite(text: str) -> float:
     return value
 
 
+def _station_count(text: str) -> int:
+    """argparse type: an int of at least 2 (one station alone has no
+    interference bound to calibrate the link budget against)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 stations, got {text!r}")
+    return value
+
+
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.experiments.simsetup import add_uniform_poisson, standard_network
     from repro.net.network import NetworkConfig
@@ -765,9 +777,9 @@ def build_parser() -> argparse.ArgumentParser:
         "verify-determinism",
         help="run a seeded scenario twice and compare replay digests",
     )
-    verify_cmd.add_argument("--stations", type=int, default=40)
-    verify_cmd.add_argument("--load", type=float, default=0.03)
-    verify_cmd.add_argument("--duration-slots", type=float, default=80.0)
+    verify_cmd.add_argument("--stations", type=_station_count, default=40)
+    verify_cmd.add_argument("--load", type=_positive_finite, default=0.03)
+    verify_cmd.add_argument("--duration-slots", type=_positive_finite, default=80.0)
     verify_cmd.add_argument("--seed", type=int, default=29)
     verify_cmd.set_defaults(handler=_cmd_verify_determinism)
 
@@ -827,10 +839,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("duty", "queue", "sir", "loss"),
         help="which per-station series to render",
     )
-    report_cmd.add_argument("--stations", type=int, default=100)
-    report_cmd.add_argument("--load", type=float, default=0.05)
+    report_cmd.add_argument("--stations", type=_station_count, default=100)
+    report_cmd.add_argument("--load", type=_positive_finite, default=0.05)
     report_cmd.add_argument(
-        "--duration-slots", type=float, default=300.0, metavar="SLOTS",
+        "--duration-slots", type=_positive_finite, default=300.0, metavar="SLOTS",
     )
     report_cmd.add_argument(
         "--window-slots", type=_positive_finite, default=10.0, metavar="SLOTS",

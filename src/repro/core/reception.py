@@ -189,14 +189,16 @@ class TrackerBatch:
 
     The medium updates *every* in-progress reception whenever
     interference can rise: when a burst begins, and after a resync or
-    a link write.  A burst's end only lowers it, so that update is
-    skipped unless a resync or a cancelling receiver model needs it
-    (``Medium._fold_retirement``).  The per-reception tracker update is
-    still the simulator's hot path.  This class keeps the
-    tracker state (threshold, wanted-signal power, noise, worst SIR,
-    failure time) in dense parallel arrays so one :meth:`update` call
-    folds the new interference level into all receptions with a handful
-    of numpy operations instead of a Python loop.
+    a link write.  A burst's end only lowers it, so at an end the
+    medium updates only the receptions whose row a resync raised since
+    their last update (:meth:`update_where`), or every one while a
+    cancelling receiver model is tracked (``Medium._fold_retirement``).
+    The per-reception tracker update is still the simulator's hot
+    path.  This class keeps the tracker state (threshold, wanted-signal
+    power, noise, worst SIR, failure time) in dense parallel arrays so
+    one :meth:`update` call folds the new interference level into all
+    receptions with a handful of numpy operations instead of a Python
+    loop.
 
     Entries are keyed by an opaque integer ``tag`` (the medium uses the
     transmission sequence number) and stored densely: removal swaps the

@@ -40,10 +40,10 @@ The trackers are folded only where an SIR can fall.  A burst that
 ends or is aborted only takes power out of the field, and every step
 from the field to an SIR is monotone under round-to-nearest, so no
 tracked SIR can drop below what the last pass saw: such a retirement
-skips the tracker pass, byte-identically.  It runs the pass anyway
-after a resync (the exact field may sit above the incremental one) and
-while a cancelling receiver model is tracked (its reduced level is not
-monotone in floating point).
+skips the tracker pass, byte-identically.  It still folds the rows a
+resync raised since their last pass (the exact field may sit above the
+incremental one), and runs the whole pass while a cancelling receiver
+model is tracked (its reduced level is not monotone in floating point).
 
 Two gain representations sit behind one small private interface, and
 the medium picks one from the type of the gains it is handed: a dense
@@ -274,19 +274,31 @@ class _CsrField:
         self.gains = gains
         self.count = gains.count
         self.culled_out_max = gains.culled_out_max
+        self._memo_source = -1
+        self._memo: Tuple[np.ndarray, np.ndarray] = (
+            np.zeros(0, dtype=np.intp),
+            np.zeros(0),
+        )
 
     def _column(self, source: int) -> Tuple[np.ndarray, np.ndarray]:
         """One transmitter's column as (receivers, gains).
 
         The stored int32 receivers are cast to ``intp`` here, once per
         column: every fancy index with an int32 array would otherwise
-        make the same cast itself, and a burst indexes with its column
-        several times (scatter, touched-mask set and reset).
+        make the same cast itself.  The last column read is kept, so a
+        burst start reads its column once for the scatter, the wanted
+        link's gain and the touched rows, and its end once for the
+        scatter and the touched rows.  The field is read-only, so the
+        kept column never goes stale; callers must not write to it.
         """
+        if source == self._memo_source:
+            return self._memo
         indptr = self.gains.indptr
         lo = int(indptr[source])
         hi = int(indptr[source + 1])
-        return self.gains.rows[lo:hi].astype(np.intp), self.gains.vals[lo:hi]
+        self._memo = self.gains.rows[lo:hi].astype(np.intp), self.gains.vals[lo:hi]
+        self._memo_source = source
+        return self._memo
 
     def add(self, field: np.ndarray, source: int, power_w: float) -> None:
         """Scatter over the column's receivers.  The rows are unique, so
@@ -303,7 +315,14 @@ class _CsrField:
         field[rows] -= vals * power_w
 
     def gain(self, receiver: int, source: int) -> float:
-        return self.gains.gain(receiver, source)
+        """The stored gain, found by binary search in the (kept) column
+        of ascending receivers; culled and over-horizon links read 0.0.
+        The medium never asks for a self-gain, so none is refused."""
+        rows, vals = self._column(source)
+        position = int(rows.searchsorted(receiver))
+        if position < rows.size and rows[position] == receiver:
+            return float(vals[position])
+        return 0.0
 
     def gather(self, source: int, stations: np.ndarray) -> np.ndarray:
         return self.gains.gather(source, stations)
@@ -412,8 +431,12 @@ class Medium:
         self._tx_count = np.zeros(stations, dtype=np.int64)
         self._resync_events = resync_events
         self._field_changes = 0
-        # Set when a resync replaces the field, cleared by an unscoped
-        # tracker pass: until then a retirement may not skip its pass.
+        # Per station: a resync raised the field at this tracked
+        # receiver, and no tracker pass has evaluated it since.  A
+        # retirement folds only these rows.  _resynced is the cheap
+        # guard, set while any mark may be, so a medium with none set
+        # pays no numpy call for them.
+        self._raised = np.zeros(stations, dtype=bool)
         self._resynced = False
         # Scratch buffers for the hot path (the per-attempt gathers and
         # the touched-receiver mask of a scoped update); contents
@@ -665,9 +688,15 @@ class Medium:
                     f"after {self._field_changes} field changes)"
                 )
             self._check_bound_terms()
+        # Mark the tracked receivers the exact field raises: only their
+        # SIRs can sit below what their last pass saw after a retirement.
+        receivers = self._trackers.receivers
+        raised = receivers[exact[receivers] > self._interference[receivers]]
         self._interference = exact
         self._field_changes = 0
-        self._resynced = True
+        if raised.size:
+            self._raised[raised] = True
+            self._resynced = True
 
     def _check_bound_terms(self) -> None:
         """Sanitizer: the cached culling-bound terms must cover exactly
@@ -773,44 +802,61 @@ class Medium:
                 RxLock(self.env.now, receiver, tx.source, channel)
             )
 
-    def _update_attempts(self, tx: Optional[Transmission] = None) -> None:
-        """Fold the current field into the in-progress receptions.
+    def _reached(self, tx: Optional[Transmission]) -> Optional[np.ndarray]:
+        """The tracked receptions a change of ``tx``'s column reaches, as
+        a mask over dense tracker positions; ``None`` means all of them.
 
-        Given the burst ``tx`` whose begin or end changed the field, a
-        CSR field scopes the update to the receptions that change can
-        reach: the receivers in the transmitter's column, the
-        transmitter itself (its own radiated power feeds the
-        :data:`SELF_COUPLING_GAIN` term — the Type 3 mechanism when a
-        locked receiver later keys up), and the destination (a freshly
-        locked attempt needs its first sample even if the wanted link
-        was culled).  Everything else saw the identical interference
-        level and is skipped; per-entry arithmetic for the touched
-        subset matches the full pass, which a dense field and every
-        other change take.
+        A CSR field scopes the change to the receivers in the
+        transmitter's column, the transmitter itself (its own radiated
+        power feeds the :data:`SELF_COUPLING_GAIN` term — the Type 3
+        mechanism when a locked receiver later keys up), and the
+        destination (a freshly locked attempt needs its first sample
+        even if the wanted link was culled).  Everything else saw the
+        identical interference level.  A dense field, and every change
+        without a burst, reaches every reception.
         """
-        batch = self._trackers
-        count = batch.count
-        if count == 0:
+        if tx is None or (rows := self._field.touched(tx.source)) is None:
+            return None
+        touched = self._touched
+        touched[rows] = True
+        touched[tx.source] = True
+        touched[tx.destination] = True
+        reached = touched[self._trackers.receivers]
+        touched[rows] = False
+        touched[tx.source] = False
+        touched[tx.destination] = False
+        return reached
+
+    def _update_attempts(self, tx: Optional[Transmission] = None) -> None:
+        """Fold the current field into the in-progress receptions that
+        the begin or end of ``tx`` reached (see :meth:`_reached`), or
+        into every reception when ``tx`` is ``None``."""
+        if self._trackers.count == 0:
             return
+        reached = self._reached(tx)
+        if reached is None:
+            self._fold(None)
+        elif (positions := reached.nonzero()[0]).size:
+            self._fold(positions)
+
+    def _fold(self, positions: Optional[np.ndarray]) -> None:
+        """One tracker pass over the receptions at dense ``positions``
+        (all of them when ``None``); it clears their resync marks.
+        Per-entry arithmetic is the same whichever subset is folded."""
+        batch = self._trackers
         receivers = batch.receivers
-        positions: Optional[np.ndarray] = None
-        if tx is not None and (rows := self._field.touched(tx.source)) is not None:
-            touched = self._touched
-            touched[rows] = True
-            touched[tx.source] = True
-            touched[tx.destination] = True
-            positions = touched[receivers].nonzero()[0]
-            touched[rows] = False
-            touched[tx.source] = False
-            touched[tx.destination] = False
-            if positions.size == 0:
-                return
+        if positions is not None:
             targets = receivers[positions]
+            if self._resynced:
+                self._raised[targets] = False
             interference = self._interference[targets]
             interference += self._powers[targets] * SELF_COUPLING_GAIN
             interference -= batch.signals[positions]
         else:
-            self._resynced = False
+            if self._resynced:
+                self._raised.fill(False)
+                self._resynced = False
+            count = batch.count
             # Gather the incremental field at each attempt's receiver,
             # then apply the two per-attempt corrections: the receiver's
             # own transmitter couples in, and the wanted signal (stored
@@ -868,17 +914,38 @@ class Medium:
         ``signal / .``) is monotone under round-to-nearest.  So every
         SIR the pass would compute is at least the one the reception's
         last pass folded in: no ``min_sir``, ``failed_at`` or failure
-        source could change, and the pass is skipped.  Two cases still
-        run it:
+        source could change, and the pass is skipped.  Two cases break
+        that chain:
 
-        * a resync replaced the field since the last unscoped pass: the
-          exact field can sit above the incremental one, and a CSR
-          medium's scoped passes leave untouched rows unevaluated;
+        * a resync raised a reception's row since its last pass: the
+          exact field can sit above the incremental one.
+          ``_resync_field`` marks such rows, every pass clears the marks
+          of the rows it evaluates, and a retirement folds only marked
+          rows: on a CSR medium those its column touches (see
+          :meth:`_reached`), on a dense medium or at an abort all of
+          them.  An unmarked row has only lost power since its last
+          pass;
         * a cancelling receiver model is tracked: its reduced level is
-          monotone only in exact arithmetic.
+          monotone only in exact arithmetic, so the whole pass runs.
         """
-        if self._resynced or self._sic_models:
+        if self._sic_models:
             self._update_attempts(tx)
+            return
+        if not self._resynced:
+            return
+        marked = self._raised[self._trackers.receivers]
+        if not marked.any():
+            # The marks left sit where no reception is tracked, and a
+            # reception locked there later is folded by its own begin.
+            self._raised.fill(False)
+            self._resynced = False
+            return
+        reached = self._reached(tx)
+        if reached is not None:
+            marked &= reached
+        positions = marked.nonzero()[0]
+        if positions.size:
+            self._fold(positions)
 
     def _notify_overhearers(self, tx: Transmission) -> None:
         """One vectorised eligibility pass over all registered overhearers.

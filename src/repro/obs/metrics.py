@@ -31,12 +31,11 @@ class MetricTimelines(Sink):
         window: window length in simulated time units for the per-window
             series; ``None`` counts event kinds only.  May be assigned
             after construction (e.g. once the built network's slot time
-            is known) as long as no event has been emitted.
+            is known) as long as no event has been emitted; every
+            assignment is checked to be positive and finite.
     """
 
     def __init__(self, window: Optional[float] = None) -> None:
-        if window is not None and not (math.isfinite(window) and window > 0.0):
-            raise ValueError("window must be positive and finite")
         self.window = window
         self._counts: Counter = Counter()
         self._last_time = 0.0
@@ -47,6 +46,16 @@ class MetricTimelines(Sink):
         self._sir_w: Dict[Tuple[int, int], Welford] = {}
         self._loss_w: Counter = Counter()
 
+    def _get_window(self) -> Optional[float]:
+        return self._window
+
+    def _set_window(self, window: Optional[float]) -> None:
+        if window is not None and not (math.isfinite(window) and window > 0.0):
+            raise ValueError("window must be positive and finite")
+        self._window = window
+
+    window = property(_get_window, _set_window, doc="The window length, or None.")
+
     # -- sink protocol -------------------------------------------------
 
     def emit(self, event: TraceEvent) -> None:
@@ -55,7 +64,7 @@ class MetricTimelines(Sink):
         self._counts[kind] += 1
         if event.time > self._last_time:
             self._last_time = event.time
-        if self.window is not None:
+        if self._window is not None:
             handler = _HANDLERS.get(kind)
             if handler is not None:
                 handler(self, event)
@@ -69,7 +78,7 @@ class MetricTimelines(Sink):
         start = self._tx_open.pop(event.source, None)
         if start is None:
             return
-        window = self.window
+        window = self._window
         first = int(start // window)
         last = int(event.time // window)
         for index in range(first, last + 1):
@@ -80,14 +89,14 @@ class MetricTimelines(Sink):
                 self._duty_w[key] = self._duty_w.get(key, 0.0) + (high - low)
 
     def _on_rx_ok(self, event: TraceEvent) -> None:
-        key = (event.receiver, int(event.time // self.window))
+        key = (event.receiver, int(event.time // self._window))
         welford = self._sir_w.get(key)
         if welford is None:
             welford = self._sir_w[key] = Welford()
         welford.add(event.min_sir)
 
     def _on_rx_fail(self, event: TraceEvent) -> None:
-        self._loss_w[(event.receiver, int(event.time // self.window))] += 1
+        self._loss_w[(event.receiver, int(event.time // self._window))] += 1
 
     def _on_queue_change(self, event: TraceEvent) -> None:
         self._set_queue_depth(event.station, event.depth, event.time)
@@ -96,7 +105,7 @@ class MetricTimelines(Sink):
         self._set_queue_depth(event.station, 0, event.time)
 
     def _set_queue_depth(self, station: int, depth: int, time: float) -> None:
-        key = (station, int(time // self.window))
+        key = (station, int(time // self._window))
         previous = self._queue_w.get(key)
         peak = depth if previous is None else max(previous[1], depth)
         self._queue_w[key] = (depth, peak)
@@ -114,12 +123,12 @@ class MetricTimelines(Sink):
     # -- time series ---------------------------------------------------
 
     def _require_window(self) -> float:
-        if self.window is None:
+        if self._window is None:
             raise ValueError(
                 "series need a window; construct MetricTimelines with "
                 "window set (or assign it before the run starts)"
             )
-        return self.window
+        return self._window
 
     @property
     def window_count(self) -> int:

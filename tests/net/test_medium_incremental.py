@@ -454,9 +454,10 @@ def burst(seq, source, destination, power_w):
 
 
 class TestRetirementFold:
-    """A retirement skips the tracker pass unless a resync or a
-    cancelling receiver needs it; every outcome must match a medium
-    that always folds, to the last bit of each worst SIR."""
+    """A retirement folds only the rows a resync raised, or runs the
+    whole pass while a cancelling receiver is tracked; every outcome
+    must match a medium that always folds, to the last bit of each
+    worst SIR."""
 
     @staticmethod
     def assert_matches_always_fold(ops, **options):
@@ -543,6 +544,65 @@ class TestRetirementFold:
         medium._end(x)  # the sixth field change: the resync
         assert medium._field_changes == 0
         assert float.hex(medium._trackers.min_sir(w.seq)) == "0x1.fffffffffdcd0p-1"
+
+    @staticmethod
+    def csr_resync_scene():
+        """A CSR medium whose resync raises the row of W's receiver,
+        station 0, at the begin of Y, whose column misses station 0, so
+        no pass folds the raise.  As in the dense case, a 1e16 W burst
+        leaves station 0's incremental field 1 W below the exact one.
+        The ends of C and B both reach station 0.  Returns the medium,
+        W, B and C."""
+        gains = np.full((8, 8), 1e-9)
+        np.fill_diagonal(gains, 0.0)
+        gains[0, 1] = gains[0, 2] = gains[0, 3] = 1.0
+        gains[0, 4] = 0.0
+        gains[0, 5] = 1e-3
+        # The planted drift exceeds the sanitizer's tolerance by design.
+        _, medium = build_medium(gains=gains, cull_gain=0.0, resync_events=6)
+        a = burst(0, 1, 2, 1e16)
+        b = burst(1, 2, 1, 1.0)
+        c = burst(2, 5, 6, 1.0)
+        w = burst(3, 3, 0, 1.0)
+        y = burst(4, 4, 7, 1.0)
+        medium._begin(a)
+        medium._begin(b)
+        medium._end(a)
+        medium._begin(c)
+        medium._begin(w)
+        medium._begin(y)  # the sixth field change: the resync
+        assert medium._field_changes == 0
+        assert medium._trackers.min_sir(w.seq) > 999.0
+        return medium, w, b, c
+
+    def test_csr_resync_refolds_a_retirement(self):
+        # The resync lifts W's interference from ~1e-3 W to ~1 W and no
+        # pass sees it; C's end takes only C's 1e-3 W away, so it must
+        # fold in the rest.
+        medium, w, _, c = self.csr_resync_scene()
+        medium._end(c)
+        assert float.hex(medium._trackers.min_sir(w.seq)) == "0x1.fffffffffdcd0p-1"
+
+    @pytest.mark.parametrize("refold", ["retirement", "begin"])
+    def test_csr_retirement_skips_once_refolded(self, monkeypatch, refold):
+        medium, _, b, c = self.csr_resync_scene()
+        calls = []
+        update_where = medium._trackers.update_where
+        monkeypatch.setattr(
+            medium._trackers,
+            "update_where",
+            lambda now, levels, positions: calls.append(now)
+            or update_where(now, levels, positions),
+        )
+        if refold == "retirement":
+            medium._end(c)
+        else:
+            medium._begin(burst(5, 7, 6, 1.0))  # its column reaches station 0
+        assert len(calls) == 1
+        # Station 0's raise is folded in, so B's end, which reaches it
+        # too, has nothing left to fold.
+        medium._end(b)
+        assert len(calls) == 1
 
     def test_retirement_skips_the_pass(self, monkeypatch):
         _, medium = build_medium()

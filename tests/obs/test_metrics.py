@@ -211,6 +211,17 @@ class TestWindowedSeries:
         with pytest.raises(ValueError, match="positive and finite"):
             MetricTimelines(window=window)
 
+    @pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+    def test_assigned_window_must_be_positive_and_finite(self, window):
+        # repro report assigns the window after the build, once the
+        # slot time is known, so the check cannot live in __init__ only.
+        timelines = MetricTimelines(window=2.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            timelines.window = window
+        assert timelines.window == 2.0
+        timelines.window = None
+        assert timelines.window is None
+
     def test_counts_every_kind(self, windowed):
         _network, result, timelines = windowed
         assert timelines.count("rx_ok") == result.hop_deliveries

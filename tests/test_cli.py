@@ -81,9 +81,30 @@ class TestCommands:
         ]
         assert len(digests) == 2 and digests[0] == digests[1]
 
-    def test_verify_determinism_refuses_one_station_by_name(self):
-        with pytest.raises(ValueError, match="interference bound"):
-            main(["verify-determinism", "--stations", "1"])
+    @pytest.mark.parametrize("command", ["verify-determinism", "report"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--duration-slots", "0"),
+            ("--duration-slots", "-1"),
+            ("--duration-slots", "nan"),
+            ("--stations", "0"),
+            ("--stations", "1"),
+            ("--stations", "2.5"),
+            ("--load", "-1"),
+            ("--load", "nan"),
+        ],
+    )
+    def test_out_of_range_size_is_a_usage_error(
+        self, capsys, command, flag, value
+    ):
+        argv = [command, flag, value]
+        if command == "report":
+            argv += ["--timeline", "duty"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestParallelCommands:
