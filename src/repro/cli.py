@@ -30,9 +30,10 @@ from __future__ import annotations
 
 import argparse
 import ast
+import math
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.metro import MetroProjection
 from repro.core.design import DesignPoint
@@ -167,27 +168,35 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_design(args: argparse.Namespace) -> int:
-    point = DesignPoint(
+    return _print_summary(
+        DesignPoint,
         station_count=args.stations,
         duty_cycle=args.duty,
         detection_margin_db=args.margin,
         reach_doublings=args.reach_doublings,
     )
-    for key, value in point.summary().items():
-        print(f"{key:>24s}: {value:.4g}" if isinstance(value, float) else
-              f"{key:>24s}: {value}")
-    return 0
 
 
 def _cmd_metro(args: argparse.Namespace) -> int:
-    projection = MetroProjection(
+    return _print_summary(
+        MetroProjection,
         station_count=args.stations,
         bandwidth_hz=args.bandwidth,
         duty_cycle=args.duty,
         beta=args.beta,
         reach_doublings=args.reach_doublings,
     )
-    for key, value in projection.summary().items():
+
+
+def _print_summary(build: Callable[..., Any], **params: Any) -> int:
+    """Print a calculator's ``summary()``; out-of-range parameters, which
+    its constructor refuses, are a usage error."""
+    try:
+        calculator = build(**params)
+    except ValueError as exc:
+        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+        return 2
+    for key, value in calculator.summary().items():
         print(f"{key:>24s}: {value:.4g}" if isinstance(value, float) else
               f"{key:>24s}: {value}")
     return 0
@@ -452,8 +461,6 @@ _SPARK_LEVELS = " ▁▂▃▄▅▆▇█"
 
 
 def _sparkline(values: Sequence[float], peak: float) -> str:
-    import math
-
     cells = []
     for value in values:
         if value != value:  # NaN: no observation in this window
@@ -467,31 +474,35 @@ def _sparkline(values: Sequence[float], peak: float) -> str:
     return "".join(cells)
 
 
-def _positive_finite(text: str) -> float:
-    """argparse type: a float that is positive and finite."""
-    import math
+def _at_least(
+    convert: Callable[[str], Any], low: float, strict: bool = False
+) -> Callable[[str], Any]:
+    """An argparse type: a finite ``convert(text)`` of at least ``low``,
+    or above it when ``strict``."""
 
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"must be positive and finite, got {text!r}"
-        )
-    return value
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a valid {convert.__name__}: {text!r}"
+            ) from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if value < low or (strict and value == low):
+            relation = "above" if strict else "at least"
+            raise argparse.ArgumentTypeError(
+                f"must be {relation} {low}, got {text!r}"
+            )
+        return value
+
+    return parse
 
 
-def _station_count(text: str) -> int:
-    """argparse type: an int of at least 2 (one station alone has no
-    interference bound to calibrate the link budget against)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"need at least 2 stations, got {text!r}")
-    return value
+_positive_finite = _at_least(float, 0.0, strict=True)
+# One station alone has no interference bound to calibrate the link
+# budget against.
+_station_count = _at_least(int, 2)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -598,11 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds-scale parameterisations (the CI smoke set)",
     )
     run_all_cmd.add_argument(
-        "--timeout-s", type=float, default=None, metavar="SECONDS",
+        "--timeout-s", type=_positive_finite, default=None, metavar="SECONDS",
         help="per-experiment timeout enforced by the pool",
     )
     run_all_cmd.add_argument(
-        "--retries", type=int, default=1,
+        "--retries", type=_at_least(int, 0), default=1,
         help="crash/timeout retries per experiment (default 1)",
     )
     run_all_cmd.add_argument(
@@ -664,11 +675,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra experiment parameter applied to every task",
     )
     sweep_cmd.add_argument(
-        "--timeout-s", type=float, default=None, metavar="SECONDS",
+        "--timeout-s", type=_positive_finite, default=None, metavar="SECONDS",
         help="per-task timeout enforced by the pool",
     )
     sweep_cmd.add_argument(
-        "--retries", type=int, default=1,
+        "--retries", type=_at_least(int, 0), default=1,
         help="crash/timeout retries per task (default 1)",
     )
     sweep_cmd.add_argument(
@@ -705,11 +716,13 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if name == "gc":
             sub.add_argument(
-                "--max-bytes", type=int, default=None, metavar="N",
+                "--max-bytes", type=_at_least(int, 0), default=None,
+                metavar="N",
                 help="evict oldest entries until the store fits N bytes",
             )
             sub.add_argument(
-                "--max-age-s", type=float, default=None, metavar="SECONDS",
+                "--max-age-s", type=_at_least(float, 0.0), default=None,
+                metavar="SECONDS",
                 help="evict entries not written in the last SECONDS",
             )
         if name == "verify":
@@ -806,7 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="write events as a compact columnar .npz trace",
     )
     trace_cmd.add_argument(
-        "--rotate-bytes", type=int, default=None, metavar="N",
+        "--rotate-bytes", type=_at_least(int, 1), default=None, metavar="N",
         help="rotate the JSONL file into .1/.2/... segments at N bytes",
     )
     trace_cmd.add_argument(

@@ -23,9 +23,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults import StationChurn, compile_plan, install_faults
-from repro.faults.resilience import split_losses
+from repro.faults.resilience import split_losses, window_ratio
 from repro.mac.registry import get_mac, mac_names
-from repro.net.network import NetworkConfig, NetworkResult
+from repro.net.network import NetworkConfig
 from repro.parallel.seedtree import derive_seed
 
 __all__ = ["RECOVERY_FRACTION", "run", "run_resilience_point"]
@@ -33,16 +33,6 @@ __all__ = ["RECOVERY_FRACTION", "run", "run_resilience_point"]
 #: Recovery criterion: a post-churn window counts as recovered once its
 #: delivery ratio reaches this fraction of the pre-fault steady state.
 RECOVERY_FRACTION = 0.95
-
-
-def _window_ratio(before: NetworkResult, after: NetworkResult) -> float:
-    """Delivery ratio of the window between two cumulative results (NaN
-    if no traffic originated in the window)."""
-    originated = after.originated - before.originated
-    delivered = after.delivered_end_to_end - before.delivered_end_to_end
-    if originated <= 0:
-        return float("nan")
-    return delivered / originated
 
 
 def run_resilience_point(
@@ -111,10 +101,10 @@ def run_resilience_point(
         # are cumulative over the network's whole run.
         fill_snapshot = network.run(window_slots * slot)
         pre_snapshot = network.run((warmup_slots - window_slots) * slot)
-        pre_ratio = _window_ratio(fill_snapshot, pre_snapshot)
+        pre_ratio = window_ratio(fill_snapshot, pre_snapshot)
 
         churn_snapshot = network.run(churn_slots * slot)
-        churn_ratio = _window_ratio(pre_snapshot, churn_snapshot)
+        churn_ratio = window_ratio(pre_snapshot, churn_snapshot)
 
         threshold = RECOVERY_FRACTION * pre_ratio
         recovery_latency = float("nan")
@@ -124,7 +114,7 @@ def run_resilience_point(
         while elapsed < recovery_slots:
             snapshot = network.run(window_slots * slot)
             elapsed += window_slots
-            final_ratio = _window_ratio(last, snapshot)
+            final_ratio = window_ratio(last, snapshot)
             last = snapshot
             if math.isnan(recovery_latency) and final_ratio >= threshold:
                 recovery_latency = elapsed

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.runner import ExperimentReport, register, run_many
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
-from repro.faults.resilience import split_losses
+from repro.faults.resilience import split_losses, window_ratio
 from repro.mac.registry import get_mac
 from repro.mobility import (
     ChannelSpec,
@@ -44,7 +44,7 @@ from repro.mobility import (
     RandomWaypoint,
     install_channel,
 )
-from repro.net.network import NetworkConfig, NetworkResult
+from repro.net.network import NetworkConfig
 
 __all__ = ["RECOVERY_FRACTION", "run", "run_mobility_point"]
 
@@ -66,16 +66,6 @@ def _resolve_variant(name: str) -> Tuple[str, bool]:
 #: Recovery criterion: the scheme's post-churn delivery ratio must
 #: reach this fraction of its own pre-churn steady state.
 RECOVERY_FRACTION = 0.9
-
-
-def _window_ratio(before: NetworkResult, after: NetworkResult) -> float:
-    """Delivery ratio of the window between two cumulative results (NaN
-    if no traffic originated in the window)."""
-    originated = after.originated - before.originated
-    delivered = after.delivered_end_to_end - before.delivered_end_to_end
-    if originated <= 0:
-        return float("nan")
-    return delivered / originated
 
 
 def run_mobility_point(
@@ -160,10 +150,10 @@ def run_mobility_point(
         # excluded from the pre-churn baseline (same discipline as T12).
         fill_snapshot = network.run(window_slots * slot)
         pre_snapshot = network.run((warmup_slots - window_slots) * slot)
-        pre_ratio = _window_ratio(fill_snapshot, pre_snapshot)
+        pre_ratio = window_ratio(fill_snapshot, pre_snapshot)
 
         churn_snapshot = network.run(churn_slots * slot)
-        churn_ratio = _window_ratio(pre_snapshot, churn_snapshot)
+        churn_ratio = window_ratio(pre_snapshot, churn_snapshot)
 
         threshold = RECOVERY_FRACTION * pre_ratio
         recovery_latency = float("nan")
@@ -173,19 +163,19 @@ def run_mobility_point(
         while elapsed < recovery_slots:
             snapshot = network.run(window_slots * slot)
             elapsed += window_slots
-            window_ratio = _window_ratio(last, snapshot)
+            ratio = window_ratio(last, snapshot)
             last = snapshot
             if elapsed == window_slots:
                 # The first recovery window absorbs the re-convergence
                 # and queue-drain transient, mirroring the warmup's
                 # pipeline-fill window.
                 tail_start = snapshot
-            if math.isnan(recovery_latency) and window_ratio >= threshold:
+            if math.isnan(recovery_latency) and ratio >= threshold:
                 recovery_latency = elapsed
         # The recovered ratio is measured over the whole tail, not one
         # window: per-window ratios fluctuate with queue drain, the
         # steady state does not.
-        final_ratio = _window_ratio(tail_start, last)
+        final_ratio = window_ratio(tail_start, last)
 
         rendezvous_slots = channel.log.mean_rendezvous_recovery() / slot
         _fault_losses, sir_losses = split_losses(last.losses_by_reason)

@@ -6,16 +6,20 @@ crash with the routing re-derivation that followed it and report the
 *time to reroute*.  The run's counters (losses by reason, queue drops,
 ARQ retries) are in its :class:`~repro.net.network.NetworkResult`;
 :func:`split_losses` splits its loss taxonomy into fault and SIR losses
-by :data:`FAULT_LOSS_REASONS`.
+by :data:`FAULT_LOSS_REASONS`, and :func:`window_ratio` reads the
+delivery ratio of the window between two of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Mapping, Tuple
+from typing import TYPE_CHECKING, List, Mapping, Tuple
 
-__all__ = ["FAULT_LOSS_REASONS", "ResilienceLog", "split_losses"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.network import NetworkResult
+
+__all__ = ["FAULT_LOSS_REASONS", "ResilienceLog", "split_losses", "window_ratio"]
 
 
 @dataclass
@@ -121,3 +125,13 @@ def split_losses(losses_by_reason: Mapping[str, int]) -> Tuple[int, int]:
         if reason in FAULT_LOSS_REASONS
     )
     return fault, sum(losses_by_reason.values()) - fault
+
+
+def window_ratio(before: NetworkResult, after: NetworkResult) -> float:
+    """Delivery ratio of the window between two cumulative results (NaN
+    if no traffic originated in the window)."""
+    originated = after.originated - before.originated
+    delivered = after.delivered_end_to_end - before.delivered_end_to_end
+    if originated <= 0:
+        return float("nan")
+    return delivered / originated

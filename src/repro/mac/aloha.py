@@ -62,12 +62,6 @@ class AlohaMac(MacProtocol):
         out reception while the local transmitter is keyed)."""
         return True
 
-    def _airtime(self) -> float:
-        station = self.station
-        heads = station.queue.heads()
-        size = heads[0][1].size_bits if heads else 1000.0
-        return size / station.data_rate_bps
-
     def _next_slot_delay(self, airtime: float) -> float:
         now = self.station.env.now
         slot = int(now / airtime)

@@ -173,7 +173,4 @@ class ArqSublayer:
             self._attempts.pop(packet.packet_id, None)
             station.record_no_route(packet.destination)
             return
-        if not station.requeue(packet, next_hop):
-            # The bounded queue (or a crash) refused the retry; the
-            # drop was counted by requeue itself.
-            self._attempts.pop(packet.packet_id, None)
+        station.requeue(packet, next_hop)

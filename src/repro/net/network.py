@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -129,9 +129,6 @@ class NetworkConfig:
             readings with every hearable neighbour each this-many slots
             *during* the run, feeding the rolling clock-model fit —
             the online version of Section 7's "occasionally rendezvous".
-        queue_capacity: bound on each station's total transmit backlog;
-            ``None`` (the default) keeps queues unbounded, leaving seed
-            outputs unchanged.  Overflow drops are counted per station.
         arq_max_retries: when set, install a stop-and-wait ARQ
             sublayer (:mod:`repro.mac.arq`) on every station with this
             retry budget; ``None`` (the default) keeps transmit
@@ -172,7 +169,6 @@ class NetworkConfig:
     calibrate_all_links: bool = False
     model_propagation_delay: bool = False
     rendezvous_refresh_slots: Optional[float] = None
-    queue_capacity: Optional[int] = None
     arq_max_retries: Optional[int] = None
     arq_timeout_slots: float = 4.0
     arq_backoff_slots: float = 2.0
@@ -215,8 +211,6 @@ class NetworkConfig:
             and self.rendezvous_refresh_slots <= 0.0
         ):
             raise ValueError("rendezvous refresh interval must be positive")
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
         if self.arq_max_retries is not None and self.arq_max_retries < 1:
             raise ValueError("ARQ needs at least one retry when enabled")
         if self.arq_timeout_slots <= 0.0:
@@ -291,7 +285,6 @@ class NetworkResult:
     unreachable_drops: int
     no_route_drops: int
     fault_drops: int = 0
-    overflow_drops: int = 0
     arq_retries: int = 0
     arq_giveups: int = 0
 
@@ -413,7 +406,7 @@ class Network:
         duty = Welford()
         originated = forwarded = delivered = 0
         unreachable = no_route = 0
-        fault_drops = overflow_drops = 0
+        fault_drops = 0
         arq_retries = arq_giveups = 0
         peak_busy = 0
         rejections = 0
@@ -425,7 +418,6 @@ class Network:
             unreachable += stats.unreachable_drops
             no_route += stats.no_route_drops
             fault_drops += stats.fault_drops
-            overflow_drops += stats.overflow_drops
             arq_retries += stats.arq_retries
             arq_giveups += stats.arq_giveups
             delays.extend(stats.delivery_delays)
@@ -452,7 +444,6 @@ class Network:
             unreachable_drops=unreachable,
             no_route_drops=no_route,
             fault_drops=fault_drops,
-            overflow_drops=overflow_drops,
             arq_retries=arq_retries,
             arq_giveups=arq_giveups,
         )
@@ -551,17 +542,27 @@ class Network:
         self.clocks[index] = new
         self.stations[index].replace_clock(new)
         # Kick the MAC so its pending candidate windows (computed with
-        # the old clock) are re-derived — unless it is mid-burst, where
-        # it re-plans after the burst anyway and an interrupt would
-        # orphan the keyed transmitter.
+        # the old clock) are re-derived.
+        self._kick_mac(index, "clock_step")
+
+    def _kick_mac(self, index: int, cause: str) -> bool:
+        """Interrupt and respawn a station's running MAC so it re-plans;
+        returns whether it did.
+
+        A MAC that is mid-burst is left alone: it re-plans after the
+        burst anyway, and an interrupt would orphan the keyed
+        transmitter.
+        """
         process = self._mac_processes.get(index)
         if (
-            process is not None
-            and process.is_alive
-            and not self.medium.is_station_transmitting(index)
+            process is None
+            or not process.is_alive
+            or self.medium.is_station_transmitting(index)
         ):
-            process.interrupt("clock_step")
-            self._spawn_mac(index)
+            return False
+        process.interrupt(cause)
+        self._spawn_mac(index)
+        return True
 
     def reconverge(self, matrix: PropagationMatrix, rng) -> Dict[str, int]:
         """Re-converge the network's §7.1 state onto the live channel.
@@ -600,16 +601,14 @@ class Network:
             if (a, b) in self.clock_models:
                 continue
             model = NeighborClockModel()
-            for when in sample_times:
-                model.add_sample(
-                    exchange_readings(
-                        self.clocks[a],
-                        self.clocks[b],
-                        when,
-                        jitter=self.config.rendezvous_jitter,
-                        rng=rng,
-                    )
-                )
+            _rendezvous(
+                model,
+                self.clocks[a],
+                self.clocks[b],
+                sample_times,
+                self.config.rendezvous_jitter,
+                rng,
+            )
             self.stations[a].learn_neighbor_clock(b, self.schedule, model)
             self.clock_models[(a, b)] = model
             new_pairs += 1
@@ -632,20 +631,12 @@ class Network:
             _install_avoid_views(
                 self.stations, matrix, censored, self.budget, self.config
             )
-        # 5. Kick schedule-driven MACs, same rules as apply_clock_step:
-        # never mid-burst (the interrupt would orphan the transmitter).
+        # 5. Kick schedule-driven MACs (never mid-burst).
         kicked = 0
         for station in self.stations:
-            if not station.mac.replan_on_reconverge:
-                continue
-            process = self._mac_processes.get(station.index)
-            if (
-                process is not None
-                and process.is_alive
-                and not self.medium.is_station_transmitting(station.index)
+            if station.mac.replan_on_reconverge and self._kick_mac(
+                station.index, "reconverge"
             ):
-                process.interrupt("reconverge")
-                self._spawn_mac(station.index)
                 kicked += 1
         return {"new_pairs": new_pairs, "kicked": kicked}
 
@@ -671,16 +662,14 @@ class Network:
             if a != index and b != index:
                 continue
             model.reset()
-            for when in sample_times:
-                model.add_sample(
-                    exchange_readings(
-                        self.clocks[a],
-                        self.clocks[b],
-                        when,
-                        jitter=self.config.rendezvous_jitter,
-                        rng=rng,
-                    )
-                )
+            _rendezvous(
+                model,
+                self.clocks[a],
+                self.clocks[b],
+                sample_times,
+                self.config.rendezvous_jitter,
+                rng,
+            )
 
 
 def _calibrate(
@@ -867,9 +856,7 @@ def build_network(
         if delays is not None:
             delay_lookup = _make_delay_lookup(delays, index)
         queue: TransmitQueue = (
-            FifoQueue(capacity=config.queue_capacity)
-            if config.fifo_queues
-            else NeighborQueues(capacity=config.queue_capacity)
+            FifoQueue() if config.fifo_queues else NeighborQueues()
         )
         stations.append(
             Station(
@@ -988,11 +975,23 @@ def _rendezvous_refresher(env, models, clocks, jitter, rng, interval):
     while True:
         yield env.timeout(interval)
         for (a, b), model in models.items():
-            model.add_sample(
-                exchange_readings(
-                    clocks[a], clocks[b], env.now, jitter=jitter, rng=rng
-                )
-            )
+            _rendezvous(model, clocks[a], clocks[b], (env.now,), jitter, rng)
+
+
+def _rendezvous(
+    model: NeighborClockModel,
+    clock_a: Clock,
+    clock_b: Clock,
+    times: Sequence[float],
+    jitter: float,
+    rng,
+) -> None:
+    """Feed ``model`` (station a's fit of b's clock) one exchange of
+    clock readings at each of ``times`` (Section 7's rendezvous)."""
+    for when in times:
+        model.add_sample(
+            exchange_readings(clock_a, clock_b, when, jitter=jitter, rng=rng)
+        )
 
 
 def _make_delay_lookup(delays: np.ndarray, sender: int) -> Callable[[int], float]:
@@ -1039,16 +1038,14 @@ def _install_clock_models(
     hearable_a, hearable_b = np.nonzero(censored.gains > 0.0)
     for a, b in zip(hearable_a.tolist(), hearable_b.tolist()):
         model = NeighborClockModel()
-        for when in sample_times:
-            model.add_sample(
-                exchange_readings(
-                    clocks[a],
-                    clocks[b],
-                    when,
-                    jitter=config.rendezvous_jitter,
-                    rng=jitter_rng,
-                )
-            )
+        _rendezvous(
+            model,
+            clocks[a],
+            clocks[b],
+            sample_times,
+            config.rendezvous_jitter,
+            jitter_rng,
+        )
         stations[a].learn_neighbor_clock(b, schedule, model)
         models[(a, b)] = model
     return models

@@ -9,12 +9,16 @@ stations may achieve transmit duty cycles approaching 50%."
 can pick whichever queued hop has the earliest feasible window.
 :class:`FifoQueue` is the ablation baseline: strictly serve the oldest
 packet, whatever its next hop (experiment T3).
+
+Both are unbounded: a packet waits until its window opens, and a
+station sheds its backlog only through :meth:`TransmitQueue.clear`
+(the station failed, or every queued next hop is unreachable).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Deque, Iterator, List, Optional, Tuple
+from typing import Deque, List, Tuple
 
 from repro.net.packet import Packet
 
@@ -22,21 +26,10 @@ __all__ = ["NeighborQueues", "FifoQueue", "TransmitQueue"]
 
 
 class TransmitQueue:
-    """Interface shared by the two queue disciplines.
+    """Interface shared by the two queue disciplines."""
 
-    Queues are unbounded by default; a ``capacity`` bounds the *total*
-    backlog (across all next hops), after which :meth:`enqueue` refuses
-    the packet and counts an overflow drop.  Real stations have finite
-    buffers, and a fault-stressed network must shed load somewhere
-    visible rather than queue without limit.
-    """
-
-    def enqueue(self, next_hop: int, packet: Packet) -> bool:
-        """Add a packet destined (this hop) to ``next_hop``.
-
-        Returns ``True`` if accepted, ``False`` on overflow (bounded
-        queues only; unbounded queues always accept).
-        """
+    def enqueue(self, next_hop: int, packet: Packet) -> None:
+        """Add a packet destined (this hop) to ``next_hop``."""
         raise NotImplementedError
 
     def heads(self) -> List[Tuple[int, Packet]]:
@@ -45,6 +38,10 @@ class TransmitQueue:
 
     def pop(self, next_hop: int) -> Packet:
         """Remove and return the head packet for ``next_hop``."""
+        raise NotImplementedError
+
+    def clear(self) -> int:
+        """Discard every queued packet; returns how many there were."""
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -60,28 +57,17 @@ class NeighborQueues(TransmitQueue):
     """One FIFO per next hop; every queue head is eligible.
 
     Iteration order of :meth:`heads` follows first-use order of the
-    next hops, which keeps simulations deterministic.
+    next hops, which keeps simulations deterministic; :meth:`clear`
+    keeps that order for the next hops' later packets.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._queues: "OrderedDict[int, Deque[Packet]]" = OrderedDict()
         self._size = 0
-        self._peak_size = 0
-        self._total_enqueued = 0
-        self._overflow_drops = 0
 
-    def enqueue(self, next_hop: int, packet: Packet) -> bool:
-        if self._capacity is not None and self._size >= self._capacity:
-            self._overflow_drops += 1
-            return False
+    def enqueue(self, next_hop: int, packet: Packet) -> None:
         self._queues.setdefault(next_hop, deque()).append(packet)
         self._size += 1
-        self._total_enqueued += 1
-        self._peak_size = max(self._peak_size, self._size)
-        return True
 
     def heads(self) -> List[Tuple[int, Packet]]:
         return [
@@ -97,32 +83,15 @@ class NeighborQueues(TransmitQueue):
         self._size -= 1
         return queue.popleft()
 
+    def clear(self) -> int:
+        dropped = self._size
+        for queue in self._queues.values():
+            queue.clear()
+        self._size = 0
+        return dropped
+
     def __len__(self) -> int:
         return self._size
-
-    def depth(self, next_hop: int) -> int:
-        """Packets queued toward one next hop."""
-        queue = self._queues.get(next_hop)
-        return len(queue) if queue else 0
-
-    @property
-    def peak_size(self) -> int:
-        """Largest total backlog observed."""
-        return self._peak_size
-
-    @property
-    def total_enqueued(self) -> int:
-        """All packets ever enqueued."""
-        return self._total_enqueued
-
-    @property
-    def overflow_drops(self) -> int:
-        """Packets refused because the bounded backlog was full."""
-        return self._overflow_drops
-
-    def next_hops(self) -> Iterator[int]:
-        """Next hops with at least one queued packet."""
-        return (hop for hop, queue in self._queues.items() if queue)
 
 
 class FifoQueue(TransmitQueue):
@@ -132,23 +101,11 @@ class FifoQueue(TransmitQueue):
     oldest packet's next hop has no usable window, everything waits.
     """
 
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity < 1:
-            raise ValueError("queue capacity must be at least 1")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._queue: Deque[Tuple[int, Packet]] = deque()
-        self._peak_size = 0
-        self._total_enqueued = 0
-        self._overflow_drops = 0
 
-    def enqueue(self, next_hop: int, packet: Packet) -> bool:
-        if self._capacity is not None and len(self._queue) >= self._capacity:
-            self._overflow_drops += 1
-            return False
+    def enqueue(self, next_hop: int, packet: Packet) -> None:
         self._queue.append((next_hop, packet))
-        self._total_enqueued += 1
-        self._peak_size = max(self._peak_size, len(self._queue))
-        return True
 
     def heads(self) -> List[Tuple[int, Packet]]:
         return [self._queue[0]] if self._queue else []
@@ -165,20 +122,10 @@ class FifoQueue(TransmitQueue):
         self._queue.popleft()
         return packet
 
+    def clear(self) -> int:
+        dropped = len(self._queue)
+        self._queue.clear()
+        return dropped
+
     def __len__(self) -> int:
         return len(self._queue)
-
-    @property
-    def peak_size(self) -> int:
-        """Largest backlog observed."""
-        return self._peak_size
-
-    @property
-    def total_enqueued(self) -> int:
-        """All packets ever enqueued."""
-        return self._total_enqueued
-
-    @property
-    def overflow_drops(self) -> int:
-        """Packets refused because the bounded backlog was full."""
-        return self._overflow_drops

@@ -28,7 +28,6 @@ from repro.obs.api import Instrumentation
 from repro.obs.events import (
     Delivered,
     DropNoRoute,
-    DropOverflow,
     DropStationDown,
     QueueEnter,
     QueueFlush,
@@ -63,19 +62,22 @@ class StationStats:
     originated: int = 0
     forwarded: int = 0
     sent: int = 0
-    send_failures: int = 0
     delivered_to_me: int = 0
     delivery_delays: List[float] = field(default_factory=list)
     unreachable_drops: int = 0
     no_route_drops: int = 0
     fault_drops: int = 0
-    overflow_drops: int = 0
     arq_retries: int = 0
     arq_giveups: int = 0
 
 
 class Station:
     """One packet radio station.
+
+    Packets enter the unbounded backlog one way, :meth:`_enqueue`,
+    from :meth:`submit` (fresh and transit packets), :meth:`requeue`
+    (ARQ retries) and :meth:`send_control` (control frames).  They
+    leave through :meth:`dequeue` or a flush (:meth:`drop_all_queued`).
 
     Args:
         env: simulation environment.
@@ -245,31 +247,42 @@ class Station:
         if packet.destination == self.index:
             raise ValueError("a packet for this station should not be submitted")
         if not self.alive:
-            self.stats.fault_drops += 1
-            if self.instr.active:
-                self.instr.emit(
-                    DropStationDown(
-                        self.env.now, self.index, packet.destination
-                    )
-                )
+            self._refused_down(packet)
             return
         try:
             next_hop = self.table.next_hop(packet.destination)
         except RouteError:
             self.record_no_route(packet.destination)
             return
-        if not self.queue.enqueue(next_hop, packet):
-            self.stats.overflow_drops += 1
-            if self.instr.active:
-                self.instr.emit(
-                    DropOverflow(self.env.now, self.index, next_hop)
-                )
-            return
         origin = not packet.hops
         if origin:
             self.stats.originated += 1
         else:
             self.stats.forwarded += 1
+        self._enqueue(packet, next_hop, origin=origin)
+
+    def requeue(self, packet: Packet, next_hop: int) -> None:
+        """Re-enqueue a packet the ARQ sublayer is retrying.
+
+        Unlike :meth:`submit` this counts neither an origination nor a
+        forward — the packet was counted when it first entered the
+        backlog — and the ``queue_enter`` event carries the v2
+        ``retry`` flag so downstream counters stay exact.  The sublayer
+        gives up on a downed station itself, just before this call.
+        """
+        self._enqueue(packet, next_hop, retry=True)
+
+    def _enqueue(
+        self,
+        packet: Packet,
+        next_hop: int,
+        origin: bool = False,
+        control: bool = False,
+        retry: bool = False,
+    ) -> None:
+        """The one way into the backlog: queue the packet, emit its
+        ``queue_enter`` and wake a MAC waiting for an arrival."""
+        self.queue.enqueue(next_hop, packet)
         if self.instr.active:
             self.instr.emit(
                 QueueEnter(
@@ -278,53 +291,20 @@ class Station:
                     next_hop,
                     packet.packet_id,
                     origin,
-                    False,
+                    control,
                     len(self.queue),
+                    retry=retry,
                 )
             )
         self._wake()
 
-    def requeue(self, packet: Packet, next_hop: int) -> bool:
-        """Re-enqueue a packet the ARQ sublayer is retrying.
-
-        Unlike :meth:`submit` this counts neither an origination nor a
-        forward — the packet was counted when it first entered the
-        backlog — and the ``queue_enter`` event carries the v2
-        ``retry`` flag so downstream counters stay exact.  Returns
-        False (with the overflow counted) when the bounded queue
-        refuses the packet.
-        """
-        if not self.alive:
-            self.stats.fault_drops += 1
-            if self.instr.active:
-                self.instr.emit(
-                    DropStationDown(
-                        self.env.now, self.index, packet.destination
-                    )
-                )
-            return False
-        if not self.queue.enqueue(next_hop, packet):
-            self.stats.overflow_drops += 1
-            if self.instr.active:
-                self.instr.emit(
-                    DropOverflow(self.env.now, self.index, next_hop)
-                )
-            return False
+    def _refused_down(self, packet: Packet) -> None:
+        """Count a packet handed to this station while it is down."""
+        self.stats.fault_drops += 1
         if self.instr.active:
             self.instr.emit(
-                QueueEnter(
-                    self.env.now,
-                    self.index,
-                    next_hop,
-                    packet.packet_id,
-                    False,
-                    False,
-                    len(self.queue),
-                    retry=True,
-                )
+                DropStationDown(self.env.now, self.index, packet.destination)
             )
-        self._wake()
-        return True
 
     def record_no_route(self, destination: int) -> None:
         """Count a packet dropped for lack of a route to ``destination``."""
@@ -399,8 +379,6 @@ class Station:
         success = yield done
         self.transmitter.end(self.env.now)
         self.stats.sent += 1
-        if not success:
-            self.stats.send_failures += 1
         if self.instr.active:
             self.instr.emit(
                 TxOutcome(self.env.now, self.index, next_hop, bool(success))
@@ -433,34 +411,9 @@ class Station:
         if not packet.is_control:
             raise ValueError("send_control is for control frames")
         if not self.alive:
-            self.stats.fault_drops += 1
-            if self.instr.active:
-                self.instr.emit(
-                    DropStationDown(
-                        self.env.now, self.index, packet.destination
-                    )
-                )
+            self._refused_down(packet)
             return
-        if not self.queue.enqueue(next_hop, packet):
-            self.stats.overflow_drops += 1
-            if self.instr.active:
-                self.instr.emit(
-                    DropOverflow(self.env.now, self.index, next_hop)
-                )
-            return
-        if self.instr.active:
-            self.instr.emit(
-                QueueEnter(
-                    self.env.now,
-                    self.index,
-                    next_hop,
-                    packet.packet_id,
-                    False,
-                    True,
-                    len(self.queue),
-                )
-            )
-        self._wake()
+        self._enqueue(packet, next_hop, control=True)
 
     def _on_delivery(self, tx: Transmission) -> None:
         packet = tx.packet
@@ -511,18 +464,7 @@ class Station:
     def drop_all_queued(self, reason: str = "unreachable") -> int:
         """Discard every queued packet (all next hops unreachable, or
         the station itself failed); returns how many were dropped."""
-        dropped = 0
-        while True:
-            heads = self.queue.heads()
-            if not heads:
-                break
-            for next_hop, _packet in heads:
-                while True:
-                    try:
-                        self.queue.pop(next_hop)
-                    except LookupError:
-                        break
-                    dropped += 1
+        dropped = self.queue.clear()
         if dropped and self.instr.active:
             self.instr.emit(
                 QueueFlush(self.env.now, self.index, reason, dropped)

@@ -38,7 +38,6 @@ __all__ = [
     "ControlSent",
     "Unreachable",
     "DropNoRoute",
-    "DropOverflow",
     "DropStationDown",
     "StationDown",
     "StationUp",
@@ -301,16 +300,6 @@ class DropNoRoute(TraceEvent):
 
 
 @dataclass(frozen=True, slots=True)
-class DropOverflow(TraceEvent):
-    """A packet was rejected by a full transmit queue."""
-
-    KIND = "drop_overflow"
-
-    station: int
-    next_hop: int
-
-
-@dataclass(frozen=True, slots=True)
 class DropStationDown(TraceEvent):
     """A packet was rejected because the station is down (faulted)."""
 
@@ -518,7 +507,6 @@ EVENT_TYPES: Dict[str, Type[TraceEvent]] = {
         ControlSent,
         Unreachable,
         DropNoRoute,
-        DropOverflow,
         DropStationDown,
         StationDown,
         StationUp,

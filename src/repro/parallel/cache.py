@@ -101,7 +101,6 @@ def _result_to_record(result: TaskResult) -> Dict[str, Any]:
         "payload": canonicalize(result.payload) if result.payload is not None else None,
         "error": result.error,
         "attempts": result.attempts,
-        "replay_digest": result.replay_digest,
         "payload_digest": result.payload_digest,
     }
 
@@ -114,7 +113,6 @@ def _record_to_result(record: Dict[str, Any]) -> TaskResult:
         payload=record["payload"],
         error=record["error"],
         attempts=record["attempts"],
-        replay_digest=record["replay_digest"],
         payload_digest=record["payload_digest"],
     )
 

@@ -262,7 +262,6 @@ class SweepResult:
                     "ok": result.ok,
                     "error": result.error,
                     "payload": canonicalize(result.payload),
-                    "replay_digest": result.replay_digest,
                     "payload_digest": result.payload_digest,
                 }
                 for result in self.results

@@ -107,9 +107,6 @@ class TaskResult:
         error: failure description (exception, crash, or timeout).
         attempts: how many times the task was started (> 1 after a
             worker crash or timeout triggered a retry).
-        replay_digest: the string a function target's payload
-            carries under ``replay_digest``, if any; no target in the
-            package returns one.
         payload_digest: BLAKE2b fingerprint of the canonicalised
             payload — the cross-process bit-exactness check.
     """
@@ -119,7 +116,6 @@ class TaskResult:
     payload: Optional[Dict[str, Any]] = None
     error: Optional[str] = None
     attempts: int = 1
-    replay_digest: Optional[str] = None
     payload_digest: Optional[str] = None
 
 
@@ -335,15 +331,10 @@ def execute_task(spec: TaskSpec) -> TaskResult:
             ok=False,
             error=f"{type(exc).__name__}: {exc}\n{trace}",
         )
-    digest: Optional[str] = None
-    raw_digest = payload.get("replay_digest")
-    if isinstance(raw_digest, str):
-        digest = raw_digest
     return TaskResult(
         task_id=spec.task_id,
         ok=True,
         payload=payload,
-        replay_digest=digest,
         payload_digest=payload_digest(payload),
     )
 

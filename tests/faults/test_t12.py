@@ -1,10 +1,12 @@
 """T12 resilience experiment: fast parameterisation."""
 
 import math
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments import get_experiment
+from repro.faults.resilience import window_ratio
 
 
 class TestT12Resilience:
@@ -57,3 +59,23 @@ class TestT12Resilience:
                 recovery_slots=60,
                 macs=("carrier-pigeon",),
             )
+
+
+class TestWindowRatio:
+    """T12's and T13's delivery ratio over the window between two
+    cumulative results."""
+
+    @staticmethod
+    def cumulative(originated, delivered):
+        return SimpleNamespace(
+            originated=originated, delivered_end_to_end=delivered
+        )
+
+    def test_ratio_of_the_window_only(self):
+        before = self.cumulative(10, 9)
+        after = self.cumulative(30, 24)
+        assert window_ratio(before, after) == 15 / 20
+
+    def test_nan_when_nothing_originated(self):
+        same = self.cumulative(10, 9)
+        assert math.isnan(window_ratio(same, self.cumulative(10, 10)))

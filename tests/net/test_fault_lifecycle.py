@@ -1,6 +1,4 @@
-"""Station down/up lifecycle, queue draining, and overflow plumbing."""
-
-import pytest
+"""Station down/up lifecycle and queue draining."""
 
 from repro.net.network import NetworkConfig, build_network
 from repro.net.packet import Packet
@@ -89,26 +87,6 @@ class TestStationFailRevive:
         station.revive()
         station.revive()
         assert station.alive
-
-
-class TestOverflowPlumbing:
-    def test_overflow_counted_in_stats_and_result(self):
-        network = tiny_network(queue_capacity=2)
-        station = submit_packets(network, 0, 5)
-        assert station.stats.originated == 2
-        assert station.stats.overflow_drops == 3
-        result = network.run(10 * network.budget.slot_time)
-        assert result.overflow_drops == 3
-
-    def test_default_capacity_is_unbounded(self):
-        network = tiny_network()
-        station = submit_packets(network, 0, 50)
-        assert station.stats.overflow_drops == 0
-        assert station.stats.originated == 50
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            NetworkConfig(queue_capacity=0)
 
 
 class TestNetworkReroute:

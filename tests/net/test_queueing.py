@@ -50,22 +50,28 @@ class TestNeighborQueues:
         queues.enqueue(1, packet())
         assert len(queues) == 1
 
-    def test_depth_and_peak(self):
+    def test_clear_returns_the_count(self):
         queues = NeighborQueues()
         queues.enqueue(1, packet())
-        queues.enqueue(1, packet())
-        queues.pop(1)
         queues.enqueue(2, packet())
-        assert queues.depth(1) == 1
-        assert queues.peak_size == 2
-        assert queues.total_enqueued == 3
+        queues.enqueue(1, packet())
+        assert queues.clear() == 3
+        assert queues.is_empty
+        assert queues.heads() == []
+        assert queues.clear() == 0
 
-    def test_next_hops_iterates_backlogged_only(self):
+    def test_clear_keeps_first_use_order(self):
+        # A revived station's heads() must keep the order in which its
+        # next hops were first used: ShepardMac breaks ties between
+        # equal window starts by it.
         queues = NeighborQueues()
-        queues.enqueue(1, packet())
-        queues.enqueue(2, packet())
-        queues.pop(1)
-        assert list(queues.next_hops()) == [2]
+        queues.enqueue(5, packet())
+        queues.enqueue(3, packet())
+        queues.clear()
+        to_three, to_five = packet(), packet()
+        queues.enqueue(3, to_three)
+        queues.enqueue(5, to_five)
+        assert queues.heads() == [(5, to_five), (3, to_three)]
 
 
 class TestFifoQueue:
@@ -95,43 +101,14 @@ class TestFifoQueue:
         with pytest.raises(LookupError):
             FifoQueue().pop(1)
 
-    def test_counters(self):
+    def test_len_and_clear(self):
         queue = FifoQueue()
         queue.enqueue(1, packet())
+        queue.enqueue(2, packet())
         queue.enqueue(1, packet())
         queue.pop(1)
-        assert queue.peak_size == 2
-        assert queue.total_enqueued == 2
-        assert len(queue) == 1
-
-
-class TestBoundedQueues:
-    def test_default_is_unbounded(self):
-        queues = NeighborQueues()
-        for _ in range(1000):
-            assert queues.enqueue(1, packet())
-        assert queues.overflow_drops == 0
-
-    def test_capacity_bounds_total_backlog(self):
-        queues = NeighborQueues(capacity=3)
-        assert queues.enqueue(1, packet())
-        assert queues.enqueue(2, packet())
-        assert queues.enqueue(1, packet())
-        assert not queues.enqueue(3, packet())
-        assert queues.overflow_drops == 1
-        # Draining frees capacity again.
-        queues.pop(1)
-        assert queues.enqueue(3, packet())
-
-    def test_fifo_capacity(self):
-        queue = FifoQueue(capacity=2)
-        assert queue.enqueue(1, packet())
-        assert queue.enqueue(2, packet())
-        assert not queue.enqueue(1, packet())
-        assert queue.overflow_drops == 1
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            NeighborQueues(capacity=0)
-        with pytest.raises(ValueError):
-            FifoQueue(capacity=0)
+        assert len(queue) == 2
+        assert queue.clear() == 2
+        assert queue.is_empty
+        assert queue.heads() == []
+        assert queue.clear() == 0

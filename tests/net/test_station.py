@@ -3,7 +3,8 @@
 import pytest
 
 from repro.net.network import NetworkConfig, build_network
-from repro.net.packet import Packet
+from repro.net.packet import HopRecord, Packet
+from repro.obs.events import DropStationDown, QueueEnter
 from repro.propagation.geometry import uniform_disk
 
 
@@ -75,6 +76,111 @@ class TestArrivalEvents:
         second = station.next_arrival()
         assert second is not first
         assert not second.triggered
+
+
+class TestOneWayIn:
+    """Every path into the backlog emits one ``queue_enter`` with its
+    own flags and wakes a MAC waiting for an arrival."""
+
+    @staticmethod
+    def routed(network, origin=0):
+        station = network.stations[origin]
+        destination = next(
+            d for d in range(network.station_count)
+            if d != origin and station.table.has_route(d)
+        )
+        return station, destination, station.table.next_hop(destination)
+
+    @staticmethod
+    def events_of(network, kind):
+        return [
+            event for event in network.instrumentation.events()
+            if isinstance(event, kind)
+        ]
+
+    def enter(self, network, station, put, *args):
+        arrival = station.next_arrival()
+        put(*args)
+        (event,) = self.events_of(network, QueueEnter)
+        assert arrival.triggered
+        assert event.station == station.index
+        assert event.depth == len(station.queue) == 1
+        return event.next_hop, (event.origin, event.control, event.retry)
+
+    def test_fresh_submit(self):
+        network = tiny_network()
+        station, destination, next_hop = self.routed(network)
+        packet = Packet(
+            source=0, destination=destination, size_bits=100.0, created_at=0.0
+        )
+        assert self.enter(network, station, station.submit, packet) == (
+            next_hop, (True, False, False)
+        )
+        assert (station.stats.originated, station.stats.forwarded) == (1, 0)
+
+    def test_forwarded_submit(self):
+        network = tiny_network()
+        station, destination, next_hop = self.routed(network)
+        upstream = next(
+            s for s in range(network.station_count) if s not in (0, destination)
+        )
+        packet = Packet(
+            source=upstream, destination=destination, size_bits=100.0,
+            created_at=0.0,
+        )
+        packet.hops.append(
+            HopRecord(sender=upstream, receiver=0, start=0.0, end=0.0,
+                      power_w=1.0)
+        )
+        assert self.enter(network, station, station.submit, packet) == (
+            next_hop, (False, False, False)
+        )
+        assert (station.stats.originated, station.stats.forwarded) == (0, 1)
+
+    def test_requeue(self):
+        network = tiny_network()
+        station, destination, next_hop = self.routed(network)
+        packet = Packet(
+            source=0, destination=destination, size_bits=100.0, created_at=0.0
+        )
+        assert self.enter(
+            network, station, station.requeue, packet, next_hop
+        ) == (next_hop, (False, False, True))
+        assert (station.stats.originated, station.stats.forwarded) == (0, 0)
+
+    def test_send_control(self):
+        network = tiny_network()
+        station, _destination, next_hop = self.routed(network)
+        frame = Packet(
+            source=0, destination=next_hop, size_bits=100.0, created_at=0.0,
+            kind="probe",
+        )
+        assert self.enter(
+            network, station, station.send_control, next_hop, frame
+        ) == (next_hop, (False, True, False))
+
+    @pytest.mark.parametrize("path", ["submit", "send_control"])
+    def test_downed_station_refuses(self, path):
+        network = tiny_network()
+        station, destination, next_hop = self.routed(network)
+        station.fail()
+        arrival = station.next_arrival()
+        if path == "submit":
+            station.submit(
+                Packet(source=0, destination=destination, size_bits=100.0,
+                       created_at=0.0)
+            )
+        else:
+            station.send_control(
+                next_hop,
+                Packet(source=0, destination=next_hop, size_bits=100.0,
+                       created_at=0.0, kind="probe"),
+            )
+        assert station.stats.fault_drops == 1
+        assert len(self.events_of(network, DropStationDown)) == 1
+        assert self.events_of(network, QueueEnter) == []
+        assert len(station.queue) == 0
+        assert not arrival.triggered
 
 
 class TestForwarding:

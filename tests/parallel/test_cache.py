@@ -181,6 +181,27 @@ class TestHitIdentity:
         assert hit is not None
         assert hit.task_id == "second-label"
 
+    def test_entry_sealed_with_a_replay_digest_key_still_hits(self, cache):
+        # Records written before the dead ``replay_digest`` field went
+        # carry it (always null) inside their seal; they must still load.
+        from repro.parallel.cache import _entry_digest
+
+        spec = echo_spec("old", value=3)
+        stored = execute_task(spec)
+        cache.put(spec, stored)
+        (path,) = entry_paths(cache)
+        with open(path, "r", encoding="utf-8") as handle:
+            entry = json.load(handle)
+        entry["record"]["replay_digest"] = None
+        entry["digest"] = _entry_digest(
+            entry["key"], entry["spec"], entry["record"]
+        )
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(entry, handle, sort_keys=True)
+        hit = cache.get(spec)
+        assert hit == stored
+        assert (cache.hits, cache.corrupt) == (1, 0)
+
     def test_miss_returns_none_and_counts(self, cache):
         assert cache.get(echo_spec("a", value=1)) is None
         assert cache.misses == 1

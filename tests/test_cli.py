@@ -65,6 +65,23 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "raw_rate_mbps" in out
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["design", "--duty", "0"], "duty cycle"),
+            (["design", "--stations", "2"], "M > e"),
+            (["metro", "--stations", "2"], "M > e"),
+            (["metro", "--beta", "0.5"], "beta"),
+        ],
+    )
+    def test_out_of_range_calculator_input_is_a_usage_error(
+        self, capsys, argv, message
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_verify_determinism_command(self, capsys):
         code = main(
             [
@@ -146,6 +163,31 @@ class TestParallelCommands:
         )
         assert code == 2
         assert "bogus" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run-all", "--timeout-s", "0"], "--timeout-s"),
+            (["run-all", "--retries", "-1"], "--retries"),
+            (["sweep", "--experiment", "T7", "--timeout-s", "-1"], "--timeout-s"),
+            (["sweep", "--experiment", "T7", "--retries", "-1"], "--retries"),
+            (
+                ["trace", "--experiment", "T7", "--jsonl", "{tmp}/t.jsonl",
+                 "--rotate-bytes", "0"],
+                "--rotate-bytes",
+            ),
+        ],
+        ids=["run-all-timeout", "run-all-retries", "sweep-timeout",
+             "sweep-retries", "trace-rotate"],
+    )
+    def test_out_of_range_flag_is_a_usage_error(
+        self, capsys, tmp_path, argv, flag
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(tmp=tmp_path) for arg in argv])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_run_all_parser_accepts_the_ci_invocation(self):
         from repro.cli import build_parser
@@ -231,6 +273,19 @@ class TestCacheCommands:
         self.populate(cache_dir, capsys)
         assert main(["cache", "gc", str(cache_dir)]) == 2
         assert "--max-bytes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-bytes", "-1"), ("--max-age-s", "-1")]
+    )
+    def test_gc_negative_limit_is_a_usage_error(
+        self, capsys, tmp_path, flag, value
+    ):
+        cache_dir = tmp_path / "cache"
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "gc", str(cache_dir), flag, value])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not cache_dir.exists()
 
     def test_cache_opens_past_a_killed_marker_write(self, capsys, tmp_path):
         import json
