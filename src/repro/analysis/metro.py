@@ -100,16 +100,17 @@ class MetroProjection:
     reach_doublings: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.station_count <= math.e:
-            raise ValueError("projection needs M > e")
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth must be positive")
+        # Each check is written so that NaN fails it.
+        if not math.e < self.station_count < math.inf:
+            raise ValueError("projection needs a finite M > e")
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty cycle must be in (0, 1]")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
-        if self.reach_doublings < 0.0:
-            raise ValueError("reach doublings must be non-negative")
+        if not 1.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 1")
+        if not 0.0 <= self.reach_doublings < math.inf:
+            raise ValueError("reach doublings must be non-negative and finite")
 
     @property
     def snr(self) -> float:
@@ -351,17 +352,30 @@ def build_metro_scene(
     for the culled mass — so a zero-loss run is sound evidence, not an
     artifact of dropped interference.
     """
+    # Each check is written so that NaN fails it: a NaN cull fraction
+    # would keep every link, and a NaN margin would reach the RNG.
     if station_count < 2:
         raise ValueError("a metro scene needs at least two stations")
-    if density <= 0.0:
-        raise ValueError("density must be positive")
-    if cull_fraction < 0.0:
-        raise ValueError("cull fraction must be non-negative")
-    if safety_margin < 1.0:
-        raise ValueError("safety margin must be >= 1")
-    if clock_offset_span_slots < 2.0:
+    if not 0.0 < density < math.inf:
+        raise ValueError("density must be positive and finite")
+    if not 0.0 <= cull_fraction < math.inf:
+        raise ValueError("cull fraction must be non-negative and finite")
+    if not 0.0 < bandwidth_hz < math.inf:
+        raise ValueError("bandwidth must be positive and finite")
+    if not 1.0 <= beta < math.inf:
+        raise ValueError("beta must be finite and >= 1")
+    if not 1.0 <= safety_margin < math.inf:
+        raise ValueError("safety margin must be finite and >= 1")
+    if not 0.0 < packet_size_bits < math.inf:
+        raise ValueError("packet size must be positive and finite")
+    if not 0.0 < packet_slot_fraction <= 1.0:
+        raise ValueError("packet slot fraction must be in (0, 1]")
+    if not 0.0 < receive_fraction < 1.0:
+        raise ValueError("receive fraction must be in (0, 1)")
+    if not 2.0 <= clock_offset_span_slots < math.inf:
         raise ValueError(
-            "offsets under two slots risk correlated schedules (Section 7.1)"
+            "the clock offset span must be finite, and offsets under two "
+            "slots risk correlated schedules (Section 7.1)"
         )
     radius = math.sqrt(station_count / (math.pi * density))
     placement = uniform_disk(station_count, radius=radius, seed=seed)

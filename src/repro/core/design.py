@@ -86,14 +86,15 @@ class DesignPoint:
     reach_doublings: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.station_count <= math.e:
-            raise ValueError("the design analysis needs M > e")
+        # Each check is written so that NaN fails it.
+        if not math.e < self.station_count < math.inf:
+            raise ValueError("the design analysis needs a finite M > e")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty cycle must be in (0, 1]")
-        if self.detection_margin_db < 0.0:
-            raise ValueError("detection margin must be non-negative")
-        if self.reach_doublings < 0.0:
-            raise ValueError("reach doublings must be non-negative")
+        if not 0.0 <= self.detection_margin_db < math.inf:
+            raise ValueError("detection margin must be non-negative and finite")
+        if not 0.0 <= self.reach_doublings < math.inf:
+            raise ValueError("reach doublings must be non-negative and finite")
 
     @property
     def characteristic_snr_db(self) -> float:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -198,7 +198,12 @@ class TrackerBatch:
     power, noise, worst SIR, failure time) in dense parallel arrays so
     one :meth:`update` call folds the new interference level into all
     receptions with a handful of numpy operations instead of a Python
-    loop.
+    loop.  A pass over given rows (:meth:`update_where`, a CSR burst's
+    column) reaches only a few of them, so it loops over those rows in
+    Python floats instead: the numpy calls would cost more than the
+    arithmetic.  The rule is structural, with no size threshold: a
+    pass over all rows is one numpy pass, a pass over given rows goes
+    row by row.
 
     Entries are keyed by an opaque integer ``tag`` (the medium uses the
     transmission sequence number) and stored densely: removal swaps the
@@ -224,9 +229,9 @@ class TrackerBatch:
         self._noise = np.zeros(capacity)
         self._min_sir = np.zeros(capacity)
         self._failed_at = np.zeros(capacity)
-        # Scratch buffers reused by :meth:`update` and
-        # :meth:`update_where` (contents meaningless between calls) so
-        # neither hot-path update allocates its working arrays.
+        # Scratch buffers reused by :meth:`update` (contents
+        # meaningless between calls) so the pass over all rows does not
+        # allocate its working arrays.
         self._scratch_sir = np.zeros(capacity)
         self._scratch_denominator = np.zeros(capacity)
         self._scratch_mask = np.zeros(capacity, dtype=bool)
@@ -342,55 +347,62 @@ class TrackerBatch:
     def update_where(
         self,
         now: float,
-        interference_power_w: np.ndarray,
-        positions: np.ndarray,
+        interference_power_w: Sequence[float],
+        positions: Sequence[int],
     ) -> Tuple[int, ...]:
-        """Fold new interference levels into a *subset* of trackers.
+        """Fold new interference levels into the trackers at ``positions``
+        only, one row at a time in Python floats.
 
         The sparse medium knows exactly which receivers a field change
         touched (the transmitter's CSR column), so it updates only the
         receptions at those receivers; untouched trackers saw no field
-        change and their SIR is unchanged by construction.  Per-entry
-        arithmetic is identical to :meth:`update` — a touched tracker
-        ends up in the same state either way.
+        change and their SIR is unchanged by construction.  Such a pass
+        reaches a handful of rows, where a numpy pass would cost more
+        in per-call dispatch than in arithmetic, so each row runs the
+        IEEE-754 operations of :meth:`update` in the same order: the
+        noise is added, a zero denominator gives ``inf``, the division
+        gives the SIR, a lower or NaN SIR becomes the worst (a NaN
+        worst sticks, as under ``np.minimum``), and an unfailed row
+        whose SIR is not at least its threshold fails now, so a NaN SIR
+        fails it.  A touched tracker ends up in the same state, to the
+        last bit, either way.
 
         Args:
             now: current simulation time.
             interference_power_w: one interference level per touched
                 tracker, parallel to ``positions``.
-            positions: dense storage positions of the touched trackers
-                (from masking :attr:`receivers`).
+            positions: distinct dense storage positions of the touched
+                trackers (from masking :attr:`receivers`).
 
         Returns:
-            Tags that failed at this update.
+            Tags that failed at this update, in ``positions`` order.
         """
-        touched = positions.size
-        if touched == 0:
-            return ()
-        if interference_power_w.shape != (touched,):
-            raise ValueError(f"expected {touched} interference powers")
-        # positions are distinct dense slots, so touched <= count and
-        # the scratch buffers are long enough.
-        denominator = self._scratch_denominator[:touched]
-        np.add(interference_power_w, self._noise[positions], out=denominator)
-        mask = self._scratch_mask[:touched]
-        np.not_equal(denominator, 0.0, out=mask)
-        current = self._scratch_sir[:touched]
-        current.fill(math.inf)
-        np.divide(
-            self._signal[positions], denominator, out=current, where=mask
-        )
-        np.minimum(self._min_sir[positions], current, out=current)
-        self._min_sir[positions] = current
-        newly = self._scratch_newly[:touched]
-        np.greater_equal(current, self._threshold[positions], out=newly)
-        np.isnan(self._failed_at[positions], out=mask)
-        np.greater(mask, newly, out=newly)  # unfailed and not ok
-        failed_positions = positions[newly]
-        if failed_positions.size == 0:
-            return ()
-        self._failed_at[failed_positions] = now
-        return tuple(self._tags[int(i)] for i in failed_positions)
+        if len(interference_power_w) != len(positions):
+            raise ValueError(f"expected {len(positions)} interference powers")
+        signal = self._signal
+        noise = self._noise
+        threshold = self._threshold
+        min_sir = self._min_sir
+        failed_at = self._failed_at
+        failed: List[int] = []
+        for position, level in zip(positions, interference_power_w):
+            denominator = level + noise.item(position)
+            current = (
+                signal.item(position) / denominator
+                if denominator != 0.0
+                else math.inf
+            )
+            worst = min_sir.item(position)
+            # As np.minimum: a lower or NaN SIR replaces the worst, and
+            # a NaN worst stays.
+            if worst == worst and not worst <= current:
+                min_sir[position] = current
+            if not current >= threshold.item(position) and math.isnan(
+                failed_at.item(position)
+            ):
+                failed_at[position] = now
+                failed.append(self._tags[position])
+        return tuple(failed)
 
     def position(self, tag: int) -> int:
         """Current dense storage position of ``tag``.

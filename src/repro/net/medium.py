@@ -51,7 +51,14 @@ the medium picks one from the type of the gains it is handed: a dense
 at 10^5 stations), a horizon-culled
 :class:`~repro.propagation.sparse.SparseGainField`.  Over the CSR
 field the axpy is a scatter over the transmitter's column and tracker
-updates touch only the receptions that column can affect.
+updates touch only the receptions that column can affect.  Such a
+scoped pass reaches a few rows (about three of some 240 tracked on the
+20,000-station metro scene), where numpy's per-call dispatch would cost
+more than the arithmetic, so it folds them one row at a time in Python
+floats.  It runs the IEEE-754 operations of the pass over all rows, in
+the same order, so either pass leaves a reception in the same state to
+the last bit.  A pass over all rows (at a dense burst start, or after
+a link write) stays one vectorized pass.
 Significance culling under-reports interference by a *provably
 bounded* amount — :meth:`Medium.field_error_bound_w` witnesses the
 bound at any instant — and a cull threshold of zero makes the CSR
@@ -137,8 +144,8 @@ class ReceptionAttempt:
 
     The continuous SIR criterion state itself lives in the medium's
     :class:`~repro.core.reception.TrackerBatch` (keyed by the
-    transmission's ``seq``), so that all in-progress receptions update
-    in one vectorised pass.
+    transmission's ``seq``), so that a pass over all in-progress
+    receptions is one vectorised pass.
 
     Attributes:
         transmission: the wanted transmission.
@@ -836,27 +843,25 @@ class Medium:
         reached = self._reached(tx)
         if reached is None:
             self._fold(None)
-        elif (positions := reached.nonzero()[0]).size:
+        elif positions := reached.nonzero()[0].tolist():
             self._fold(positions)
 
-    def _fold(self, positions: Optional[np.ndarray]) -> None:
+    def _fold(self, positions: Optional[List[int]]) -> None:
         """One tracker pass over the receptions at dense ``positions``
         (all of them when ``None``); it clears their resync marks.
-        Per-entry arithmetic is the same whichever subset is folded."""
+
+        A pass over all rows is one numpy pass.  A pass over given rows
+        (a CSR burst's column, or the marked rows a retirement refolds)
+        reaches a few of them, so it runs row by row in Python floats,
+        with the same IEEE-754 operations in the same order: per-entry
+        results are the same whichever subset is folded."""
         batch = self._trackers
-        receivers = batch.receivers
-        if positions is not None:
-            targets = receivers[positions]
-            if self._resynced:
-                self._raised[targets] = False
-            interference = self._interference[targets]
-            interference += self._powers[targets] * SELF_COUPLING_GAIN
-            interference -= batch.signals[positions]
-        else:
+        if positions is None:
             if self._resynced:
                 self._raised.fill(False)
                 self._resynced = False
             count = batch.count
+            receivers = batch.receivers
             # Gather the incremental field at each attempt's receiver,
             # then apply the two per-attempt corrections: the receiver's
             # own transmitter couples in, and the wanted signal (stored
@@ -873,31 +878,46 @@ class Medium:
             own *= SELF_COUPLING_GAIN
             interference += own
             interference -= batch.signals
-        np.maximum(interference, 0.0, out=interference)
-        if self._sic_models:
-            # An untouched SIC reception saw no field change, so its
-            # cancelled level is unchanged too: only the updated rows
-            # need the model re-applied.
-            local = (
-                None
-                if positions is None
-                else {int(p): k for k, p in enumerate(positions)}
-            )
+            np.maximum(interference, 0.0, out=interference)
             for seq, model in self._sic_models.items():
                 position = batch.position(seq)
-                k = position if local is None else local.get(position)
-                if k is not None:
-                    interference[k] = self._cancel_for(
-                        seq,
-                        model,
-                        float(batch.signals[position]),
-                        float(interference[k]),
-                    )
-        failed = (
-            batch.update(self.env.now, interference)
-            if positions is None
-            else batch.update_where(self.env.now, interference, positions)
-        )
+                interference[position] = self._cancel_for(
+                    seq,
+                    model,
+                    float(batch.signals[position]),
+                    float(interference[position]),
+                )
+            failed = batch.update(self.env.now, interference)
+        else:
+            receivers = batch.receivers
+            signals = batch.signals
+            field = self._interference
+            powers = self._powers
+            raised = self._raised if self._resynced else None
+            # An untouched SIC reception saw no field change, so its
+            # cancelled level is unchanged too: only the folded rows
+            # need their model re-applied.
+            cancelling = (
+                {
+                    batch.position(seq): (seq, model)
+                    for seq, model in self._sic_models.items()
+                }
+                if self._sic_models
+                else None
+            )
+            levels: List[float] = []
+            for position in positions:
+                receiver = receivers.item(position)
+                if raised is not None:
+                    raised[receiver] = False
+                signal = signals.item(position)
+                level = field.item(receiver) + powers.item(receiver) * SELF_COUPLING_GAIN
+                level = max(level - signal, 0.0)
+                if cancelling is not None and position in cancelling:
+                    seq, model = cancelling[position]
+                    level = self._cancel_for(seq, model, signal, level)
+                levels.append(level)
+            failed = batch.update_where(self.env.now, levels, positions)
         for seq in failed:
             attempt = self._attempts[seq]
             attempt.failure_sources = self._significant_sources(
@@ -943,8 +963,7 @@ class Medium:
         reached = self._reached(tx)
         if reached is not None:
             marked &= reached
-        positions = marked.nonzero()[0]
-        if positions.size:
+        if positions := marked.nonzero()[0].tolist():
             self._fold(positions)
 
     def _notify_overhearers(self, tx: Transmission) -> None:

@@ -87,6 +87,14 @@ class TestInternals:
         with pytest.raises(ValueError):
             MetroProjection(duty_cycle=0.0)
 
+    @pytest.mark.parametrize(
+        "field", ["station_count", "bandwidth_hz", "beta", "reach_doublings"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError):
+            MetroProjection(**{field: value})
+
 
 STATIONS = 400
 
@@ -137,6 +145,27 @@ class TestMetroScene:
             build_metro_scene(1)
         with pytest.raises(ValueError):
             build_metro_scene(10, clock_offset_span_slots=1.0)
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "density",
+            "cull_fraction",
+            "bandwidth_hz",
+            "beta",
+            "safety_margin",
+            "packet_size_bits",
+            "packet_slot_fraction",
+            "receive_fraction",
+            "clock_offset_span_slots",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # A NaN cull fraction kept every link and a NaN receive fraction
+        # built a scene; a NaN margin reached the RNG as an OverflowError.
+        with pytest.raises(ValueError):
+            build_metro_scene(10, **{field: value})
 
     def test_rejects_a_cull_that_empties_every_column(self):
         # No gain reaches 10^12 times the characteristic-length gain, so

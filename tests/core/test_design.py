@@ -84,3 +84,13 @@ class TestDesignPoint:
             DesignPoint(station_count=1.0, duty_cycle=0.5)
         with pytest.raises(ValueError):
             DesignPoint(station_count=1e6, duty_cycle=1.5)
+
+    @pytest.mark.parametrize(
+        "field", ["station_count", "detection_margin_db", "reach_doublings"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        arguments = dict(station_count=1e6, duty_cycle=0.5)
+        arguments[field] = value
+        with pytest.raises(ValueError):
+            DesignPoint(**arguments)

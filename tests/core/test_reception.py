@@ -1,13 +1,16 @@
 """Tests for the Shannon-bound reception model."""
 
+import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.reception import (
     ReceptionTracker,
+    TrackerBatch,
     max_rate,
     required_sir,
     shannon_capacity,
@@ -204,12 +207,14 @@ class TestTrackerBatch:
         assert math.isnan(batch.min_sir(2))
         assert batch.remove(2).failed_at == 3.0
 
-    def test_zero_denominator_gives_infinite_sir(self):
-        import numpy as np
-
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_zero_denominator_gives_infinite_sir(self, subset):
         batch = self._batch()
         batch.add(tag=1, receiver=0, threshold=0.5, signal_power_w=1.0)
-        batch.update(0.0, np.zeros(1))
+        if subset:
+            batch.update_where(0.0, [0.0], [0])
+        else:
+            batch.update(0.0, np.zeros(1))
         assert batch.ok(1)
         assert batch.min_sir(1) == math.inf
 
@@ -254,3 +259,55 @@ class TestTrackerBatch:
             with pytest.raises(ValueError):
                 batch.add(tag=4, receiver=0, **arguments)
         assert batch.count == 0
+
+
+#: Interference levels at the edges of IEEE-754 arithmetic: both zeros,
+#: the smallest subnormal, a level whose ratio underflows, and the two
+#: non-finite values.
+EDGE_LEVELS = (0.0, -0.0, 5e-324, 1e308, math.inf, math.nan)
+
+
+class TestScopedPassEdges:
+    """:meth:`TrackerBatch.update_where` folds row by row in Python
+    floats and :meth:`TrackerBatch.update` in one numpy pass; both must
+    match the scalar :class:`ReceptionTracker` bit for bit, at zero
+    noise, where a zero level is a zero denominator and an ``inf``
+    SIR."""
+
+    @pytest.mark.parametrize("scoped", [False, True])
+    @pytest.mark.parametrize("threshold", [0.5, 2.0])
+    @pytest.mark.parametrize("signal", [0.0, 5e-324, 1.0, 1e308])
+    def test_edge_levels_match_scalar_trackers(self, scoped, threshold, signal):
+        # Every two-step history of edge levels, one reception each.
+        histories = list(itertools.product(EDGE_LEVELS, repeat=2))
+        batch = TrackerBatch()
+        scalars = []
+        for tag in range(len(histories)):
+            batch.add(tag=tag, receiver=tag, threshold=threshold, signal_power_w=signal)
+            scalars.append(ReceptionTracker(threshold=threshold, signal_power_w=signal))
+        for step in range(2):
+            now = float(step + 1)
+            levels = [history[step] for history in histories]
+            if scoped:
+                failed = batch.update_where(now, levels, list(range(len(levels))))
+            else:
+                # A tiny level overflows the ratio to inf, as it should.
+                with np.errstate(over="ignore"):
+                    failed = batch.update(now, np.array(levels))
+            newly = []
+            for tag, (scalar, level) in enumerate(zip(scalars, levels)):
+                was_ok = scalar.ok
+                scalar.update(now, level)
+                if was_ok and not scalar.ok:
+                    newly.append(tag)
+            assert failed == tuple(newly)
+        for tag, scalar in enumerate(scalars):
+            record = batch.remove(tag)
+            assert record.min_sir.hex() == scalar.min_sir.hex(), histories[tag]
+            assert record.failed_at == scalar.failed_at, histories[tag]
+
+    def test_rejects_mismatched_levels(self):
+        batch = TrackerBatch()
+        batch.add(tag=7, receiver=0, threshold=0.5, signal_power_w=1.0)
+        with pytest.raises(ValueError, match="expected 1 interference powers"):
+            batch.update_where(1.0, [0.0, 1.0], [0])

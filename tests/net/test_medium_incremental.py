@@ -8,6 +8,8 @@ to floating-point accumulation tolerance, and snaps back to exactly
 zero when the channel drains.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -604,6 +606,43 @@ class TestRetirementFold:
         medium._end(b)
         assert len(calls) == 1
 
+    def test_csr_scoped_pass_folds_sic_rows(self, monkeypatch):
+        # A begin on a CSR field folds the rows its column reaches one
+        # at a time, re-applying each cancelling model to its own row.
+        # At least one such pass must fold a reception that a SIC bank
+        # tracks, and every outcome must match the always-folding
+        # reference.
+        options = dict(
+            seed=3, cull_gain=0.0, sic_stations=frozenset(range(STATIONS))
+        )
+        _, medium = build_medium(**options)
+        _, reference = build_medium(medium_class=AlwaysFold, **options)
+        sic_rows = []
+        batch = medium._trackers
+        update_where = batch.update_where
+
+        def spy(now, levels, positions):
+            tags = batch.tags
+            sic_rows.extend(
+                tags[p] for p in positions if tags[p] in medium._sic_models
+            )
+            return update_where(now, levels, positions)
+
+        monkeypatch.setattr(batch, "update_where", spy)
+        ops = [
+            (0, 1.0, -1, False),
+            (2, 40.0, -1, False),
+            (4, 0.5, 0, False),
+            (1, 3.0, -1, False),
+        ]
+
+        def check(m, r):
+            assert receptions(m) == receptions(r)
+
+        drive_pair(medium, reference, ops, check)
+        assert sic_rows
+        assert outcomes(medium) == outcomes(reference)
+
     def test_retirement_skips_the_pass(self, monkeypatch):
         _, medium = build_medium()
         calls = []
@@ -629,3 +668,49 @@ class TestRetirementFold:
         gains[1, 2] = gain
         with pytest.raises(ValueError, match="non-negative and finite"):
             build_medium(gains=gains)
+
+
+EDGE_LEVELS = (0.0, -0.0, 5e-324, 1e308, math.inf, math.nan)
+
+
+class TestScopedPass:
+    """A pass over given rows folds them one at a time in Python floats,
+    a pass over all rows in one numpy pass; both must leave every
+    reception in the same state, to the last bit, whatever the field
+    holds at its receiver."""
+
+    @staticmethod
+    def scene(level, sic):
+        """A CSR medium tracking two receptions, at stations 1 and 3,
+        with ``level`` planted in station 1's field."""
+        _, medium = build_medium(
+            cull_gain=0.0,
+            sir_threshold=0.05,
+            sic_stations=frozenset(range(STATIONS)) if sic else frozenset(),
+        )
+        medium._begin(burst(0, 0, 1, 1.0))
+        medium._begin(burst(1, 2, 3, 1.0))
+        medium._interference[1] = level
+        return medium
+
+    @pytest.mark.parametrize("sic", [False, True])
+    @pytest.mark.parametrize("level", EDGE_LEVELS)
+    def test_matches_the_pass_over_all_rows(self, level, sic):
+        rows, whole = self.scene(level, sic), self.scene(level, sic)
+        rows._fold(list(range(rows._trackers.count)))
+        whole._fold(None)
+        assert receptions(rows) == receptions(whole)
+        assert [a.failure_sources for a in rows._attempts.values()] == [
+            a.failure_sources for a in whole._attempts.values()
+        ]
+        assert [a.sic_max_cancelled for a in rows._attempts.values()] == [
+            a.sic_max_cancelled for a in whole._attempts.values()
+        ]
+
+    def test_nan_level_fails_the_reception(self):
+        # A NaN field must not be clamped away as "no interference".
+        medium = self.scene(math.nan, sic=False)
+        medium._fold([medium._trackers.position(0)])
+        assert not medium._trackers.ok(0)
+        assert math.isnan(medium._trackers.min_sir(0))
+        assert medium._trackers.ok(1)

@@ -72,6 +72,19 @@ class TestCommands:
             (["design", "--stations", "2"], "M > e"),
             (["metro", "--stations", "2"], "M > e"),
             (["metro", "--beta", "0.5"], "beta"),
+            # NaN passes a bare comparison, and inf reached the
+            # summary's dB conversion as a traceback.
+            (["design", "--stations", "nan"], "M > e"),
+            (["design", "--stations", "inf"], "M > e"),
+            (["design", "--margin", "nan"], "detection margin"),
+            (["design", "--margin", "inf"], "detection margin"),
+            (["design", "--reach-doublings", "nan"], "reach doublings"),
+            (["metro", "--stations", "nan"], "M > e"),
+            (["metro", "--stations", "inf"], "M > e"),
+            (["metro", "--bandwidth", "nan"], "bandwidth"),
+            (["metro", "--bandwidth", "inf"], "bandwidth"),
+            (["metro", "--beta", "nan"], "beta"),
+            (["metro", "--reach-doublings", "nan"], "reach doublings"),
         ],
     )
     def test_out_of_range_calculator_input_is_a_usage_error(
