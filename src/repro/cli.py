@@ -38,6 +38,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.analysis.metro import MetroProjection
 from repro.core.design import DesignPoint
 from repro.experiments import all_experiments, get_experiment
+from repro.experiments.runner import _refuse_unknown_params
 from repro.sim.sanitizer import sanitized
 
 __all__ = ["main", "build_parser", "parse_overrides", "run_digest"]
@@ -95,19 +96,28 @@ def _cmd_macs(_args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _experiment_call(
+    experiment_id: str, pairs: Optional[Sequence[str]]
+) -> Optional[tuple[Callable[..., Any], Dict[str, Any]]]:
+    """An experiment's run callable and its parsed ``--set`` overrides,
+    or ``None`` after printing the usage error: an unknown id, a
+    malformed pair, or a key the experiment does not take."""
     try:
-        run = get_experiment(args.experiment_id)
-    except KeyError as exc:
+        run = get_experiment(experiment_id)
+        overrides = parse_overrides(pairs or [])
+        _refuse_unknown_params(experiment_id, overrides)
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
+        return None
+    return run, overrides
+
+
+def _cmd_run(args: argparse.Namespace) -> int:
+    call = _experiment_call(args.experiment_id, args.set)
+    if call is None:
         return 2
-    try:
-        overrides = parse_overrides(args.set or [])
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    report = run(**overrides)
-    print(report.format())
+    run, overrides = call
+    print(run(**overrides).format())
     return 0
 
 
@@ -189,14 +199,21 @@ def _cmd_metro(args: argparse.Namespace) -> int:
 
 
 def _print_summary(build: Callable[..., Any], **params: Any) -> int:
-    """Print a calculator's ``summary()``; out-of-range parameters, which
-    its constructor refuses, are a usage error."""
+    """Print a calculator's ``summary()``.  Parameters its constructor
+    refuses, and parameters whose summary overflows, leaves a math
+    domain or is not finite, are a usage error."""
     try:
-        calculator = build(**params)
-    except ValueError as exc:
-        print(exc.args[0] if exc.args else str(exc), file=sys.stderr)
+        summary = build(**params).summary()
+    except (ArithmeticError, ValueError) as exc:
+        # An OverflowError's args are (errno, message).
+        detail = exc.args[-1] if exc.args else type(exc).__name__
+        print(f"{build.__name__}: {detail}", file=sys.stderr)
         return 2
-    for key, value in calculator.summary().items():
+    for key, value in summary.items():
+        if isinstance(value, float) and not math.isfinite(value):
+            print(f"{build.__name__}: {key} is {value}", file=sys.stderr)
+            return 2
+    for key, value in summary.items():
         print(f"{key:>24s}: {value:.4g}" if isinstance(value, float) else
               f"{key:>24s}: {value}")
     return 0
@@ -418,16 +435,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if not args.experiment:
         print("trace needs --experiment ID (or --read PATH)", file=sys.stderr)
         return 2
-    try:
-        run = get_experiment(args.experiment)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
+    call = _experiment_call(args.experiment, args.set)
+    if call is None:
         return 2
-    try:
-        overrides = parse_overrides(args.set or [])
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    run, overrides = call
 
     timelines = MetricTimelines()
     sinks = [timelines]

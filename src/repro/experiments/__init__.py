@@ -35,14 +35,12 @@ from repro.experiments import (  # noqa: F401 - imported for registration
 )
 from repro.experiments.runner import (
     ExperimentReport,
-    ExperimentResult,
     all_experiments,
     get_experiment,
 )
 
 __all__ = [
     "ExperimentReport",
-    "ExperimentResult",
     "all_experiments",
     "get_experiment",
 ]

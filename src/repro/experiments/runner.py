@@ -1,26 +1,31 @@
 """Experiment harness: uniform report structure and registry.
 
 Every experiment module exposes the entry point
-``run(**params) -> ExperimentResult``, registered by the
+``run(**params) -> ExperimentReport``, registered by the
 :func:`register` decorator.  A report carries the experiment id (the
 DESIGN.md index), a table of rows (what the paper's figure/table
 showed), and free-form notes recording paper-claimed versus measured
 values — the same rows EXPERIMENTS.md summarises.
+
+An experiment runs its points serially in the calling process; fan-out
+over workers and seeded replication belong to ``repro run-all``
+(:func:`repro.parallel.suite.run_suite`) and ``repro sweep``
+(:func:`repro.parallel.sweep.run_sweep`).
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 __all__ = [
     "ExperimentReport",
-    "ExperimentResult",
+    "format_table",
     "register",
     "get_experiment",
     "all_experiments",
-    "run_many",
 ]
 
 
@@ -60,18 +65,7 @@ class ExperimentReport:
         """Render the report as aligned text (benches print this)."""
         lines = [f"== {self.experiment_id}: {self.title} =="]
         if self.rows:
-            table = [tuple(str(c) for c in self.columns)] + [
-                tuple(_fmt(v) for v in row) for row in self.rows
-            ]
-            widths = [
-                max(len(row[i]) for row in table) for i in range(len(self.columns))
-            ]
-            for index, row in enumerate(table):
-                lines.append(
-                    "  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-                )
-                if index == 0:
-                    lines.append("  " + "  ".join("-" * w for w in widths))
+            lines.extend(format_table(self.columns, self.rows))
         for name, (paper, measured) in self.claims.items():
             lines.append(f"  claim [{name}]: paper={_fmt(paper)} measured={_fmt(measured)}")
         for note in self.notes:
@@ -90,9 +84,27 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-#: Alias making the entry-point signature read naturally:
-#: ``run(**params) -> ExperimentResult``.
-ExperimentResult = ExperimentReport
+def format_table(
+    columns: Sequence[str], rows: Sequence[Sequence[Any]]
+) -> List[str]:
+    """A header, a rule and one line per row, each cell formatted as
+    the report's claims are and right-aligned to its column's widest
+    entry; a row shorter than ``columns`` leaves its last cells out."""
+    table = [tuple(str(c) for c in columns)] + [
+        tuple(_fmt(cell) for cell in row) for row in rows
+    ]
+    widths = [
+        max(len(row[i]) if i < len(row) else 0 for row in table)
+        for i in range(len(columns))
+    ]
+    lines = []
+    for index, row in enumerate(table):
+        lines.append(
+            "  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
+        )
+        if index == 0:
+            lines.append("  " + "  ".join("-" * w for w in widths))
+    return lines
 
 
 _REGISTRY: Dict[str, Callable[..., ExperimentReport]] = {}
@@ -141,19 +153,14 @@ def all_experiments() -> Dict[str, Callable[..., ExperimentReport]]:
     return dict(_REGISTRY)
 
 
-def run_many(
-    task_specs: Sequence[Any],
-    jobs: int = 1,
-) -> List[Any]:
-    """Execute a list of :class:`repro.parallel.task.TaskSpec` over the
-    worker pool, preserving spec order in the returned results.
-
-    This is the single funnel experiment modules use for their inner
-    fan-out (per-load, per-replication, ...): at ``jobs=1`` the specs
-    run inline through the exact same task layer, so pooled and serial
-    results are bit-identical by construction.  Imported lazily so the
-    experiment registry has no import-time dependency on the pool.
-    """
-    from repro.parallel.pool import run_tasks
-
-    return run_tasks(task_specs, jobs=jobs)
+def _refuse_unknown_params(experiment_id: str, names: Iterable[str]) -> None:
+    """Raise ``ValueError`` for any of ``names`` the experiment does not
+    take, listing the parameters it does take."""
+    parameters = inspect.signature(get_experiment(experiment_id)).parameters
+    unknown = sorted(set(names) - set(parameters))
+    if unknown:
+        raise ValueError(
+            f"experiment {experiment_id} has no parameter "
+            f"{', '.join(map(repr, unknown))}; it takes: "
+            f"{', '.join(parameters)}"
+        )

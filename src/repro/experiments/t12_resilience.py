@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentReport, register, run_many
+from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults import StationChurn, compile_plan, install_faults
 from repro.faults.resilience import split_losses, window_ratio
@@ -50,12 +50,9 @@ def run_resilience_point(
     """One churn-rate point: every requested MAC through the same fault
     schedule.
 
-    The importable unit of work the parallel task layer fans out
-    (``kind="function"``, target ``repro.experiments.t12_resilience:
-    run_resilience_point``).  The churn plan is compiled once per point
-    from the fault seed tree, so every MAC faces the identical
-    crash/recover schedule and the point is bit-reproducible at any
-    worker count.
+    The churn plan is compiled once per point from the fault seed tree,
+    so every MAC faces the identical crash/recover schedule and the
+    point is bit-reproducible.
 
     Returns the report rows plus the recovery tallies the summary
     claims accumulate.
@@ -156,16 +153,12 @@ def run(
     load_packets_per_slot: float = 0.05,
     seed: int = 47,
     macs: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Delivery ratio and recovery latency versus churn rate, per MAC.
 
-    Each churn rate is an independent task (:func:`run_resilience_point`)
-    fanned over ``jobs`` workers; results merge in churn-rate order, so
-    the report is identical at any worker count.
+    Runs :func:`run_resilience_point` at each churn rate in turn and
+    keeps the rows in churn-rate order.
     """
-    from repro.parallel.task import TaskSpec
-
     report = ExperimentReport(
         experiment_id="T12",
         title="Resilience under deterministic station churn",
@@ -185,35 +178,23 @@ def run(
             "arq giveups",
         ),
     )
-    specs = [
-        TaskSpec(
-            task_id=f"T12[churn={rate!r}]",
-            kind="function",
-            target="repro.experiments.t12_resilience:run_resilience_point",
-            params={
-                "churn_rate": rate,
-                "station_count": station_count,
-                "warmup_slots": warmup_slots,
-                "churn_slots": churn_slots,
-                "recovery_slots": recovery_slots,
-                "window_slots": window_slots,
-                "mean_downtime_slots": mean_downtime_slots,
-                "load_packets_per_slot": load_packets_per_slot,
-                "seed": seed,
-                "macs": list(macs) if macs is not None else None,
-            },
-        )
-        for rate in churn_rates
-    ]
     shepard_recoveries: List[float] = []
-    for outcome in run_many(specs, jobs=jobs):
-        if not outcome.ok or outcome.payload is None:
-            raise RuntimeError(
-                f"churn point {outcome.task_id} failed: {outcome.error}"
-            )
-        for row in outcome.payload["rows"]:
+    for rate in churn_rates:
+        point = run_resilience_point(
+            rate,
+            station_count=station_count,
+            warmup_slots=warmup_slots,
+            churn_slots=churn_slots,
+            recovery_slots=recovery_slots,
+            window_slots=window_slots,
+            mean_downtime_slots=mean_downtime_slots,
+            load_packets_per_slot=load_packets_per_slot,
+            seed=seed,
+            macs=macs,
+        )
+        for row in point["rows"]:
             report.add_row(*row)
-        recovered = outcome.payload["recoveries"].get("shepard")
+        recovered = point["recoveries"].get("shepard")
         if recovered is not None:
             shepard_recoveries.append(recovered)
     if shepard_recoveries:

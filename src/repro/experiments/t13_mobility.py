@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentReport, register, run_many
+from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults.resilience import split_losses, window_ratio
 from repro.mac.registry import get_mac
@@ -89,13 +89,11 @@ def run_mobility_point(
     """One churn-rate point: every requested variant through the same
     channel trajectory.
 
-    The importable unit of work the parallel task layer fans out
-    (``kind="function"``, target ``repro.experiments.t13_mobility:
-    run_mobility_point``).  ``churn_rate`` is the waypoint speed in
-    characteristic lengths (``R0``) per 100 slots — the natural
-    mobility unit of the paper's density analysis.  Mobility and
-    fading draw from the seed tree independently of re-acquisition,
-    so all variants face the bit-identical channel trajectory.
+    ``churn_rate`` is the waypoint speed in characteristic lengths
+    (``R0``) per 100 slots — the natural mobility unit of the paper's
+    density analysis.  Mobility and fading draw from the seed tree
+    independently of re-acquisition, so all variants face the
+    bit-identical channel trajectory.
 
     Returns the report rows plus the per-variant recovery fractions
     the summary claims accumulate.
@@ -220,16 +218,12 @@ def run(
     load_packets_per_slot: float = 0.1,
     seed: int = 47,
     variants: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Delivery ratio and recovery versus mobility churn rate.
 
-    Each churn rate is an independent task (:func:`run_mobility_point`)
-    fanned over ``jobs`` workers; results merge in churn-rate order,
-    so the report is identical at any worker count.
+    Runs :func:`run_mobility_point` at each churn rate in turn and
+    keeps the rows in churn-rate order.
     """
-    from repro.parallel.task import TaskSpec
-
     report = ExperimentReport(
         experiment_id="T13",
         title="Mobility churn, time-varying channels, and ARQ",
@@ -248,45 +242,33 @@ def run(
             "arq giveups",
         ),
     )
-    specs = [
-        TaskSpec(
-            task_id=f"T13[churn={rate!r}]",
-            kind="function",
-            target="repro.experiments.t13_mobility:run_mobility_point",
-            params={
-                "churn_rate": rate,
-                "station_count": station_count,
-                "warmup_slots": warmup_slots,
-                "churn_slots": churn_slots,
-                "recovery_slots": recovery_slots,
-                "window_slots": window_slots,
-                "tick_slots": tick_slots,
-                "fade_sigma_db": fade_sigma_db,
-                "fade_coherence_slots": fade_coherence_slots,
-                "reacquire_every_slots": reacquire_every_slots,
-                "reacquire_delay_slots": reacquire_delay_slots,
-                "arq_max_retries": arq_max_retries,
-                "arq_backoff_slots": arq_backoff_slots,
-                "load_packets_per_slot": load_packets_per_slot,
-                "seed": seed,
-                "variants": list(variants) if variants is not None else None,
-            },
-        )
-        for rate in churn_rates
-    ]
     shepard_recoveries: List[float] = []
     stale_recoveries: List[float] = []
-    for outcome in run_many(specs, jobs=jobs):
-        if not outcome.ok or outcome.payload is None:
-            raise RuntimeError(
-                f"churn point {outcome.task_id} failed: {outcome.error}"
-            )
-        for row in outcome.payload["rows"]:
+    for rate in churn_rates:
+        point = run_mobility_point(
+            rate,
+            station_count=station_count,
+            warmup_slots=warmup_slots,
+            churn_slots=churn_slots,
+            recovery_slots=recovery_slots,
+            window_slots=window_slots,
+            tick_slots=tick_slots,
+            fade_sigma_db=fade_sigma_db,
+            fade_coherence_slots=fade_coherence_slots,
+            reacquire_every_slots=reacquire_every_slots,
+            reacquire_delay_slots=reacquire_delay_slots,
+            arq_max_retries=arq_max_retries,
+            arq_backoff_slots=arq_backoff_slots,
+            load_packets_per_slot=load_packets_per_slot,
+            seed=seed,
+            variants=variants,
+        )
+        for row in point["rows"]:
             report.add_row(*row)
-        recovered = outcome.payload["recoveries"].get("shepard")
+        recovered = point["recoveries"].get("shepard")
         if recovered is not None and not math.isnan(recovered):
             shepard_recoveries.append(recovered)
-        stale = outcome.payload["recoveries"].get("aloha")
+        stale = point["recoveries"].get("aloha")
         if stale is not None and not math.isnan(stale):
             stale_recoveries.append(stale)
     if shepard_recoveries:

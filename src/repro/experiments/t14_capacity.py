@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.experiments.runner import ExperimentReport, register, run_many
+from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.registry import get_mac
 from repro.net.network import NetworkConfig
@@ -55,12 +55,9 @@ def run_capacity_point(
 ) -> Dict[str, Any]:
     """One density point: every requested MAC at ``station_count``.
 
-    The importable unit of work the parallel task layer fans out
-    (``kind="function"``, target ``repro.experiments.t14_capacity:
-    run_capacity_point``).  The fill window lets queues and schedules
-    reach steady state before the measurement window opens; per-node
-    throughput is end-to-end deliveries inside the measurement window
-    per station per slot.
+    The fill window lets queues and schedules reach steady state before
+    the measurement window opens; per-node throughput is end-to-end
+    deliveries inside the measurement window per station per slot.
 
     Returns the report rows plus the per-MAC throughput the summary's
     capacity-law fit consumes.
@@ -136,17 +133,13 @@ def run(
     fill_slots: float = 100.0,
     seed: int = 47,
     macs: Optional[Sequence[str]] = None,
-    jobs: int = 1,
 ) -> ExperimentReport:
     """Per-node throughput and fitted scaling exponent versus density.
 
-    Each station count is an independent task
-    (:func:`run_capacity_point`) fanned over ``jobs`` workers; results
-    merge in density order, so the report is identical at any worker
-    count.  One exponent row per MAC follows the measurement rows.
+    Runs :func:`run_capacity_point` at each station count in turn and
+    keeps the rows in density order.  One exponent row per MAC follows
+    the measurement rows.
     """
-    from repro.parallel.task import TaskSpec
-
     names = DEFAULT_MACS if macs is None else tuple(macs)
     report = ExperimentReport(
         experiment_id="T14",
@@ -160,31 +153,14 @@ def run(
             "hop loss ratio",
         ),
     )
-    specs = [
-        TaskSpec(
-            task_id=f"T14[n={count}]",
-            kind="function",
-            target="repro.experiments.t14_capacity:run_capacity_point",
-            params={
-                "station_count": count,
-                "load_packets_per_slot": load_packets_per_slot,
-                "duration_slots": duration_slots,
-                "fill_slots": fill_slots,
-                "seed": seed,
-                "macs": tuple(names),
-            },
-        )
-        for count in station_counts
-    ]
     curves: Dict[str, List[Tuple[int, float]]] = {name: [] for name in names}
-    for count, outcome in zip(station_counts, run_many(specs, jobs=jobs)):
-        if not outcome.ok or outcome.payload is None:
-            raise RuntimeError(
-                f"density point {outcome.task_id} failed: {outcome.error}"
-            )
-        for row in outcome.payload["rows"]:
+    for count in station_counts:
+        point = run_capacity_point(
+            count, load_packets_per_slot, duration_slots, fill_slots, seed, names
+        )
+        for row in point["rows"]:
             report.add_row(*row)
-        for name, throughput in outcome.payload["per_node"].items():
+        for name, throughput in point["per_node"].items():
             curves[name].append((count, throughput))
 
     exponents = {name: fit_exponent(points) for name, points in curves.items()}

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.runner import ExperimentReport, register, run_many
+from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import run_loaded_network
 from repro.mac.maca import MacaMac
 from repro.mac.registry import mac_names
@@ -51,10 +51,7 @@ def run_load_point(
 ) -> Dict[str, Any]:
     """One offered-load point of the shootout: every MAC at ``load``.
 
-    The importable unit of work the parallel task layer fans out
-    (``kind="function"``, target ``repro.experiments.t7_baselines:
-    run_load_point``); ``run`` merges the returned row groups in load
-    order.  ``macs`` selects registered MAC names (``None`` = the whole
+    ``macs`` selects registered MAC names (``None`` = the whole
     registry, the paper's scheme first).  Returns the report rows plus
     the loss tallies the summary claims accumulate.
     """
@@ -112,18 +109,14 @@ def run(
     station_count: int = 40,
     duration_slots: float = 500.0,
     seed: int = 47,
-    jobs: int = 1,
     macs: Optional[Sequence[str]] = None,
 ) -> ExperimentReport:
     """Throughput/loss/overhead versus offered load, per MAC.
 
-    Each offered load is an independent task (:func:`run_load_point`)
-    fanned over ``jobs`` workers; results merge in load order, so the
-    report is identical at any worker count.  ``macs`` restricts the
-    contender list to the named registry entries.
+    Runs :func:`run_load_point` at each offered load in turn and keeps
+    the rows in load order.  ``macs`` restricts the contender list to
+    the named registry entries.
     """
-    from repro.parallel.task import TaskSpec
-
     report = ExperimentReport(
         experiment_id="T7",
         title="Channel access shootout under the physical model",
@@ -140,32 +133,14 @@ def run(
             "arq giveups",
         ),
     )
-    specs = [
-        TaskSpec(
-            task_id=f"T7[load={load!r}]",
-            kind="function",
-            target="repro.experiments.t7_baselines:run_load_point",
-            params={
-                "load": load,
-                "station_count": station_count,
-                "duration_slots": duration_slots,
-                "seed": seed,
-                "macs": tuple(macs) if macs is not None else None,
-            },
-        )
-        for load in loads_packets_per_slot
-    ]
     shepard_losses = 0
     baseline_losses = 0
-    for outcome in run_many(specs, jobs=jobs):
-        if not outcome.ok or outcome.payload is None:
-            raise RuntimeError(
-                f"load point {outcome.task_id} failed: {outcome.error}"
-            )
-        for row in outcome.payload["rows"]:
+    for load in loads_packets_per_slot:
+        point = run_load_point(load, station_count, duration_slots, seed, macs)
+        for row in point["rows"]:
             report.add_row(*row)
-        shepard_losses += outcome.payload["shepard_losses"]
-        baseline_losses += outcome.payload["baseline_losses"]
+        shepard_losses += point["shepard_losses"]
+        baseline_losses += point["baseline_losses"]
     report.claim("scheme losses across all loads", 0, shepard_losses)
     report.claim("baseline losses across all loads", "> 0", baseline_losses)
     report.notes.append(

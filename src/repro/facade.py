@@ -39,11 +39,9 @@ from repro.net.network import (
     NetworkResult,
     build_network,
 )
-from repro.net.traffic import PoissonTraffic
 from repro.obs.api import Instrumentation
 from repro.propagation.geometry import Placement, uniform_disk
 from repro.propagation.models import PropagationModel
-from repro.sim.streams import RandomStreams
 
 __all__ = ["Scenario", "SimulationOutcome", "simulate"]
 
@@ -167,19 +165,11 @@ def simulate(
     if scenario.traffic is not None:
         scenario.traffic(network, seed)
     else:
-        rng = RandomStreams(seed + 1).stream("traffic")
-        rate = scenario.load_packets_per_slot / network.budget.slot_time
-        destinations = list(range(network.station_count))
-        for origin in range(network.station_count):
-            network.add_traffic(
-                PoissonTraffic(
-                    origin=origin,
-                    rate=rate,
-                    destinations=destinations,
-                    size_bits=config.packet_size_bits,
-                    rng=rng,
-                )
-            )
+        # Imported here: loading repro.experiments fills the experiment
+        # registry, which a bare ``import repro`` does not need.
+        from repro.experiments.simsetup import add_uniform_poisson
+
+        add_uniform_poisson(network, scenario.load_packets_per_slot, seed + 1)
 
     injector = None
     if faults:

@@ -209,10 +209,8 @@ class SuiteResult:
 
     def format(self) -> str:
         """Every report's text rendering, plus a failure epilogue."""
-        from repro.parallel.aggregate import reports_in_order as _in_order
-
         blocks: List[str] = []
-        for report in _in_order(self.results):
+        for report in reports_in_order(self.results):
             if report is not None:
                 blocks.append(report.format())
         for task_id, error in self.errors.items():

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.parallel.aggregate import failed_results, summarize_rows
 from repro.parallel.pool import run_tasks
@@ -106,10 +106,6 @@ def default_sweep_values(experiment_id: str, parameter: str) -> Tuple[Any, ...]:
     return tuple(default)
 
 
-def _accepts_seed(experiment_id: str) -> bool:
-    return "seed" in _run_signature(experiment_id).parameters
-
-
 @dataclass(frozen=True)
 class SweepPlan:
     """A fully specified sweep: experiment, points, replications, seed.
@@ -146,9 +142,15 @@ def build_sweep_tasks(plan: SweepPlan) -> List[TaskSpec]:
 
     Task ids encode ``experiment[parameter=value]#rN``; seeds derive
     from ``SeedTree(root_seed).seed(experiment_id, point_index,
-    replication_index)`` — worker count never enters.
+    replication_index)`` — worker count never enters.  A
+    ``base_params`` key the experiment does not take is a
+    ``ValueError`` that lists the parameters it does take.
     """
-    seeded = _accepts_seed(plan.experiment_id)
+    from repro.experiments.runner import _refuse_unknown_params
+
+    _refuse_unknown_params(plan.experiment_id, plan.base_params)
+    parameters = _run_signature(plan.experiment_id).parameters
+    seeded = "seed" in parameters
     if plan.replications > 1 and not seeded:
         raise ValueError(
             f"experiment {plan.experiment_id} takes no seed parameter; "
@@ -158,10 +160,7 @@ def build_sweep_tasks(plan: SweepPlan) -> List[TaskSpec]:
     # point as a one-element tuple; scalar knobs (fade coherence, ARQ
     # retry budget, ...) are passed through as-is, so any numeric
     # run() parameter is sweepable by naming it with explicit values.
-    default = _run_signature(plan.experiment_id).parameters[
-        plan.parameter
-    ].default
-    wrap = isinstance(default, (tuple, list))
+    wrap = isinstance(parameters[plan.parameter].default, (tuple, list))
     tree = SeedTree(plan.root_seed)
     specs: List[TaskSpec] = []
     for value_index, value in enumerate(plan.values):
@@ -270,18 +269,23 @@ class SweepResult:
 
     def format(self) -> str:
         """Aligned text tables: raw rows, then replication summaries."""
+        from repro.experiments.runner import format_table
+
         lines = [
             f"== sweep {self.plan.experiment_id} over {self.plan.parameter} "
             f"({len(self.plan.values)} points x {self.plan.replications} "
             f"replications, root seed {self.plan.root_seed}) =="
         ]
-        lines.extend(_table(self.columns(), self.rows()))
+        rows = self.rows()
+        lines.extend(
+            format_table(self.columns(), rows) if rows else ["  (no rows)"]
+        )
         summaries = self.summaries()
         if self.plan.replications > 1 and summaries:
             lines.append("")
             lines.append("-- replication summaries --")
             lines.extend(
-                _table(
+                format_table(
                     (
                         self.plan.parameter,
                         "row",
@@ -299,39 +303,6 @@ class SweepResult:
             first_line = error.splitlines()[0] if error else "unknown failure"
             lines.append(f"  ERROR [{task_id}]: {first_line}")
         return "\n".join(lines)
-
-
-def _format_cell(value: Any) -> str:
-    if isinstance(value, float):
-        if value == 0.0:
-            return "0"
-        magnitude = abs(value)
-        if magnitude >= 1e5 or magnitude < 1e-3:
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)
-
-
-def _table(
-    columns: Sequence[str], rows: Sequence[Tuple[Any, ...]]
-) -> List[str]:
-    if not rows:
-        return ["  (no rows)"]
-    table = [tuple(str(c) for c in columns)] + [
-        tuple(_format_cell(cell) for cell in row) for row in rows
-    ]
-    widths = [
-        max(len(row[i]) if i < len(row) else 0 for row in table)
-        for i in range(len(columns))
-    ]
-    lines = []
-    for index, row in enumerate(table):
-        lines.append(
-            "  " + "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-        )
-        if index == 0:
-            lines.append("  " + "  ".join("-" * w for w in widths))
-    return lines
 
 
 def run_sweep(

@@ -51,7 +51,8 @@ class TaskSpec:
             in spec order, keyed by this id.
         kind: ``"experiment"`` (``target`` is a registry id such as
             ``"T7"``) or ``"function"`` (``target`` is a picklable-safe
-            ``"package.module:callable"`` dotted name).
+            ``"package.module:callable"`` dotted name; no package code
+            builds one, the tests' crash and timeout fakes do).
         target: what to run, interpreted per ``kind``.
         params: keyword arguments for the target (must be picklable).
         seed: derived seed from the task tree; when set it is passed to

@@ -91,6 +91,17 @@ class TestT7Baselines:
             else:
                 assert control == 0
 
+    def test_unknown_mac_raises_its_own_error(self):
+        # A load point runs in-process, so its exception reaches the
+        # caller as itself.
+        with pytest.raises(ValueError, match="carrier-pigeon"):
+            get_experiment("T7")(
+                loads_packets_per_slot=(0.05,),
+                station_count=8,
+                duration_slots=20,
+                macs=("carrier-pigeon",),
+            )
+
 
 class TestT10RoutingTradeoff:
     @pytest.fixture(scope="class")

@@ -36,21 +36,8 @@ class TestT12Resilience:
     def test_rerouting_engaged(self, report):
         assert all(not math.isnan(row[7]) for row in report.rows)
 
-    def test_jobs_invariant(self, report):
-        two = get_experiment("T12")(
-            churn_rates=(0.02,),
-            station_count=16,
-            warmup_slots=100,
-            churn_slots=100,
-            recovery_slots=200,
-            macs=("shepard", "aloha"),
-            jobs=2,
-        )
-        assert two.rows == report.rows
-        assert two.claims == report.claims
-
     def test_rejects_unknown_mac(self):
-        with pytest.raises((ValueError, RuntimeError)):
+        with pytest.raises(ValueError, match="carrier-pigeon"):
             get_experiment("T12")(
                 churn_rates=(0.02,),
                 station_count=12,

@@ -76,14 +76,3 @@ class TestDeterminism:
         n2, _r2, d2 = mlp_run()
         assert d1 == d2
         assert len(level_draws(n1)) == len(level_draws(n2))
-
-    def test_t7_rows_identical_jobs_1_vs_2(self):
-        from repro.experiments.t7_baselines import run
-
-        kwargs = dict(
-            loads_packets_per_slot=(0.05, 0.1),
-            station_count=12,
-            duration_slots=80.0,
-            macs=("multilevel_power",),
-        )
-        assert run(jobs=1, **kwargs).rows == run(jobs=2, **kwargs).rows

@@ -92,14 +92,3 @@ class TestDeterminism:
             event.cancelled for event in cancellations(n2)
         )
         assert r1.hop_deliveries == r2.hop_deliveries
-
-    def test_t7_rows_identical_jobs_1_vs_2(self):
-        from repro.experiments.t7_baselines import run
-
-        kwargs = dict(
-            loads_packets_per_slot=(0.05, 0.1),
-            station_count=12,
-            duration_slots=80.0,
-            macs=("sic_aloha",),
-        )
-        assert run(jobs=1, **kwargs).rows == run(jobs=2, **kwargs).rows

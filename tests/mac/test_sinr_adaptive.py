@@ -92,14 +92,3 @@ class TestDeterminism:
         _n2, r2, d2 = adaptive_run()
         assert d1 == d2
         assert r1.delivered_end_to_end == r2.delivered_end_to_end
-
-    def test_t7_rows_identical_jobs_1_vs_2(self):
-        from repro.experiments.t7_baselines import run
-
-        kwargs = dict(
-            loads_packets_per_slot=(0.05, 0.1),
-            station_count=12,
-            duration_slots=80.0,
-            macs=("sinr_adaptive",),
-        )
-        assert run(jobs=1, **kwargs).rows == run(jobs=2, **kwargs).rows

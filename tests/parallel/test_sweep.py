@@ -90,6 +90,16 @@ class TestPlanBuilding:
         with pytest.raises(ValueError):
             build_sweep_tasks(plan)
 
+    def test_unknown_base_param_is_refused_with_the_parameters(self):
+        plan = SweepPlan(
+            experiment_id="T7",
+            parameter="loads_packets_per_slot",
+            values=(0.05,),
+            base_params={"jobs": 2},
+        )
+        with pytest.raises(ValueError, match="'jobs'.*station_count"):
+            build_sweep_tasks(plan)
+
 
 class TestJobsInvariance:
     @pytest.fixture(scope="class")
@@ -132,3 +142,32 @@ class TestJobsInvariance:
         text = serial.format()
         assert "sweep T2 over receive_fractions" in text
         assert "replication summaries" in text
+
+
+class TestMultiPointTasks:
+    """A sweep over a scalar knob whose every task runs several points
+    of the experiment's own axis, one after another in its worker."""
+
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return SweepPlan(
+            experiment_id="T7",
+            parameter="station_count",
+            values=(8, 10),
+            base_params={
+                "loads_packets_per_slot": (0.05, 0.1),
+                "duration_slots": 40.0,
+                "macs": ("shepard", "aloha"),
+            },
+        )
+
+    def test_pooled_sweep_equals_serial(self, plan):
+        serial = run_sweep(plan, jobs=1)
+        pooled = run_sweep(plan, jobs=2)
+        assert not serial.errors and not pooled.errors
+        # Each task carries both loads for both MACs.
+        for result in serial.results:
+            loads = [row[1] for row in result.payload["rows"]]
+            assert loads == [0.05, 0.05, 0.1, 0.1]
+        assert pooled.to_payload() == serial.to_payload()
+        assert results_digest(pooled.results) == results_digest(serial.results)

@@ -55,6 +55,24 @@ class TestCommands:
         assert main(["run", "F1", "--set", "nonsense"]) == 2
         assert "key=value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "T4", "--set", "bogus=1"],
+            ["run", "T7", "--set", "station_count=8", "--set", "bogus=1"],
+            ["trace", "--experiment", "T4", "--set", "bogus=1",
+             "--jsonl", "{tmp}/t.jsonl"],
+        ],
+        ids=["run", "run-with-a-known-key", "trace"],
+    )
+    def test_unknown_set_key_is_a_usage_error(self, capsys, tmp_path, argv):
+        assert main([arg.format(tmp=tmp_path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert "'bogus'" in captured.err
+        assert "station_count" in captured.err  # the parameters are listed
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_design_command(self, capsys):
         assert main(["design", "--stations", "1e9", "--duty", "1.0"]) == 0
         out = capsys.readouterr().out
@@ -85,6 +103,12 @@ class TestCommands:
             (["metro", "--bandwidth", "inf"], "bandwidth"),
             (["metro", "--beta", "nan"], "beta"),
             (["metro", "--reach-doublings", "nan"], "reach doublings"),
+            # Finite inputs whose summary overflows, leaves a math
+            # domain or holds a non-finite line.
+            (["metro", "--reach-doublings", "1e6"], "MetroProjection: "),
+            (["design", "--reach-doublings", "1e308"], "DesignPoint: "),
+            (["metro", "--duty", "1e-320"], "MetroProjection: "),
+            (["design", "--duty", "1e-320"], "characteristic_snr_db is inf"),
         ],
     )
     def test_out_of_range_calculator_input_is_a_usage_error(
@@ -169,6 +193,14 @@ class TestParallelCommands:
     def test_sweep_unknown_experiment_fails_cleanly(self, capsys):
         assert main(["sweep", "--experiment", "Z9"]) == 2
         assert "unknown experiment" in capsys.readouterr().err
+
+    def test_sweep_unknown_set_key_is_a_usage_error(self, capsys):
+        code = main(["sweep", "--experiment", "T7", "--set", "jobs=2"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "'jobs'" in captured.err
+        assert "loads_packets_per_slot" in captured.err
+        assert captured.out == ""
 
     def test_sweep_unknown_parameter_fails_cleanly(self, capsys):
         code = main(

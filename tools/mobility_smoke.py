@@ -1,16 +1,22 @@
 #!/usr/bin/env python
 """Mobility/ARQ smoke test for CI.
 
-Runs the quick T13 point (mobility churn + continuous fading + ARQ)
-twice under ``REPRO_SANITIZE=1`` — once with ``jobs=1``, once with
-``jobs=2`` — and asserts the worker fan-out is invisible: the printed
-report (rows, claims, rendezvous latencies) must be byte-identical
-between the two runs.  The sanitizer turns any incremental-field drift
-or exact-restore violation inside the channel process into a hard
-failure, so this doubles as the continuous-channel correctness gate.
+Sweeps the quick T13 point (mobility churn + continuous fading + ARQ)
+at churn rate 3.0 with two seeded replications under
+``REPRO_SANITIZE=1``, twice: once with ``--jobs 1`` (inline) and once
+with ``--jobs 2`` (one spawned worker per replication).  It asserts the
+worker fan-out is invisible: the two ``--output`` JSON files (rows,
+payload digests, errors) must be byte-identical.  The sanitizer turns
+any incremental-field drift or exact-restore violation inside the
+channel process into a hard failure, so this doubles as the
+continuous-channel correctness gate.
 
-The jobs=1 report is written to ``--report-output`` for CI to archive.
-Exit status is non-zero on any mismatch.
+The ``--jobs 1`` sweep report is written to ``--report-output`` for CI
+to archive.  Exit status is non-zero on any mismatch or failed task.
+
+Usage::
+
+    python tools/mobility_smoke.py --report-output mobility-report.txt
 """
 
 import argparse
@@ -18,18 +24,21 @@ import hashlib
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
-T13_ARGS = [
-    "run",
-    "T13",
-    "--set",
-    "churn_rates=(3.0,)",
+SWEEP_ARGS = [
+    "sweep",
+    "--experiment", "T13",
+    "--values", "3.0",
+    "--replications", "2",
 ]
 
 
-def run_t13(jobs, env):
-    command = [sys.executable, "-m", "repro", *T13_ARGS,
-               "--set", f"jobs={jobs}"]
+def run_sweep(jobs, output, env):
+    """Run the T13 sweep at ``jobs`` workers; return its stdout."""
+    command = [sys.executable, "-m", "repro", *SWEEP_ARGS,
+               "--jobs", str(jobs), "--output", str(output)]
     completed = subprocess.run(
         command,
         env=env,
@@ -46,7 +55,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--report-output", default="mobility-report.txt", metavar="PATH",
-        help="where to write the T13 resilience report",
+        help="where to write the T13 sweep report",
     )
     args = parser.parse_args()
 
@@ -54,17 +63,22 @@ def main():
     env["PYTHONPATH"] = "src" + os.pathsep + env.get("PYTHONPATH", "")
     env["REPRO_SANITIZE"] = "1"
 
-    reports = {}
-    for jobs in (1, 2):
-        print(f"== T13 quick, jobs={jobs}, sanitizer on ==", flush=True)
-        reports[jobs] = run_t13(jobs, env)
-        digest = hashlib.sha256(reports[jobs].encode()).hexdigest()[:16]
-        print(f"report digest: {digest}")
+    with tempfile.TemporaryDirectory() as workdir:
+        reports = {}
+        outputs = {}
+        for jobs in (1, 2):
+            print(f"== T13 sweep, 2 replications, --jobs {jobs}, sanitizer on ==",
+                  flush=True)
+            output = Path(workdir) / f"t13-jobs{jobs}.json"
+            reports[jobs] = run_sweep(jobs, output, env)
+            outputs[jobs] = output.read_bytes()
+            digest = hashlib.sha256(outputs[jobs]).hexdigest()[:16]
+            print(f"output digest: {digest}")
 
-    if reports[1] != reports[2]:
-        print("MISMATCH between jobs=1 and jobs=2 reports:")
+    if outputs[1] != outputs[2]:
+        print("MISMATCH between the --jobs 1 and --jobs 2 output files:")
         for one, two in zip(
-            reports[1].splitlines(), reports[2].splitlines()
+            outputs[1].decode().splitlines(), outputs[2].decode().splitlines()
         ):
             marker = "  " if one == two else "!!"
             print(f"{marker} {one}")
@@ -72,12 +86,17 @@ def main():
                 print(f"!! {two}")
         raise SystemExit(1)
 
+    # The report's last line names the temporary output file; drop it.
+    report = "".join(
+        line for line in reports[1].splitlines(keepends=True)
+        if not line.startswith("wrote ")
+    )
     with open(args.report_output, "w", encoding="utf-8") as handle:
-        handle.write(reports[1])
-    print(reports[1])
+        handle.write(report)
+    print(report)
     print(
-        "mobility smoke OK: jobs=1 and jobs=2 reports byte-identical; "
-        f"report written to {args.report_output}"
+        "mobility smoke OK: --jobs 1 and --jobs 2 sweep outputs "
+        f"byte-identical; report written to {args.report_output}"
     )
 
 
