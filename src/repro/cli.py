@@ -83,14 +83,10 @@ def _cmd_macs(_args: argparse.Namespace) -> int:
     for name in mac_names():
         descriptor = get_mac(name)
         flags = []
-        if descriptor.builder_default:
-            flags.append("default")
         if descriptor.slotted:
             flags.append("slotted")
-        if descriptor.needs_bank:
-            flags.append("needs-bank")
         if descriptor.receiver_model is not None:
-            flags.append(f"rx={descriptor.receiver_model}")
+            flags.append(f"rx={descriptor.receiver_model.name}")
         tag = f" [{', '.join(flags)}]" if flags else ""
         print(f"{name:>18s}{tag}  {descriptor.description}")
     return 0
@@ -288,7 +284,11 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
         status = "ok" if result.ok else "FAILED"
         print(f"[{done}/{total}] {result.task_id}: {status}", file=sys.stderr)
 
-    cache = _open_cache(args.cache)
+    try:
+        cache = _open_cache(args.cache)
+    except ValueError as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
     suite = run_suite(
         jobs=args.jobs,
         quick=args.quick,
@@ -315,6 +315,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     from repro.parallel.sweep import (
         SweepPlan,
+        build_sweep_tasks,
         default_sweep_values,
         run_sweep,
         sweep_parameter,
@@ -339,12 +340,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             timeout_s=args.timeout_s,
             retries=args.retries,
         )
+        # Refuse a bad plan before --cache DIR is created and marked.
+        build_sweep_tasks(plan)
     except (KeyError, ValueError, SyntaxError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(message, file=sys.stderr)
         return 2
-    cache = _open_cache(args.cache)
     try:
+        cache = _open_cache(args.cache)
         outcome = run_sweep(plan, jobs=args.jobs, cache=cache)
     except ValueError as exc:
         print(exc.args[0] if exc.args else str(exc), file=sys.stderr)

@@ -63,10 +63,10 @@ def run(
     deliveries = {}
 
     def build_and_run(
-        name: str, factory: "MacFactory | None", share_note: str
+        name: str, mac: "str | MacFactory", share_note: str
     ) -> "tuple[Network, NetworkResult]":
         config = NetworkConfig(seed=seed)
-        network = standard_network(station_count, seed, config, mac=factory)
+        network = standard_network(station_count, seed, config, mac=mac)
         add_uniform_poisson(network, load_packets_per_slot, seed + 1)
         result = network.run(duration_slots * network.budget.slot_time)
         reuse = _mean_concurrency(network, result.duration)
@@ -76,7 +76,7 @@ def run(
         return network, result
 
     # The paper's scheme.
-    build_and_run("shepard", None, "<= 1-p = 0.7 per station")
+    build_and_run("shepard", "shepard", "<= 1-p = 0.7 per station")
 
     # Textbook TDMA, granted global sync and a central colouring.
     probe = standard_network(station_count, seed, NetworkConfig(seed=seed), trace=False)

@@ -23,7 +23,7 @@ def standard_network(
     station_count: int,
     placement_seed: int,
     config: Optional[NetworkConfig] = None,
-    mac: Union[str, MacFactory, None] = None,
+    mac: Union[str, MacFactory] = "shepard",
     model: Optional[PropagationModel] = None,
     radius: float = 1000.0,
     trace: bool = False,
@@ -85,7 +85,7 @@ def run_loaded_network(
     placement_seed: int = 7,
     traffic_seed: int = 99,
     config: Optional[NetworkConfig] = None,
-    mac: Union[str, MacFactory, None] = None,
+    mac: Union[str, MacFactory] = "shepard",
     trace: bool = False,
 ) -> Tuple[Network, "NetworkResult"]:
     """Build, load, and run a standard network; returns (network, result)."""

@@ -63,7 +63,7 @@ class Scenario:
         model: propagation model (free space when ``None``).
         mac: which channel access scheme to run — a registered MAC
             name (see :func:`repro.mac.mac_names`) or an explicit
-            per-station factory (the paper's scheme when ``None``).
+            per-station factory (the paper's scheme by default).
         placement: explicit station positions overriding the uniform
             disk.
         traffic: custom traffic installer called as
@@ -77,7 +77,7 @@ class Scenario:
     duration_slots: float = 500.0
     config: Optional[NetworkConfig] = None
     model: Optional[PropagationModel] = None
-    mac: Union[str, MacFactory, None] = None
+    mac: Union[str, MacFactory] = "shepard"
     placement: Optional[Placement] = None
     traffic: Optional[Callable[[Network, int], None]] = None
 

@@ -14,11 +14,9 @@ from repro.mac.multilevel_power import MultilevelPowerMac
 from repro.mac.registry import (
     MacBuildContext,
     MacDescriptor,
-    build_mac,
     get_mac,
     mac_factory,
     mac_names,
-    mac_suite,
     register_mac,
 )
 from repro.mac.shepard import ShepardMac
@@ -41,12 +39,10 @@ __all__ = [
     "SinrAdaptiveMac",
     "TdmaMac",
     "TdmaPlan",
-    "build_mac",
     "build_tdma_plan",
     "get_mac",
     "greedy_coloring",
     "mac_factory",
     "mac_names",
-    "mac_suite",
     "register_mac",
 ]

@@ -2,13 +2,14 @@
 
 Every contender — the paper's scheme and each baseline — registers a
 :class:`MacDescriptor` here under a stable name, carrying both the
-capability flags experiments care about (slotted?  needs a
-despreader-bank receiver model?) and the recipe for building one bound
-instance per station.  Experiments enumerate and build by name
-(:func:`mac_names` / :func:`build_mac` / :func:`mac_suite`), and
-``build_network(mac="sic_aloha")`` resolves through the same table, so
-adding a MAC is one module plus one ``@register_mac`` decorator — no
-hand-written suite dicts to keep in sync.
+capability flags experiments care about (slotted?  which receiver
+model on the despreader banks?) and the recipe for building one bound
+instance per station.  Experiments enumerate by name
+(:func:`mac_names`), and ``build_network(mac="sic_aloha")`` builds
+every station's MAC through :func:`mac_factory` — the one build path
+for a named scheme, the paper's own included — so adding a MAC is one
+module plus one ``@register_mac`` decorator, with no hand-written
+suite dicts to keep in sync.
 
 Stream identity: each descriptor owns the seed-tree stream prefix its
 per-station RNGs derive from, so two MACs can never collide on a
@@ -27,8 +28,8 @@ remains available by passing an explicit factory as ``mac=`` (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,13 +37,14 @@ from repro.mac.aloha import AlohaMac
 from repro.mac.csma import CsmaMac
 from repro.mac.maca import MacaMac
 from repro.mac.multilevel_power import MultilevelPowerMac
+from repro.mac.shepard import ShepardMac
 from repro.mac.sic_aloha import SicAlohaMac
 from repro.mac.sinr_adaptive import SinrAdaptiveMac
-from repro.radio.receiver_model import receiver_model_names
+from repro.radio.receiver_model import SicReceiver
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mac.base import MacProtocol
-    from repro.net.network import LinkBudget
+    from repro.net.network import LinkBudget, NetworkConfig
     from repro.sim.streams import RandomStreams
 
 __all__ = [
@@ -51,9 +53,7 @@ __all__ = [
     "register_mac",
     "mac_names",
     "get_mac",
-    "build_mac",
     "mac_factory",
-    "mac_suite",
 ]
 
 
@@ -64,13 +64,16 @@ class MacBuildContext:
     Attributes:
         index: the station's network-wide index.
         budget: the built network's calibrated link budget.
-        streams: the seed-tree stream factory for this suite/network.
+        config: the network's configuration (the paper's scheme takes
+            its guard from it).
+        streams: the seed-tree stream factory for this network.
         descriptor: the descriptor being built (supplies the stream
             prefix).
     """
 
     index: int
     budget: "LinkBudget"
+    config: "NetworkConfig"
     streams: "RandomStreams"
     descriptor: "MacDescriptor"
 
@@ -93,16 +96,11 @@ class MacDescriptor:
             :class:`MacBuildContext`.
         slotted: the scheme assumes a free global slot grid (a baseline
             idealisation the paper's scheme does without).
-        needs_bank: the scheme's semantics depend on the receiver's
-            despreader bank beyond plain tracking (e.g. a cancelling
-            receiver model).
-        builder_default: ``build_network`` ignores the registry builder
-            for this name and uses its own config-aware default (the
-            paper's scheme derives its guard from the network config,
-            which the per-station build contract cannot see).
-        receiver_model: receiver model name to install on every
-            station's despreader bank when this MAC is selected
-            network-wide (``None`` keeps the plain default receiver).
+        receiver_model: the :class:`~repro.radio.receiver_model.SicReceiver`
+            installed on every station's despreader bank when this MAC
+            is selected network-wide (``None`` keeps the plain
+            receiver).  One frozen, stateless instance serves every
+            bank.
         stream_prefix: seed-tree prefix for per-station RNG streams;
             unique across the registry by construction.
         description: one-line human-readable summary.
@@ -111,9 +109,7 @@ class MacDescriptor:
     name: str
     builder: Callable[[MacBuildContext], "MacProtocol"]
     slotted: bool = False
-    needs_bank: bool = False
-    builder_default: bool = False
-    receiver_model: Optional[str] = None
+    receiver_model: Optional[SicReceiver] = None
     stream_prefix: str = ""
     description: str = ""
 
@@ -125,9 +121,7 @@ def register_mac(
     name: str,
     *,
     slotted: bool = False,
-    needs_bank: bool = False,
-    builder_default: bool = False,
-    receiver_model: Optional[str] = None,
+    receiver_model: Optional[SicReceiver] = None,
     stream_prefix: Optional[str] = None,
     description: str = "",
 ) -> Callable[[Callable[[MacBuildContext], "MacProtocol"]], Callable]:
@@ -139,13 +133,12 @@ def register_mac(
     """
     if not name:
         raise ValueError("a MAC needs a non-empty name")
-    prefix = f"{name}:" if stream_prefix is None else stream_prefix
-    if receiver_model is not None and receiver_model not in receiver_model_names():
-        known = ", ".join(receiver_model_names())
-        raise ValueError(
-            f"MAC {name!r} names unknown receiver model "
-            f"{receiver_model!r}; known models: {known}"
+    if receiver_model is not None and not isinstance(receiver_model, SicReceiver):
+        raise TypeError(
+            f"MAC {name!r} receiver model must be a SicReceiver, "
+            f"not {receiver_model!r}"
         )
+    prefix = f"{name}:" if stream_prefix is None else stream_prefix
 
     def decorate(
         builder: Callable[[MacBuildContext], "MacProtocol"],
@@ -163,8 +156,6 @@ def register_mac(
             name=name,
             builder=builder,
             slotted=slotted,
-            needs_bank=needs_bank,
-            builder_default=builder_default,
             receiver_model=receiver_model,
             stream_prefix=prefix,
             description=description,
@@ -195,39 +186,26 @@ def get_mac(name: str) -> MacDescriptor:
         ) from None
 
 
-def build_mac(
-    name: str,
-    index: int,
-    budget: "LinkBudget",
-    streams: "RandomStreams",
-) -> "MacProtocol":
-    """Build one station's MAC instance by registry name."""
-    descriptor = get_mac(name)
-    return descriptor.builder(
-        MacBuildContext(
-            index=index, budget=budget, streams=streams, descriptor=descriptor
-        )
-    )
-
-
 def mac_factory(
-    name: str, streams: "RandomStreams"
-) -> Optional[Callable[[int, "LinkBudget"], "MacProtocol"]]:
+    name: str, streams: "RandomStreams", config: "NetworkConfig"
+) -> Callable[[int, "LinkBudget"], "MacProtocol"]:
     """A ``(index, budget) -> MacProtocol`` factory for ``name``.
 
-    Returns ``None`` for ``builder_default`` descriptors (the paper's
-    scheme), telling ``build_network`` to use its config-aware default
-    — the same convention the legacy suite dict used.
+    Each station's instance is built from a :class:`MacBuildContext`
+    over ``streams`` and ``config``; ``build_network`` resolves every
+    registered name through here.
+
+    Raises:
+        ValueError: for an unknown name (the known names are listed).
     """
     descriptor = get_mac(name)
-    if descriptor.builder_default:
-        return None
 
     def factory(index: int, budget: "LinkBudget") -> "MacProtocol":
         return descriptor.builder(
             MacBuildContext(
                 index=index,
                 budget=budget,
+                config=config,
                 streams=streams,
                 descriptor=descriptor,
             )
@@ -236,39 +214,16 @@ def mac_factory(
     return factory
 
 
-def mac_suite(
-    seed: int, names: Optional[Sequence[str]] = None
-) -> Dict[str, Optional[Callable[[int, "LinkBudget"], "MacProtocol"]]]:
-    """Name -> factory for a whole contender suite (None = the scheme).
-
-    The drop-in replacement for the old hand-written T7 dict: one
-    :class:`~repro.sim.streams.RandomStreams` per suite, per-MAC stream
-    prefixes from the registry.  ``names`` selects and orders a subset;
-    unknown names raise.
-    """
-    from repro.sim.streams import RandomStreams
-
-    streams = RandomStreams(seed)
-    selected = mac_names() if names is None else tuple(names)
-    return {name: mac_factory(name, streams) for name in selected}
-
-
 # -- the registered contenders, in historical order -------------------
 
 
 @register_mac(
     "shepard",
-    builder_default=True,
-    description=(
-        "the paper's schedule-based scheme; built by build_network with "
-        "its config-derived guard"
-    ),
+    description="the paper's schedule-based scheme",
 )
 def _build_shepard(context: MacBuildContext) -> "MacProtocol":
-    raise ValueError(
-        "the paper's scheme derives its guard from the network config; "
-        "build it through build_network (mac='shepard' or the default) "
-        "rather than build_mac"
+    return ShepardMac(
+        guard=context.config.guard_fraction * context.budget.slot_time
     )
 
 
@@ -318,8 +273,7 @@ def _build_maca(context: MacBuildContext) -> "MacProtocol":
 @register_mac(
     "sic_aloha",
     slotted=True,
-    needs_bank=True,
-    receiver_model="sic",
+    receiver_model=SicReceiver(),
     description=(
         "slotted ALOHA with successive interference cancellation at "
         "the receiver (Li & Dai)"

@@ -179,11 +179,6 @@ class ChannelProcess:
     def __init__(
         self, network: "Network", spec: ChannelSpec, seed: int = 0
     ) -> None:
-        if network.propagation_model is None:
-            raise RuntimeError(
-                "this network was constructed without a propagation "
-                "model; mobility needs a build_network-assembled network"
-            )
         self.network = network
         self.spec = spec
         self.seed = seed

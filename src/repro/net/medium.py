@@ -81,7 +81,7 @@ from repro.core.collisions import CollisionType, InterferenceSource, classify_lo
 from repro.core.reception import TrackerBatch
 from repro.net.packet import Packet
 from repro.propagation.sparse import SparseGainField
-from repro.radio.receiver_model import ReceiverModel
+from repro.radio.receiver_model import SicReceiver
 from repro.sim.engine import Environment
 from repro.sim.events import Event
 from repro.obs.api import Instrumentation
@@ -152,9 +152,9 @@ class ReceptionAttempt:
         channel: despreader channel index in use.
         failure_sources: the interferers significant at the moment the
             criterion first failed, if it did.
-        sic_max_cancelled: peak interferers the receiver model
+        sic_max_cancelled: peak interferers the receiver's SIC model
             cancelled at any one interference change (0 when the
-            receiver runs the default model).
+            receiver has none).
     """
 
     transmission: Transmission
@@ -453,10 +453,10 @@ class Medium:
         self._touched = np.zeros(stations, dtype=bool)
         self._attempts: Dict[int, ReceptionAttempt] = {}
         self._trackers = TrackerBatch()
-        # Receptions whose despreader bank carries a cancelling
-        # ReceiverModel, keyed by seq.  Empty unless a bank opts in, so
-        # the default path pays one falsy dict check per update.
-        self._sic_models: Dict[int, ReceiverModel] = {}
+        # Receptions whose despreader bank carries a SicReceiver, keyed
+        # by seq.  Empty unless a bank opts in, so the default path
+        # pays one falsy dict check per update.
+        self._sic_models: Dict[int, SicReceiver] = {}
         self._lock_failures: Dict[int, str] = {}
         # Fault support: stations currently down (never lock receptions)
         # and an optional per-reception corruption predicate.  Both stay
@@ -584,7 +584,7 @@ class Medium:
     def _cancel_for(
         self,
         seq: int,
-        model: ReceiverModel,
+        model: SicReceiver,
         wanted_signal_w: float,
         interference_w: float,
     ) -> float:
@@ -802,7 +802,7 @@ class Medium:
         )
         self._attempts[tx.seq] = ReceptionAttempt(tx, channel)
         model = getattr(bank, "model", None)
-        if model is not None and model.cancels:
+        if model is not None:
             self._sic_models[tx.seq] = model
         if self.instr.active:
             self.instr.emit(

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from repro.core.reception import required_sir, shannon_capacity
 from repro.core.schedule import Schedule
 from repro.mac.arq import ArqConfig, ArqSublayer
 from repro.mac.base import MacProtocol
-from repro.mac.shepard import ShepardMac
+from repro.mac.registry import get_mac, mac_factory
 from repro.net.medium import Medium
 from repro.net.queueing import FifoQueue, NeighborQueues, TransmitQueue
 from repro.net.station import Station
@@ -50,7 +50,6 @@ from repro.obs.sinks import MemorySink
 from repro.propagation.geometry import Placement
 from repro.propagation.matrix import PropagationMatrix
 from repro.propagation.models import FreeSpace, PropagationModel
-from repro.radio.receiver_model import build_receiver_model, receiver_model_names
 from repro.radio.spreadspectrum import DespreaderBank
 from repro.radio.transmitter import Transmitter
 from repro.routing.min_hop import min_hop_tables
@@ -136,13 +135,6 @@ class NetworkConfig:
         arq_timeout_slots: ARQ acknowledgement timeout, in slots.
         arq_backoff_slots: base of the ARQ exponential backoff, in
             slots (attempt k adds ``arq_backoff_slots * 2**(k-1)``).
-        receiver_model: receiver model installed on every station's
-            despreader bank, by registered name (see
-            :func:`repro.radio.receiver_model_names`).  ``None`` (the
-            default) defers to the selected MAC's registry descriptor —
-            e.g. ``mac="sic_aloha"`` installs the ``"sic"`` model — and
-            otherwise keeps the plain default receiver, bit-identical
-            to pre-model behaviour.
         seed: master seed for clocks and any stochastic pieces.
     """
 
@@ -172,7 +164,6 @@ class NetworkConfig:
     arq_max_retries: Optional[int] = None
     arq_timeout_slots: float = 4.0
     arq_backoff_slots: float = 2.0
-    receiver_model: Optional[str] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -217,15 +208,6 @@ class NetworkConfig:
             raise ValueError("ARQ timeout must be positive")
         if self.arq_backoff_slots < 0.0:
             raise ValueError("ARQ backoff must be non-negative")
-        if (
-            self.receiver_model is not None
-            and self.receiver_model not in receiver_model_names()
-        ):
-            known = ", ".join(receiver_model_names())
-            raise ValueError(
-                f"unknown receiver model {self.receiver_model!r}; "
-                f"known models: {known}"
-            )
 
 
 @dataclass(frozen=True)
@@ -302,7 +284,12 @@ class NetworkResult:
 
 
 class Network:
-    """A fully assembled simulated network, ready to run."""
+    """A fully assembled simulated network, ready to run.
+
+    Clock faults and mobility rework ``clocks`` and ``clock_models``
+    (keyed by ``(observer, neighbour)``) in place; the channel process
+    re-evaluates gains through ``propagation_model`` as stations move.
+    """
 
     def __init__(
         self,
@@ -314,6 +301,10 @@ class Network:
         budget: LinkBudget,
         tables: Dict[int, RoutingTable],
         config: NetworkConfig,
+        schedule: Schedule,
+        clocks: List[Clock],
+        clock_models: Dict[Tuple[int, int], NeighborClockModel],
+        propagation_model: PropagationModel,
         instrumentation: Optional[Instrumentation] = None,
     ) -> None:
         self.env = env
@@ -324,6 +315,10 @@ class Network:
         self.budget = budget
         self.tables = tables
         self.config = config
+        self.schedule = schedule
+        self.clocks = clocks
+        self.clock_models = clock_models
+        self.propagation_model = propagation_model
         self.instrumentation = (
             instrumentation if instrumentation is not None else Instrumentation()
         )
@@ -336,20 +331,10 @@ class Network:
         self._sources: List[TrafficSource] = []
         self._maintenance: List = []  # generator factories run at start
         self._started = False
-        # Fault-lifecycle state.  The builder fills in schedule, clocks
-        # and clock_models; a standalone-constructed Network simply
-        # cannot service clock-step faults (apply_clock_step raises).
         self._mac_processes: Dict[int, Process] = {}
-        self.schedule = None
-        self.clocks: Optional[List[Clock]] = None
-        self.clock_models: Optional[Dict] = None
+        # The installed fault injector and continuous channel process,
+        # if any.
         self.resilience = None
-        # The propagation model the builder derived gains from; the
-        # continuous channel process needs it to re-evaluate link gains
-        # as stations move (standalone-constructed networks cannot host
-        # mobility, mirroring the clock-state restriction above).
-        self.propagation_model = None
-        # The installed continuous channel process, if any.
         self.channel = None
 
     @property
@@ -527,11 +512,6 @@ class Network:
         its neighbours' and its own of them — is now stale; see
         :meth:`refit_clock_models` for the recovery half.
         """
-        if self.clocks is None:
-            raise RuntimeError(
-                "this network was constructed without clock state; "
-                "clock faults need a build_network-assembled network"
-            )
         old = self.clocks[index]
         new = Clock(
             offset=old.offset + offset_slots * self.budget.slot_time,
@@ -582,11 +562,6 @@ class Network:
 
         Returns counters: ``{"new_pairs": ..., "kicked": ...}``.
         """
-        if self.clocks is None or self.clock_models is None:
-            raise RuntimeError(
-                "this network was constructed without clock state; "
-                "re-acquisition needs a build_network-assembled network"
-            )
         self.matrix = matrix
         censored = matrix.observed(min_gain=self.budget.min_gain)
         # 1. Fresh rendezvous: fit models for pairs hearing each other
@@ -648,11 +623,6 @@ class Network:
         samples describe a dead affine relation) and refilled with
         ``rendezvous_count`` exchanges over the recent past.
         """
-        if self.clocks is None or self.clock_models is None:
-            raise RuntimeError(
-                "this network was constructed without clock state; "
-                "clock faults need a build_network-assembled network"
-            )
         now = self.env.now
         sample_times = [
             now - k * 0.5 * self.budget.slot_time
@@ -743,7 +713,7 @@ def build_network(
     placement: Placement,
     config: Optional[NetworkConfig] = None,
     model: Optional[PropagationModel] = None,
-    mac: Union[str, MacFactory, None] = None,
+    mac: Union[str, MacFactory] = "shepard",
     trace: bool = False,
     instrumentation: Optional[Instrumentation] = None,
 ) -> Network:
@@ -754,13 +724,13 @@ def build_network(
         config: network configuration (defaults throughout).
         model: propagation model (free space by default, per the paper).
         mac: which channel access scheme to run — a registered MAC name
-            (see :func:`repro.mac.mac_names`) or an explicit
+            (see :func:`repro.mac.mac_names`), built through
+            :func:`repro.mac.mac_factory`, or an explicit
             ``(index, budget) -> MacProtocol`` factory for schemes that
             need whole-network context (e.g. TDMA's global slot plan).
-            Defaults to the paper's scheme with a guard derived from
-            the slot time.  Selecting a registered name also installs
-            the descriptor's receiver model on every despreader bank
-            unless ``config.receiver_model`` overrides it.
+            Defaults to the paper's scheme.  A registered name also
+            installs its descriptor's receiver model, if any, on every
+            despreader bank.
         trace: keep the run's typed events in memory, readable through
             ``network.instrumentation.events()`` (adds a memory sink if
             none is present).
@@ -815,31 +785,13 @@ def build_network(
         instrumentation=instr,
     )
 
-    guard = config.guard_fraction * budget.slot_time
     max_power = 2.0 * config.target_delivered_w / min_gain
 
-    def default_factory(_index: int, _budget: LinkBudget) -> MacProtocol:
-        return ShepardMac(guard=guard)
-
-    descriptor = None
     if isinstance(mac, str):
-        from repro.mac.registry import get_mac
-        from repro.mac.registry import mac_factory as registry_factory
-
-        descriptor = get_mac(mac)
-        factory = registry_factory(mac, streams) or default_factory
+        factory = mac_factory(mac, streams, config)
+        bank_model = get_mac(mac).receiver_model
     else:
-        factory = mac or default_factory
-
-    receiver_model_name = config.receiver_model
-    if receiver_model_name is None and descriptor is not None:
-        receiver_model_name = descriptor.receiver_model
-    # One shared frozen model instance serves every bank (stateless).
-    bank_model = (
-        build_receiver_model(receiver_model_name)
-        if receiver_model_name is not None
-        else None
-    )
+        factory, bank_model = mac, None
 
     delays = None
     if config.model_propagation_delay:
@@ -906,14 +858,12 @@ def build_network(
         budget=budget,
         tables=tables,
         config=config,
+        schedule=schedule,
+        clocks=clocks,
+        clock_models=models,
+        propagation_model=model,
         instrumentation=instr,
     )
-    # Retain the clock state the fault machinery needs: clock faults
-    # replace entries of ``clocks`` in place and re-fit ``models``.
-    network.schedule = schedule
-    network.clocks = clocks
-    network.clock_models = models
-    network.propagation_model = model
     if config.rendezvous_refresh_slots is not None:
         interval = config.rendezvous_refresh_slots * budget.slot_time
         jitter_rng = streams.stream("rendezvous-online")
@@ -1022,7 +972,7 @@ def _install_clock_models(
     censored: PropagationMatrix,
     config: NetworkConfig,
     streams: RandomStreams,
-) -> Dict:
+) -> Dict[Tuple[int, int], NeighborClockModel]:
     """Simulate pre-run rendezvous between every pair of hearable
     neighbours: each fits a model of the other's clock (Section 7).
 
@@ -1034,7 +984,7 @@ def _install_clock_models(
     sample_times = [
         -(k + 1) * 100.0 * schedule.slot_time for k in range(config.rendezvous_count)
     ]
-    models: Dict = {}
+    models: Dict[Tuple[int, int], NeighborClockModel] = {}
     hearable_a, hearable_b = np.nonzero(censored.gains > 0.0)
     for a, b in zip(hearable_a.tolist(), hearable_b.tolist()):
         model = NeighborClockModel()

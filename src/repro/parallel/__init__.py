@@ -3,9 +3,9 @@ determinism.
 
 The pieces, bottom-up:
 
-* :mod:`repro.parallel.seedtree` — SplitMix64-style seed derivation:
-  per-task seeds from a root seed and the task's path, independent of
-  worker count and scheduling order.
+* :mod:`repro.parallel.seedtree` — :func:`derive_seed`, SplitMix64-style
+  seed derivation: per-task seeds from a root seed and the task's path,
+  independent of worker count and scheduling order.
 * :mod:`repro.parallel.task` — :class:`TaskSpec` / :class:`TaskResult`:
   picklable descriptions of one seeded run and its structured outcome.
 * :mod:`repro.parallel.pool` — spawn-safe worker pool with per-task
@@ -27,7 +27,7 @@ a cache, identical whether a row was computed or recalled.
 from repro.parallel.aggregate import MetricSummary, summarize, summarize_rows
 from repro.parallel.cache import CacheDivergenceError, ResultCache
 from repro.parallel.pool import run_tasks
-from repro.parallel.seedtree import SeedTree, derive_seed
+from repro.parallel.seedtree import derive_seed
 from repro.parallel.suite import QUICK_PARAMS, SuiteResult, run_suite
 from repro.parallel.sweep import (
     SWEEPABLE_PARAMS,
@@ -50,7 +50,6 @@ __all__ = [
     "QUICK_PARAMS",
     "ResultCache",
     "SWEEPABLE_PARAMS",
-    "SeedTree",
     "SuiteResult",
     "SweepPlan",
     "SweepResult",

@@ -46,19 +46,24 @@ class MetricSummary:
 
 
 def summarize(values: Iterable[float]) -> MetricSummary:
-    """Mean/stddev/min/max of a value sequence (Welford, one pass)."""
-    accumulator = Welford()
-    for value in values:
-        accumulator.add(float(value))
-    if accumulator.count == 0:
+    """Mean/stddev/min/max of a value sequence (Welford).
+
+    A NaN in any replication makes all four statistics NaN: the
+    metric is undefined there, and a summary of the other replications
+    would read as if it were not.  The stddev of one replication is 0.
+    """
+    observed = [float(value) for value in values]
+    if not observed:
         raise ValueError("cannot summarise an empty value sequence")
-    stddev = accumulator.stddev
-    if math.isnan(stddev):
-        stddev = 0.0
+    if any(math.isnan(value) for value in observed):
+        nan = math.nan
+        return MetricSummary(len(observed), nan, nan, nan, nan)
+    accumulator = Welford()
+    accumulator.extend(observed)
     return MetricSummary(
         count=accumulator.count,
         mean=accumulator.mean,
-        stddev=stddev,
+        stddev=accumulator.stddev if accumulator.count > 1 else 0.0,
         minimum=accumulator.minimum,
         maximum=accumulator.maximum,
     )

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Tuple, Union
+from typing import Union
 
-__all__ = ["PathPart", "SeedTree", "derive_seed"]
+__all__ = ["PathPart", "derive_seed"]
 
 PathPart = Union[str, int, float]
 
@@ -72,43 +72,3 @@ def derive_seed(root: int, *path: PathPart) -> int:
     for part in path:
         state = _splitmix64(state ^ _encode_part(part))
     return state >> 1  # 63 bits: safe for every seed-taking API here
-
-
-class SeedTree:
-    """A rooted namespace of derived seeds.
-
-    Args:
-        root: the root seed of the tree.
-        path: the node's path from the root (empty for the root node).
-
-    ``tree.seed("T7", 0, 2)`` is the seed of the task at path
-    ``("T7", 0, 2)``; ``tree.child("T7")`` is the subtree rooted there,
-    with ``tree.child("T7").seed(0, 2) == tree.seed("T7", 0, 2)``.
-    """
-
-    __slots__ = ("_root", "_path")
-
-    def __init__(self, root: int, *path: PathPart) -> None:
-        self._root = int(root)
-        self._path: Tuple[PathPart, ...] = path
-
-    @property
-    def root(self) -> int:
-        """The root seed the whole tree derives from."""
-        return self._root
-
-    @property
-    def path(self) -> Tuple[PathPart, ...]:
-        """This node's path from the root."""
-        return self._path
-
-    def seed(self, *path: PathPart) -> int:
-        """The derived seed at ``path`` below this node."""
-        return derive_seed(self._root, *self._path, *path)
-
-    def child(self, *path: PathPart) -> "SeedTree":
-        """The subtree rooted at ``path`` below this node."""
-        return SeedTree(self._root, *self._path, *path)
-
-    def __repr__(self) -> str:
-        return f"SeedTree(root={self._root}, path={self._path!r})"

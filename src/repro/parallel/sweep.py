@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.parallel.aggregate import failed_results, summarize_rows
 from repro.parallel.pool import run_tasks
-from repro.parallel.seedtree import SeedTree
+from repro.parallel.seedtree import derive_seed
 from repro.parallel.task import (
     TaskResult,
     TaskSpec,
@@ -133,6 +133,11 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if not self.values:
             raise ValueError("a sweep needs at least one value")
+        # Task ids name each value by its repr, so a repeat would
+        # collide in the pool after the cache is opened.
+        labels = [repr(value) for value in self.values]
+        if len(set(labels)) < len(labels):
+            raise ValueError(f"sweep values repeat: {', '.join(labels)}")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
 
@@ -141,7 +146,7 @@ def build_sweep_tasks(plan: SweepPlan) -> List[TaskSpec]:
     """The deterministic task list of a sweep plan.
 
     Task ids encode ``experiment[parameter=value]#rN``; seeds derive
-    from ``SeedTree(root_seed).seed(experiment_id, point_index,
+    from ``derive_seed(root_seed, experiment_id, point_index,
     replication_index)`` — worker count never enters.  A
     ``base_params`` key the experiment does not take is a
     ``ValueError`` that lists the parameters it does take.
@@ -161,7 +166,6 @@ def build_sweep_tasks(plan: SweepPlan) -> List[TaskSpec]:
     # retry budget, ...) are passed through as-is, so any numeric
     # run() parameter is sweepable by naming it with explicit values.
     wrap = isinstance(parameters[plan.parameter].default, (tuple, list))
-    tree = SeedTree(plan.root_seed)
     specs: List[TaskSpec] = []
     for value_index, value in enumerate(plan.values):
         for replication in range(plan.replications):
@@ -177,7 +181,12 @@ def build_sweep_tasks(plan: SweepPlan) -> List[TaskSpec]:
                     target=plan.experiment_id,
                     params=params,
                     seed=(
-                        tree.seed(plan.experiment_id, value_index, replication)
+                        derive_seed(
+                            plan.root_seed,
+                            plan.experiment_id,
+                            value_index,
+                            replication,
+                        )
                         if seeded
                         else None
                     ),

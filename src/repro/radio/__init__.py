@@ -1,13 +1,7 @@
 """Radio substrate: signals, antennas, noise, spread spectrum, radios."""
 
 from repro.radio.antenna import Antenna, friis_constant, friis_power_gain, wavelength
-from repro.radio.receiver_model import (
-    DefaultReceiver,
-    ReceiverModel,
-    SicReceiver,
-    build_receiver_model,
-    receiver_model_names,
-)
+from repro.radio.receiver_model import SicReceiver
 from repro.radio.signal import (
     Signal,
     add_powers_db,
@@ -29,18 +23,15 @@ from repro.radio.transmitter import Transmitter, TransmitterBusyError
 __all__ = [
     "Antenna",
     "BOLTZMANN",
-    "DefaultReceiver",
     "DespreaderBank",
     "DespreaderBusyError",
     "ProcessingGain",
-    "ReceiverModel",
     "STANDARD_TEMPERATURE_K",
     "SicReceiver",
     "Signal",
     "Transmitter",
     "TransmitterBusyError",
     "add_powers_db",
-    "build_receiver_model",
     "combine_powers",
     "db_to_linear",
     "dbm_to_watts",
@@ -48,7 +39,6 @@ __all__ = [
     "friis_power_gain",
     "linear_to_db",
     "power_rise_db",
-    "receiver_model_names",
     "thermal_noise_power",
     "watts_to_dbm",
     "wavelength",

@@ -1,22 +1,23 @@
-"""Typed receiver capture/cancellation models.
+"""The successive-interference-cancellation receiver (Li & Dai).
 
 The despreader bank (:mod:`repro.radio.spreadspectrum`) models *how
 many* transmissions a receiver can track at once; a
-:class:`ReceiverModel` models *what the demodulator does with the
-interference* while tracking one of them.  The default model is the
-plain Section 3.4 receiver: interference is noise, full stop.  The
-``sic`` model implements successive interference cancellation (Li &
-Dai's SIC-Aloha receiver): at every interference change it decodes the
-strongest interferer that clears the modem threshold, subtracts its
-contribution, and retries the remainder, up to a bounded cancellation
-depth.
+:class:`SicReceiver` on a bank models *what the demodulator does with
+the interference* while tracking one of them.  A bank without one is
+the plain Section 3.4 receiver: interference is noise, full stop.  The
+SIC receiver (Li & Dai's SIC-Aloha receiver) at every interference
+change decodes the strongest interferer that clears the modem
+threshold, subtracts its contribution, and retries the remainder, up to
+a bounded cancellation depth.  A MAC descriptor that names one
+(``sic_aloha``) has it installed on every bank of the network.
 
 Design rules the medium relies on:
 
-* Models are **pure and stateless**: :meth:`ReceiverModel.resolve_interference`
-  is a function of its arguments only, so one frozen instance is safely
-  shared by every station in a network and replay digests cannot depend
-  on sharing.
+* The model is **pure and stateless**:
+  :meth:`SicReceiver.resolve_interference` is a function of its
+  arguments only, so one frozen instance is safely shared by every
+  station in every network and replay digests cannot depend on
+  sharing.
 * Cancellation is **per-receiver local**.  The model returns a reduced
   interference level for *one* reception; the medium's shared
   incremental field (``gains @ powers``) is never mutated — other
@@ -29,33 +30,45 @@ Design rules the medium relies on:
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import ClassVar, List, Sequence, Tuple
 
-__all__ = [
-    "ReceiverModel",
-    "DefaultReceiver",
-    "SicReceiver",
-    "receiver_model_names",
-    "build_receiver_model",
-]
+__all__ = ["SicReceiver"]
 
 
-class ReceiverModel(ABC):
-    """How one receiver's demodulator treats concurrent interference.
+@dataclass(frozen=True)
+class SicReceiver:
+    """Successive interference cancellation (Li & Dai).
+
+    At each interference change the receiver considers the cancellable
+    interferers strongest-first.  An interferer is decodable — and
+    therefore removable — iff its own SIR against *everything else
+    still on the air at this receiver* (the wanted signal included)
+    clears the modem threshold:
+
+        p_j >= threshold * (residual_total - p_j + thermal)
+
+    where ``residual_total`` is the wanted signal plus the not-yet-
+    cancelled interference.  Decoding stops at the first undecodable
+    candidate (successive cancellation cannot skip ahead: the next-
+    strongest signal is by definition even harder to decode) or at
+    :attr:`depth` cancellations.  Ties in received power break on the
+    transmission sequence number, ascending, so the order is exact and
+    reproducible.
 
     Attributes:
-        name: registry name of the model.
-        cancels: whether the model can reduce interference below the
-            physical aggregate.  ``False`` lets the medium skip the
-            per-reception hook entirely (the zero-cost default path).
+        name: the tag ``repro macs`` shows for a MAC that installs it.
+        depth: maximum interferers cancelled per reception per
+            interference change (bounded hardware pipeline).
     """
 
-    name: str = "abstract"
-    cancels: bool = False
+    name: ClassVar[str] = "sic"
+    depth: int = 4
 
-    @abstractmethod
+    def __post_init__(self) -> None:
+        if self.depth < 1:
+            raise ValueError("cancellation depth must be at least 1")
+
     def resolve_interference(
         self,
         wanted_signal_w: float,
@@ -88,71 +101,6 @@ class ReceiverModel(ABC):
             reduced level is what the SIR criterion should see
             (``0 <= reduced <= interference_w``).
         """
-
-
-@dataclass(frozen=True)
-class DefaultReceiver(ReceiverModel):
-    """The plain Section 3.4 receiver: interference is noise.
-
-    Bit-identical to running with no model at all — the medium's hook
-    never fires because :attr:`cancels` is False.
-    """
-
-    name: str = "default"
-    cancels: bool = False
-
-    def resolve_interference(
-        self,
-        wanted_signal_w: float,
-        interference_w: float,
-        thermal_w: float,
-        threshold: float,
-        contributions: Sequence[Tuple[float, int]],
-    ) -> Tuple[float, int]:
-        return interference_w, 0
-
-
-@dataclass(frozen=True)
-class SicReceiver(ReceiverModel):
-    """Successive interference cancellation (Li & Dai).
-
-    At each interference change the receiver considers the cancellable
-    interferers strongest-first.  An interferer is decodable — and
-    therefore removable — iff its own SIR against *everything else
-    still on the air at this receiver* (the wanted signal included)
-    clears the modem threshold:
-
-        p_j >= threshold * (residual_total - p_j + thermal)
-
-    where ``residual_total`` is the wanted signal plus the not-yet-
-    cancelled interference.  Decoding stops at the first undecodable
-    candidate (successive cancellation cannot skip ahead: the next-
-    strongest signal is by definition even harder to decode) or at
-    :attr:`depth` cancellations.  Ties in received power break on the
-    transmission sequence number, ascending, so the order is exact and
-    reproducible.
-
-    Attributes:
-        depth: maximum interferers cancelled per reception per
-            interference change (bounded hardware pipeline).
-    """
-
-    name: str = "sic"
-    cancels: bool = True
-    depth: int = 4
-
-    def __post_init__(self) -> None:
-        if self.depth < 1:
-            raise ValueError("cancellation depth must be at least 1")
-
-    def resolve_interference(
-        self,
-        wanted_signal_w: float,
-        interference_w: float,
-        thermal_w: float,
-        threshold: float,
-        contributions: Sequence[Tuple[float, int]],
-    ) -> Tuple[float, int]:
         if not contributions or interference_w <= 0.0:
             return interference_w, 0
         ordered: List[Tuple[float, int]] = sorted(
@@ -178,30 +126,3 @@ class SicReceiver(ReceiverModel):
         if cancelled == 0:
             return interference_w, 0
         return max(interference_w - cancelled_power, 0.0), cancelled
-
-
-_MODELS: Dict[str, Callable[[], ReceiverModel]] = {
-    "default": DefaultReceiver,
-    "sic": SicReceiver,
-}
-
-
-def receiver_model_names() -> Tuple[str, ...]:
-    """Registered receiver model names, in registration order."""
-    return tuple(_MODELS)
-
-
-def build_receiver_model(name: str) -> ReceiverModel:
-    """Instantiate a receiver model by registry name.
-
-    Raises:
-        ValueError: for an unknown name (the known names are listed).
-    """
-    try:
-        factory = _MODELS[name]
-    except KeyError:
-        known = ", ".join(sorted(_MODELS))
-        raise ValueError(
-            f"unknown receiver model {name!r}; known models: {known}"
-        ) from None
-    return factory()

@@ -13,7 +13,9 @@ The paper leans on two properties of direct-sequence spread spectrum:
 We do not simulate chips.  The :class:`ProcessingGain` value object
 carries the bandwidth/rate ratio into the reception criterion, and the
 :class:`DespreaderBank` manages the finite set of simultaneous-tracking
-channels at a receiver.
+channels at a receiver; a bank may carry a
+:class:`~repro.radio.receiver_model.SicReceiver` that cancels
+interference while it tracks.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Optional
 
-from repro.radio.receiver_model import ReceiverModel
+from repro.radio.receiver_model import SicReceiver
 from repro.radio.signal import db_to_linear, linear_to_db
 
 __all__ = ["ProcessingGain", "DespreaderBank", "DespreaderBusyError"]
@@ -91,14 +93,14 @@ class DespreaderBank:
 
     Attributes:
         capacity: number of despreading channels.
-        model: optional :class:`~repro.radio.receiver_model.ReceiverModel`
-            governing what the demodulator does with interference while
-            tracking (``None`` means the plain default receiver — the
-            medium skips its cancellation hook entirely).
+        model: the :class:`~repro.radio.receiver_model.SicReceiver`
+            that cancels interference while tracking, or ``None`` for
+            the plain receiver (the medium then skips its cancellation
+            hook entirely).
     """
 
     capacity: int = 8
-    model: Optional[ReceiverModel] = None
+    model: Optional[SicReceiver] = None
     _busy: Dict[Hashable, int] = field(default_factory=dict, repr=False)
     _peak_busy: int = field(default=0, repr=False)
     _rejections: int = field(default=0, repr=False)

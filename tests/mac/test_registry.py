@@ -7,14 +7,14 @@ from repro.mac import registry
 from repro.mac.aloha import AlohaMac
 from repro.mac.registry import (
     MacDescriptor,
-    build_mac,
     get_mac,
     mac_factory,
     mac_names,
-    mac_suite,
     register_mac,
 )
-from repro.net.network import LinkBudget
+from repro.mac.shepard import ShepardMac
+from repro.net.network import LinkBudget, NetworkConfig
+from repro.radio.receiver_model import SicReceiver
 from repro.sim.streams import RandomStreams
 
 LEGACY = ("shepard", "aloha", "slotted_aloha", "csma", "maca")
@@ -46,10 +46,8 @@ class TestEnumeration:
             get_mac("token_ring")
 
     def test_descriptors_carry_capabilities(self):
-        assert get_mac("shepard").builder_default
         assert get_mac("sic_aloha").slotted
-        assert get_mac("sic_aloha").needs_bank
-        assert get_mac("sic_aloha").receiver_model == "sic"
+        assert isinstance(get_mac("sic_aloha").receiver_model, SicReceiver)
         assert get_mac("aloha").receiver_model is None
         assert not get_mac("aloha").slotted
 
@@ -88,8 +86,11 @@ class TestRegistration:
         assert "aloha_two" not in mac_names()
 
     def test_unknown_receiver_model_rejected(self):
-        with pytest.raises(ValueError, match="unknown receiver model"):
+        # A descriptor installs its model object on every bank, so a
+        # model named by string is refused at registration.
+        with pytest.raises(TypeError, match="SicReceiver"):
             register_mac("mystery", receiver_model="quantum")
+        assert "mystery" not in mac_names()
 
     def test_registration_round_trip(self):
         @register_mac("test_only_mac", slotted=True, description="temp")
@@ -100,49 +101,44 @@ class TestRegistration:
             descriptor = get_mac("test_only_mac")
             assert isinstance(descriptor, MacDescriptor)
             assert descriptor.stream_prefix == "test_only_mac:"
-            mac = build_mac("test_only_mac", 0, budget(), RandomStreams(5))
-            assert mac.slotted
+            factory = mac_factory(
+                "test_only_mac", RandomStreams(5), NetworkConfig()
+            )
+            assert factory(0, budget()).slotted
         finally:
             del registry._REGISTRY["test_only_mac"]
 
 
 class TestBuilding:
-    def test_build_every_non_default_mac(self):
+    def test_build_every_mac(self):
+        # Every registered name, the paper's scheme included, builds
+        # through the one factory; the scheme takes its guard from the
+        # network config.
+        config = NetworkConfig(guard_fraction=0.03)
         streams = RandomStreams(11)
         for name in mac_names():
-            if get_mac(name).builder_default:
-                continue
-            mac = build_mac(name, 3, budget(), streams)
+            mac = mac_factory(name, streams, config)(3, budget())
             assert mac.name == name
+        scheme = mac_factory("shepard", streams, config)(0, budget())
+        assert isinstance(scheme, ShepardMac)
+        assert scheme.guard == config.guard_fraction * budget().slot_time
 
-    def test_shepard_needs_build_network(self):
-        with pytest.raises(ValueError, match="build_network"):
-            build_mac("shepard", 0, budget(), RandomStreams(5))
+    def test_factory_builds_one_instance_per_station(self):
+        factory = mac_factory("aloha", RandomStreams(7), NetworkConfig())
+        first, second = factory(0, budget()), factory(1, budget())
+        assert first is not second
+        # Each station draws from its own stream.
+        assert first.rng.random() != second.rng.random()
 
-    def test_mac_factory_none_for_scheme(self):
-        assert mac_factory("shepard", RandomStreams(5)) is None
+    def test_mac_factory_refuses_unknown_name_before_building(self):
+        with pytest.raises(ValueError, match="sic_aloha"):
+            mac_factory("token_ring", RandomStreams(5), NetworkConfig())
 
     def test_legacy_stream_identity_preserved(self):
         # The registry draws station i's RNG from the same seed-tree
         # stream the old hand-written suite did.
         seed, index = 23, 4
-        built = build_mac("aloha", index, budget(), RandomStreams(seed))
+        factory = mac_factory("aloha", RandomStreams(seed), NetworkConfig())
+        built = factory(index, budget())
         legacy = AlohaMac(RandomStreams(seed).stream(f"a{index}"))
         assert built.rng.random() == legacy.rng.random()
-
-    def test_suite_selection_and_order(self):
-        suite = mac_suite(7, names=("csma", "shepard"))
-        assert list(suite) == ["csma", "shepard"]
-        assert suite["shepard"] is None
-        assert callable(suite["csma"])
-
-    def test_suite_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown MAC"):
-            mac_suite(7, names=("csma", "nope"))
-
-    def test_suite_factories_build(self):
-        suite = mac_suite(7)
-        for name, factory in suite.items():
-            if factory is None:
-                continue
-            assert factory(0, budget()).name == name

@@ -1,19 +1,18 @@
 """Tests for SIC-ALOHA and the medium's receiver-model hook."""
 
-import pytest
-
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
+from repro.mac.registry import get_mac
 from repro.net.network import NetworkConfig
-from repro.radio.receiver_model import DefaultReceiver, SicReceiver
+from repro.radio.receiver_model import SicReceiver
 from repro.sim.sanitizer import sanitized
 
 
-def sic_run(seed=31, count=12, load=0.25, duration_slots=80.0, **config_kw):
+def sic_run(seed=31, count=12, load=0.25, duration_slots=80.0):
     with sanitized(True):
         network = standard_network(
             count,
             seed,
-            NetworkConfig(seed=seed, **config_kw),
+            NetworkConfig(seed=seed),
             mac="sic_aloha",
             trace=True,
         )
@@ -36,22 +35,16 @@ def cancellations(network):
 class TestWiring:
     def test_registry_installs_sic_model_on_banks(self):
         network, _timelines, _digest = sic_run(duration_slots=5.0)
+        # The descriptor's one frozen instance serves every bank.
+        model = get_mac("sic_aloha").receiver_model
+        assert model == SicReceiver()
         for station in network.stations:
-            assert isinstance(station.bank.model, SicReceiver)
-
-    def test_config_receiver_model_overrides_descriptor(self):
-        network, _t, _d = sic_run(duration_slots=5.0, receiver_model="default")
-        for station in network.stations:
-            assert isinstance(station.bank.model, DefaultReceiver)
+            assert station.bank.model is model
 
     def test_default_macs_get_no_model(self):
         network = standard_network(8, 3, NetworkConfig(seed=3), mac="aloha")
         for station in network.stations:
             assert station.bank.model is None
-
-    def test_unknown_receiver_model_rejected(self):
-        with pytest.raises(ValueError, match="unknown receiver model"):
-            NetworkConfig(receiver_model="quantum")
 
 
 class TestBehaviour:

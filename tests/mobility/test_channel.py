@@ -113,21 +113,6 @@ class TestReconverge:
         assert counters["kicked"] >= 0
         assert len(network.clock_models) >= pairs_before
 
-    def test_reconverge_needs_clock_state(self):
-        network = make_network()
-        network.clock_models = None
-        with pytest.raises(RuntimeError):
-            network.reconverge(network.matrix, np.random.default_rng(0))
-
-    def test_channel_needs_propagation_model(self):
-        network = make_network()
-        network.propagation_model = None
-        with pytest.raises(RuntimeError):
-            install_channel(
-                network,
-                ChannelSpec(fading=FadingSpec(sigma_db=2.0)),
-            )
-
 
 class TestSpecValidation:
     def test_rejects_bad_episode_bounds(self):

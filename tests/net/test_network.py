@@ -8,9 +8,11 @@ import pytest
 
 from repro.core.reception import required_sir
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
+from repro.mac.shepard import ShepardMac
 from repro.net.network import NetworkConfig, build_network
 from repro.net.traffic import PoissonTraffic
 from repro.propagation.geometry import uniform_disk
+from repro.propagation.models import FreeSpace
 from repro.sim.sanitizer import sanitized
 from repro.sim.streams import RandomStreams
 from tests.core.test_access import stall_alarm
@@ -170,6 +172,49 @@ class TestConfigVariants:
         network = loaded_network(count=40, seed=11)
         counts = network.routing_neighbor_counts()
         assert max(counts) <= 8  # the paper's observed bound
+
+
+class TestMacSelection:
+    def test_default_mac_is_the_paper_scheme(self):
+        config = NetworkConfig(seed=5, guard_fraction=0.03)
+        network = build_network(uniform_disk(8, radius=800.0, seed=5), config)
+        guard = config.guard_fraction * network.budget.slot_time
+        for station in network.stations:
+            assert isinstance(station.mac, ShepardMac)
+            assert station.mac.guard == guard
+            assert station.bank.model is None
+
+    def test_unknown_mac_name_lists_registered(self):
+        placement = uniform_disk(4, radius=800.0, seed=5)
+        with pytest.raises(ValueError, match="shepard"):
+            build_network(placement, NetworkConfig(seed=5), mac="token_ring")
+
+    def test_explicit_factory_builds_every_station(self):
+        built = {}
+
+        def factory(index, budget):
+            built[index] = ShepardMac(guard=0.01 * budget.slot_time)
+            return built[index]
+
+        placement = uniform_disk(6, radius=800.0, seed=5)
+        network = build_network(placement, NetworkConfig(seed=5), mac=factory)
+        assert sorted(built) == list(range(6))
+        for station in network.stations:
+            assert station.mac is built[station.index]
+            # Only a registered name brings a receiver model.
+            assert station.bank.model is None
+
+    def test_network_carries_clock_state_and_model(self):
+        model = FreeSpace(near_field_clamp=1e-6)
+        placement = uniform_disk(8, radius=800.0, seed=5)
+        network = build_network(placement, NetworkConfig(seed=5), model=model)
+        assert network.propagation_model is model
+        for station in network.stations:
+            assert station.schedule is network.schedule
+            assert station.clock is network.clocks[station.index]
+        assert network.clock_models
+        for observer, neighbour in network.clock_models:
+            assert observer != neighbour
 
 
 class TestNetworkRunPinned:

@@ -1,5 +1,7 @@
 """Deterministic aggregation: Welford summaries and report merging."""
 
+import math
+
 import pytest
 
 from repro.parallel.aggregate import (
@@ -29,6 +31,23 @@ class TestSummarize:
         with pytest.raises(ValueError):
             summarize([])
 
+    def test_all_nan_replications_summarise_to_nan(self):
+        stats = summarize([math.nan, math.nan])
+        assert stats.count == 2
+        for value in (stats.mean, stats.stddev, stats.minimum, stats.maximum):
+            assert math.isnan(value)
+
+    def test_single_nan_replication_has_nan_stddev(self):
+        stats = summarize([math.nan])
+        assert stats.count == 1
+        assert math.isnan(stats.stddev)
+
+    def test_one_nan_replication_makes_every_statistic_nan(self):
+        stats = summarize([1.0, math.nan])
+        assert stats.count == 2
+        for value in (stats.mean, stats.stddev, stats.minimum, stats.maximum):
+            assert math.isnan(value)
+
 
 class TestSummarizeRows:
     COLUMNS = ("mac", "deliveries", "loss")
@@ -56,6 +75,16 @@ class TestSummarizeRows:
 
     def test_empty_input(self):
         assert summarize_rows(self.COLUMNS, []) == []
+
+    def test_nan_cell_makes_only_its_column_nan(self):
+        rep0 = [("aloha", 8, math.nan)]
+        rep1 = [("aloha", 6, 0.35)]
+        summary = summarize_rows(self.COLUMNS, [rep0, rep1])
+        by_metric = {metric: rest for _label, metric, *rest in summary}
+        assert by_metric["deliveries"] == [2, 7.0, pytest.approx(2**0.5), 6.0, 8.0]
+        count, *stats = by_metric["loss"]
+        assert count == 2
+        assert all(math.isnan(value) for value in stats)
 
 
 class TestResultHelpers:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from repro.parallel.seedtree import SeedTree, derive_seed
+from repro.parallel.seedtree import derive_seed
 
 
 class TestDeriveSeed:
@@ -63,18 +63,3 @@ class TestDeriveSeed:
             check=True,
         ).stdout.strip()
         assert int(output) == expected
-
-
-class TestSeedTree:
-    def test_child_matches_full_path(self):
-        tree = SeedTree(7)
-        assert tree.child("T7").seed(0, 2) == tree.seed("T7", 0, 2)
-        assert tree.child("T7", 0).seed(2) == derive_seed(7, "T7", 0, 2)
-
-    def test_root_and_path_properties(self):
-        node = SeedTree(5, "a", 1)
-        assert node.root == 5
-        assert node.path == ("a", 1)
-
-    def test_repr_mentions_root_and_path(self):
-        assert "root=5" in repr(SeedTree(5, "a"))

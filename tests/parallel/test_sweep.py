@@ -50,6 +50,11 @@ class TestPlanBuilding:
                 replications=0,
             )
 
+    def test_repeated_values_refused(self):
+        # Task ids name a value by its repr; a repeat would collide.
+        with pytest.raises(ValueError, match="sweep values repeat"):
+            SweepPlan(experiment_id="T2", parameter="p", values=(0.3, 0.3))
+
     def test_task_seeds_come_from_the_tree(self):
         plan = SweepPlan(
             experiment_id="T2",

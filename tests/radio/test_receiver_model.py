@@ -1,4 +1,4 @@
-"""Tests for the typed receiver-model API (capture/cancellation).
+"""Tests for the successive-interference-cancellation receiver model.
 
 The SIC arithmetic is the load-bearing piece: cancellation must be
 deterministic (power-sorted, seq tie-break), exact (the residual is
@@ -8,47 +8,31 @@ contribution sets through the model and re-derives the greedy chain
 independently.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.radio.receiver_model import (
-    DefaultReceiver,
-    SicReceiver,
-    build_receiver_model,
-    receiver_model_names,
-)
+from repro.radio.receiver_model import SicReceiver
 
 
-class TestRegistry:
-    def test_names(self):
-        assert set(receiver_model_names()) == {"default", "sic"}
-
-    def test_round_trip(self):
-        assert build_receiver_model("default").name == "default"
-        model = build_receiver_model("sic")
-        assert model.name == "sic"
-        assert model.cancels
-
-    def test_unknown_name_lists_known(self):
-        with pytest.raises(ValueError, match="default"):
-            build_receiver_model("nope")
-
+class TestConstruction:
     def test_sic_depth_validated(self):
         with pytest.raises(ValueError):
             SicReceiver(depth=0)
 
-
-class TestDefaultReceiver:
-    def test_identity(self):
-        model = DefaultReceiver()
-        reduced, cancelled = model.resolve_interference(
-            1.0, 0.5, 1e-9, 0.05, [(0.3, 1), (0.2, 2)]
-        )
-        assert reduced == 0.5
-        assert cancelled == 0
-        assert not model.cancels
+    def test_frozen_value_object(self):
+        # One instance is shared by every bank, so it must not change.
+        model = SicReceiver()
+        assert model == SicReceiver(depth=4)
+        assert hash(model) == hash(SicReceiver())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            model.depth = 2
+        # The tag is a class constant, not a per-instance field.
+        assert [field.name for field in dataclasses.fields(model)] == ["depth"]
+        assert model.name == "sic"
 
 
 def greedy_chain(wanted, interference, thermal, threshold, contributions, depth):
@@ -72,6 +56,13 @@ def greedy_chain(wanted, interference, thermal, threshold, contributions, depth)
 
 
 class TestSicReceiver:
+    def test_nothing_to_cancel_is_identity(self):
+        model = SicReceiver()
+        assert model.resolve_interference(1.0, 0.5, 1e-9, 0.05, []) == (0.5, 0)
+        assert model.resolve_interference(
+            1.0, 0.0, 1e-9, 0.05, [(0.3, 1)]
+        ) == (0.0, 0)
+
     def test_cancels_dominant_interferer(self):
         # One interferer 100x the rest: trivially decodable, removed.
         model = SicReceiver(depth=4)

@@ -32,6 +32,14 @@ class TestCommands:
         for experiment_id in ("F1", "T4", "T11", "A1"):
             assert experiment_id in out
 
+    def test_macs_tags_capabilities(self, capsys):
+        assert main(["macs"]) == 0
+        lines = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        }
+        assert "[slotted, rx=sic]" in lines["sic_aloha"]
+        assert "[" not in lines["shepard"]
+
     def test_run_fast_experiment(self, capsys):
         code = main(
             [
@@ -339,6 +347,37 @@ class TestCacheCommands:
         (tmp_path / f".tmp.{os.getpid() + 1}.cache.json").write_text("{")
         assert main(["cache", "stats", str(tmp_path), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0
+
+    def test_refused_sweep_leaves_no_cache(self, capsys, tmp_path):
+        # T8 takes no seed, so replications are refused before the
+        # cache directory is created.
+        cache_dir = tmp_path / "cache"
+        code = main(
+            [
+                "sweep", "--experiment", "T8", "--replications", "2",
+                "--cache", str(cache_dir),
+            ]
+        )
+        assert code == 2
+        assert "replications" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+    def test_repeated_sweep_values_leave_no_cache(self, capsys, tmp_path):
+        cache_dir = tmp_path / "cache"
+        argv = ["sweep", "--experiment", "T7", "--values", "0.05,0.05"]
+        assert main([*argv, "--cache", str(cache_dir)]) == 2
+        assert "sweep values repeat" in capsys.readouterr().err
+        assert not cache_dir.exists()
+
+    @pytest.mark.parametrize(
+        "argv", [["sweep", *TINY_T7], ["run-all", "--quick", "--no-progress"]]
+    )
+    def test_foreign_cache_directory_is_a_usage_error(self, argv, capsys, tmp_path):
+        (tmp_path / "notes.txt").write_text("mine")
+        assert main([*argv, "--cache", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "no cache marker" in captured.err
+        assert captured.out == ""
 
     def test_cache_refuses_foreign_directory(self, capsys, tmp_path):
         (tmp_path / "precious.txt").write_text("data")

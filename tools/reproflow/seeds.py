@@ -9,10 +9,10 @@ pass finds every RNG constructor call in the project —
 ``RandomState`` — and classifies the provenance of its seed argument
 by taint-style dataflow:
 
-* **approved** — a ``derive_seed``/``SeedTree.seed``/``integer_seed``
-  call, a parameter or attribute whose name contains ``seed``, a value
-  returned by a project function that itself returns approved seed
-  material, or arithmetic over approved values;
+* **approved** — a ``derive_seed``/``integer_seed`` call, a parameter
+  or attribute whose name contains ``seed``, a value returned by a
+  project function that itself returns approved seed material, or
+  arithmetic over approved values;
 * **literal** — bottoms out only in constants (``default_rng(0)``):
   a hidden fixed seed that silently decouples the run from the
   experiment's seed parameters;
