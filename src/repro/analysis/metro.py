@@ -21,7 +21,11 @@ driven through the real :class:`~repro.net.medium.Medium` physics with
 the paper's hashed transmit/receive schedules and per-station clock
 offsets.  The link budget is calibrated against the sparse field's
 *culling-inclusive* interference bound, so the zero-collision outcome
-survives the approximation by construction.  Everything here is
+survives the approximation by construction.  The calibration is the
+network's own :func:`~repro.net.network.design_budget`, and every
+design value comes from a default
+:class:`~repro.net.network.NetworkConfig`, so a metro scene and a
+``Network`` design the same system.  Everything here is
 wall-clock-free; the benchmark under ``perf/`` owns the timing.
 """
 
@@ -40,17 +44,17 @@ from repro.core.access import (
     find_transmit_window,
 )
 from repro.core.noise import snr_nearest_neighbor
-from repro.core.reception import shannon_capacity
-from repro.core.schedule import DEFAULT_RECEIVE_FRACTION, Schedule
+from repro.core.schedule import Schedule
 from repro.net.medium import Medium
+from repro.net.network import LinkBudget, NetworkConfig, design_budget
 from repro.net.packet import Packet
 from repro.propagation.geometry import Placement, uniform_disk
 from repro.propagation.horizon import (
     DEFAULT_ANTENNA_HEIGHT_M,
     mutual_radio_horizon_m,
 )
-from repro.propagation.models import FreeSpace, PropagationModel
-from repro.propagation.sparse import DEFAULT_CHUNK_COLUMNS, SparseGainField
+from repro.propagation.models import FreeSpace
+from repro.propagation.sparse import SparseGainField
 from repro.radio.signal import linear_to_db
 from repro.radio.spreadspectrum import DespreaderBank
 from repro.radio.thermal import thermal_noise_power
@@ -71,6 +75,10 @@ __all__ = [
 #: larger populations mean a *larger city*, not a denser one — exactly
 #: the paper's fixed-rho scaling argument.
 LEGACY_SCENE_DENSITY = 500.0 / (math.pi * 1000.0**2)
+
+# The metro scene's design values: the same defaults a ``Network`` is
+# built with, so both drivers design the same system.
+_DESIGN = NetworkConfig()
 
 
 @dataclass(frozen=True)
@@ -203,47 +211,34 @@ class MetroScene:
 
     Construction never materialises an O(M^2) array: the gain structure
     is built into a CSR sparse field in cache-sized tiles, holding
-    O(nnz) output plus O(chunk x tile) transient memory, and every
-    design quantity below is derived from that field.  The exact culled
-    account still costs Theta(M^2) pair work while the horizon covers
-    the city.
+    O(nnz) output plus O(chunk x tile) transient memory, and the link
+    budget is calibrated against that field.  The exact culled account
+    still costs Theta(M^2) pair work while the horizon covers the city.
+    The scene's design values (bandwidth, margins, packet, schedule,
+    noise) are a default :class:`~repro.net.network.NetworkConfig`'s.
 
     Attributes:
         placement: station positions (fixed legacy density by default).
-        model: the propagation model the field was built under.
         gain_field: horizon-culled CSR gains with error accounting.
         nearest: per-station strongest-gain neighbour (the traffic
             destination; under a monotone path loss, also the nearest).
         powers: per-station transmit power (power-controlled to deliver
-            ``target_delivered_w`` at the nearest neighbour, capped).
-        sir_threshold: calibrated reception threshold, sound against
-            the culling-inclusive interference bound.
-        data_rate_bps: fixed design rate implied by the threshold.
-        slot_time: schedule slot length (airtime / packet fraction).
-        packet_airtime: airtime of the standard packet.
-        thermal_noise_w: receiver thermal noise floor.
-        receive_fraction: schedule receive duty cycle.
-        schedule_key: shared schedule hash key.
+            the target power at the nearest neighbour, capped).
+        budget: the Section 6 link budget, calibrated by
+            :func:`~repro.net.network.design_budget` against the
+            culling-inclusive interference bound: the SIR threshold,
+            design rate, slot, packet airtime and thermal noise floor.
         clock_offsets: per-station clock offsets (local = global +
             offset); spanning many slots decorrelates schedules (§7.1).
-        packet_size_bits: standard packet size.
         seed: the build seed (placement and clocks derive from it).
     """
 
     placement: Placement
-    model: PropagationModel
     gain_field: SparseGainField
     nearest: np.ndarray
     powers: np.ndarray
-    sir_threshold: float
-    data_rate_bps: float
-    slot_time: float
-    packet_airtime: float
-    thermal_noise_w: float
-    receive_fraction: float
-    schedule_key: int
+    budget: LinkBudget
     clock_offsets: np.ndarray
-    packet_size_bits: float
     seed: int
 
     @property
@@ -254,9 +249,9 @@ class MetroScene:
     def schedule(self) -> Schedule:
         """The shared hashed transmit/receive schedule."""
         return Schedule(
-            slot_time=self.slot_time,
-            receive_fraction=self.receive_fraction,
-            key=self.schedule_key,
+            slot_time=self.budget.slot_time,
+            receive_fraction=_DESIGN.receive_fraction,
+            key=_DESIGN.schedule_key,
         )
 
     def summary(self) -> Dict[str, float]:
@@ -271,9 +266,9 @@ class MetroScene:
             "max_interferers": float(sizes.max()) if sizes.size else 0.0,
             "csr_memory_mb": self.gain_field.memory_bytes / 1e6,
             "dense_memory_mb": 8.0 * self.station_count**2 / 1e6,
-            "sir_threshold_db": linear_to_db(self.sir_threshold),
-            "data_rate_bps": self.data_rate_bps,
-            "slot_time_s": self.slot_time,
+            "sir_threshold_db": linear_to_db(self.budget.sir_threshold),
+            "data_rate_bps": self.budget.data_rate_bps,
+            "slot_time_s": self.budget.slot_time,
         }
 
 
@@ -323,19 +318,6 @@ def build_metro_scene(
     seed: int = 7,
     density: float = LEGACY_SCENE_DENSITY,
     cull_fraction: float = 0.02,
-    bandwidth_hz: float = 1e6,
-    beta: float = 3.0,
-    safety_margin: float = 2.0,
-    packet_size_bits: float = 1000.0,
-    packet_slot_fraction: float = 0.25,
-    receive_fraction: float = DEFAULT_RECEIVE_FRACTION,
-    schedule_key: int = 1,
-    target_delivered_w: float = 1.0,
-    thermal_fraction: float = 1e-6,
-    clock_offset_span_slots: float = 1000.0,
-    antenna_height_m: float = DEFAULT_ANTENNA_HEIGHT_M,
-    chunk_columns: int = DEFAULT_CHUNK_COLUMNS,
-    model: Optional[PropagationModel] = None,
 ) -> MetroScene:
     """Build a metro scene at fixed density, straight from geometry.
 
@@ -353,42 +335,21 @@ def build_metro_scene(
     artifact of dropped interference.
     """
     # Each check is written so that NaN fails it: a NaN cull fraction
-    # would keep every link, and a NaN margin would reach the RNG.
+    # would keep every link.
     if station_count < 2:
         raise ValueError("a metro scene needs at least two stations")
     if not 0.0 < density < math.inf:
         raise ValueError("density must be positive and finite")
     if not 0.0 <= cull_fraction < math.inf:
         raise ValueError("cull fraction must be non-negative and finite")
-    if not 0.0 < bandwidth_hz < math.inf:
-        raise ValueError("bandwidth must be positive and finite")
-    if not 1.0 <= beta < math.inf:
-        raise ValueError("beta must be finite and >= 1")
-    if not 1.0 <= safety_margin < math.inf:
-        raise ValueError("safety margin must be finite and >= 1")
-    if not 0.0 < packet_size_bits < math.inf:
-        raise ValueError("packet size must be positive and finite")
-    if not 0.0 < packet_slot_fraction <= 1.0:
-        raise ValueError("packet slot fraction must be in (0, 1]")
-    if not 0.0 < receive_fraction < 1.0:
-        raise ValueError("receive fraction must be in (0, 1)")
-    if not 2.0 <= clock_offset_span_slots < math.inf:
-        raise ValueError(
-            "the clock offset span must be finite, and offsets under two "
-            "slots risk correlated schedules (Section 7.1)"
-        )
     radius = math.sqrt(station_count / (math.pi * density))
     placement = uniform_disk(station_count, radius=radius, seed=seed)
-    model = model or FreeSpace(near_field_clamp=1e-6)
+    model = FreeSpace(near_field_clamp=1e-6)
     characteristic = placement.characteristic_length
     cull_gain = cull_fraction * float(model.power_gain(characteristic))
-    horizon = mutual_radio_horizon_m(antenna_height_m, antenna_height_m)
+    horizon = mutual_radio_horizon_m(DEFAULT_ANTENNA_HEIGHT_M, DEFAULT_ANTENNA_HEIGHT_M)
     gain_field = SparseGainField.from_placement(
-        placement,
-        model,
-        cull_gain=cull_gain,
-        horizon_m=horizon,
-        chunk_columns=chunk_columns,
+        placement, model, cull_gain=cull_gain, horizon_m=horizon
     )
 
     # Traffic sink and power control: each station talks to its
@@ -411,41 +372,30 @@ def build_metro_scene(
 
     # Section 6 power control with the network builder's cap: nobody
     # radiates more than twice the power the weakest usable link needs.
-    min_gain = float(model.power_gain(2.0 * characteristic))
-    max_power = 2.0 * target_delivered_w / min_gain
-    powers = np.minimum(target_delivered_w / gain_to_nearest, max_power)
+    target = _DESIGN.target_delivered_w
+    min_gain = float(model.power_gain(_DESIGN.reach_factor * characteristic))
+    max_power = 2.0 * target / min_gain
+    powers = np.minimum(target / gain_to_nearest, max_power)
 
     # Link budget against the culling-inclusive worst case: every
-    # station radiating at once, culled gains charged at peak power.
+    # station radiating at once, culled gains charged at peak power,
+    # and the weakest delivered power as the wanted signal.
     bounds = gain_field.interference_bound_w(powers)
-    thermal = thermal_fraction * float(bounds.min())
-    worst = float(bounds.max()) + thermal
     delivered = powers * gain_to_nearest
-    sir_threshold = float(delivered.min()) / (safety_margin * worst)
-    data_rate = shannon_capacity(bandwidth_hz, sir_threshold / beta)
-    airtime = packet_size_bits / data_rate
-    slot_time = airtime / packet_slot_fraction
+    budget = design_budget(bounds, float(delivered.min()), min_gain, _DESIGN)
 
     offsets_rng = RandomStreams(seed).stream("metro-clocks")
     clock_offsets = offsets_rng.uniform(
-        0.0, clock_offset_span_slots * slot_time, station_count
+        0.0, _DESIGN.clock_offset_span_slots * budget.slot_time, station_count
     )
 
     return MetroScene(
         placement=placement,
-        model=model,
         gain_field=gain_field,
         nearest=nearest,
         powers=powers,
-        sir_threshold=sir_threshold,
-        data_rate_bps=data_rate,
-        slot_time=slot_time,
-        packet_airtime=airtime,
-        thermal_noise_w=thermal,
-        receive_fraction=receive_fraction,
-        schedule_key=schedule_key,
+        budget=budget,
         clock_offsets=clock_offsets,
-        packet_size_bits=packet_size_bits,
         seed=seed,
     )
 
@@ -495,8 +445,6 @@ def run_metro_scene(
     load: float = 0.05,
     duration_slots: float = 30.0,
     traffic_seed: int = 99,
-    despreader_channels: int = 12,
-    guard_fraction: float = 0.01,
     env: Optional[Environment] = None,
 ) -> MetroRunResult:
     """Simulate a metro scene under Poisson nearest-neighbour traffic.
@@ -511,6 +459,8 @@ def run_metro_scene(
     by the Section 5 taxonomy.  Type 3 self-jamming is impossible by
     construction (transmit and receive windows are disjoint per
     station), so a zero-loss run checks the full Section 7 claim.
+    Despreader banks and the window-edge guard take the design values
+    a ``Network`` takes by default.
 
     Args:
         scene: a built metro scene.
@@ -518,8 +468,6 @@ def run_metro_scene(
         duration_slots: arrival horizon in slots (transmissions that
             start before the horizon run to completion).
         traffic_seed: seed for the Poisson arrival draw.
-        despreader_channels: per-station despreader bank capacity.
-        guard_fraction: window-edge inset as a fraction of a slot.
         env: simulation environment (one is built when omitted; pass
             ``Environment(sanitize=True)`` to force the sanitizer).
     """
@@ -527,16 +475,13 @@ def run_metro_scene(
         raise ValueError("load must be positive")
     if duration_slots <= 0.0:
         raise ValueError("duration must be positive")
-    if not math.isfinite(guard_fraction):
-        raise ValueError("guard fraction must be finite")
-    if guard_fraction < 0.0:
-        raise ValueError("guard fraction must be non-negative")
     count = scene.station_count
+    budget = scene.budget
     schedule = scene.schedule()
     offsets = scene.clock_offsets.tolist()
-    airtime = scene.packet_airtime
-    guard = guard_fraction * scene.slot_time
-    horizon = duration_slots * scene.slot_time
+    airtime = budget.packet_airtime
+    guard = _DESIGN.guard_fraction * budget.slot_time
+    horizon = duration_slots * budget.slot_time
 
     # Pre-draw all arrivals in one vectorised pass: per-station Poisson
     # counts, then uniform times, grouped by station and time-sorted.
@@ -583,12 +528,14 @@ def run_metro_scene(
     transmit_order = np.lexsort((np.asarray(sources), np.asarray(starts)))
 
     env = env or Environment()
-    banks = [DespreaderBank(capacity=despreader_channels) for _ in range(count)]
+    banks = [
+        DespreaderBank(capacity=_DESIGN.despreader_channels) for _ in range(count)
+    ]
     medium = Medium(
         env=env,
         gains=scene.gain_field,
-        thermal_noise_w=scene.thermal_noise_w,
-        sir_thresholds=np.full(count, scene.sir_threshold),
+        thermal_noise_w=budget.thermal_noise_w,
+        sir_thresholds=np.full(count, budget.sir_threshold),
         listen_query=lambda station, now: schedule.is_receiving_at(
             now + offsets[station]
         ),
@@ -612,7 +559,7 @@ def run_metro_scene(
                 Packet(
                     source=source,
                     destination=destination,
-                    size_bits=scene.packet_size_bits,
+                    size_bits=_DESIGN.packet_size_bits,
                     created_at=env.now,
                 ),
                 powers[source],

@@ -4,9 +4,7 @@ from repro.core.access import (
     DEFAULT_SEARCH_SLOTS,
     NoTransmitWindowError,
     ScheduleView,
-    expected_wait_slots,
     find_transmit_window,
-    overlap_fraction,
 )
 from repro.core.collisions import (
     CollisionType,
@@ -66,13 +64,11 @@ __all__ = [
     "classify_source",
     "count_by_type",
     "expected_neighbors",
-    "expected_wait_slots",
     "find_transmit_window",
     "hash_slot",
     "interference_integral",
     "make_policy",
     "max_rate",
-    "overlap_fraction",
     "range_doubling_cost_db",
     "reach_for_expected_neighbors",
     "required_sir",

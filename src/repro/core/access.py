@@ -586,26 +586,3 @@ def _reuse_until(
         until = min(until, end - margin)
     return until
 
-
-def overlap_fraction(p: float) -> float:
-    """Expected fraction of time a sender can reach one given neighbour.
-
-    Section 7.2: with receive duty cycle ``p``, a slot pair offers a
-    usable (transmit here, receive there) combination with probability
-    ``p(1-p)`` — about 0.21 at the near-optimal p = 0.3.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError("receive duty cycle must be in (0, 1)")
-    return p * (1.0 - p)
-
-
-def expected_wait_slots(p: float) -> float:
-    """Expected slots until a packet can be sent (Section 7.2).
-
-    The Bernoulli model: success probability ``p(1-p)`` per slot, so
-    the expectation is ``1/(p(1-p))`` — 4.76 slots at p = 0.3.
-    """
-    return 1.0 / overlap_fraction(p)
-
-
-__all__ += ["overlap_fraction", "expected_wait_slots"]

@@ -24,6 +24,12 @@ explicit *link-budget calibration*:
    pattern the scheme permits — this is the precise sense in which the
    scheme is collision-free, and the T4 experiment verifies it with
    zero losses.
+
+Step 5 is :func:`design_budget`, the one calibration both simulation
+drivers run.  Each passes its own bound and numerator: ``Network`` its
+effective bound and the target ``T``; the metro scene
+(:func:`repro.analysis.metro.build_metro_scene`) its culling-inclusive
+sparse bound and the weakest power its capped power control delivers.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ __all__ = [
     "Network",
     "NetworkResult",
     "build_network",
+    "design_budget",
 ]
 
 MacFactory = Callable[[int, "LinkBudget"], MacProtocol]
@@ -167,47 +174,56 @@ class NetworkConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_hz <= 0.0:
-            raise ValueError("bandwidth must be positive")
-        if self.beta < 1.0:
-            raise ValueError("beta must be >= 1")
-        if self.safety_margin < 1.0:
-            raise ValueError("safety margin must be >= 1")
-        if self.packet_size_bits <= 0.0:
-            raise ValueError("packet size must be positive")
+        # Each check is written so that NaN and infinite values fail it.
+        if not 0.0 < self.bandwidth_hz < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
+        if not 1.0 <= self.beta < math.inf:
+            raise ValueError("beta must be finite and >= 1")
+        if not 1.0 <= self.safety_margin < math.inf:
+            raise ValueError("safety margin must be finite and >= 1")
+        if not 0.0 < self.packet_size_bits < math.inf:
+            raise ValueError("packet size must be positive and finite")
         if not 0.0 < self.packet_slot_fraction <= 1.0:
             raise ValueError("packet slot fraction must be in (0, 1]")
-        if self.reach_factor <= 0.0:
-            raise ValueError("reach factor must be positive")
+        if not 0.0 < self.reach_factor < math.inf:
+            raise ValueError("reach factor must be positive and finite")
         if not 0.0 < self.receive_fraction < 1.0:
             raise ValueError("receive fraction must be in (0, 1)")
+        if not -math.inf < self.schedule_key < math.inf:
+            raise ValueError("schedule key must be finite")
         if not 0.0 < self.avoid_fraction <= 1.0:
             raise ValueError("avoid fraction must be in (0, 1]")
-        if not math.isfinite(self.guard_fraction):
-            raise ValueError("guard fraction must be finite")
-        if self.guard_fraction < 0.0:
-            raise ValueError("guard fraction must be non-negative")
-        if self.clock_offset_span_slots < 2.0:
+        if not 0.0 <= self.guard_fraction < math.inf:
+            raise ValueError("guard fraction must be non-negative and finite")
+        if not 2.0 <= self.clock_offset_span_slots < math.inf:
             raise ValueError(
-                "offsets under two slots risk correlated schedules (Section 7.1)"
+                "the clock offset span must be finite, and offsets under two "
+                "slots risk correlated schedules (Section 7.1)"
             )
-        if self.rendezvous_count < 1:
-            raise ValueError("need at least one rendezvous")
-        if self.despreader_channels < 1:
-            raise ValueError("need at least one despreading channel")
-        if self.target_delivered_w <= 0.0:
-            raise ValueError("target delivered power must be positive")
-        if (
-            self.rendezvous_refresh_slots is not None
-            and self.rendezvous_refresh_slots <= 0.0
+        if not 0.0 <= self.clock_rate_error_ppm < math.inf:
+            raise ValueError("clock rate error must be non-negative and finite")
+        if not 0.0 <= self.rendezvous_jitter < math.inf:
+            raise ValueError("rendezvous jitter must be non-negative and finite")
+        if not 1 <= self.rendezvous_count < math.inf:
+            raise ValueError("need a finite count of at least one rendezvous")
+        if not 1 <= self.despreader_channels < math.inf:
+            raise ValueError("need a finite count of at least one despreading channel")
+        if not 0.0 < self.target_delivered_w < math.inf:
+            raise ValueError("target delivered power must be positive and finite")
+        if not 0.0 <= self.thermal_fraction < math.inf:
+            raise ValueError("thermal fraction must be non-negative and finite")
+        if self.rendezvous_refresh_slots is not None and not (
+            0.0 < self.rendezvous_refresh_slots < math.inf
         ):
-            raise ValueError("rendezvous refresh interval must be positive")
-        if self.arq_max_retries is not None and self.arq_max_retries < 1:
-            raise ValueError("ARQ needs at least one retry when enabled")
-        if self.arq_timeout_slots <= 0.0:
-            raise ValueError("ARQ timeout must be positive")
-        if self.arq_backoff_slots < 0.0:
-            raise ValueError("ARQ backoff must be non-negative")
+            raise ValueError("rendezvous refresh interval must be positive and finite")
+        if self.arq_max_retries is not None and not (
+            1 <= self.arq_max_retries < math.inf
+        ):
+            raise ValueError("ARQ needs a finite budget of at least one retry")
+        if not 0.0 < self.arq_timeout_slots < math.inf:
+            raise ValueError("ARQ timeout must be positive and finite")
+        if not 0.0 <= self.arq_backoff_slots < math.inf:
+            raise ValueError("ARQ backoff must be non-negative and finite")
 
 
 @dataclass(frozen=True)
@@ -649,7 +665,9 @@ def _calibrate(
     min_gain: float,
 ) -> LinkBudget:
     """The Section 6 link-budget calibration described in the module
-    docstring: from geometry and routes to a fixed design rate."""
+    docstring: steps 3 and 4 bound the interference from geometry,
+    routes and the courtesy, and :func:`design_budget` fixes the rate
+    against that bound for deliveries at the target power."""
     gains = matrix.gains
     count = matrix.count
     target = config.target_delivered_w
@@ -677,7 +695,30 @@ def _calibrate(
         bounds = np.minimum(contributions, cap).sum(axis=1)
     else:
         bounds = raw_bounds
+    return design_budget(bounds, target, min_gain, config)
 
+
+def design_budget(
+    bounds: np.ndarray,
+    delivered_w: float,
+    min_gain: float,
+    config: NetworkConfig,
+) -> LinkBudget:
+    """Fix the design rate against per-receiver interference bounds
+    (step 5 of the module docstring).
+
+    Thermal noise is ``config.thermal_fraction`` of the smallest bound.
+    The SIR threshold is ``delivered_w``, the weakest wanted power, over
+    ``config.safety_margin`` times the largest bound plus that noise;
+    the Shannon form under ``config.beta`` turns it into the rate, and
+    the packet size and slot fraction into the airtime and the slot.
+
+    Args:
+        bounds: each receiver's worst-case aggregate interference.
+        delivered_w: the weakest power a wanted signal arrives at.
+        min_gain: the weakest usable link gain, kept in the budget.
+        config: the design values (bandwidth, margins, packet, noise).
+    """
     if float(bounds.max()) <= 0.0:
         raise ValueError(
             "cannot calibrate the link budget: no receiver has a positive "
@@ -685,7 +726,7 @@ def _calibrate(
         )
     thermal = config.thermal_fraction * float(bounds.min())
     worst = float(bounds.max()) + thermal
-    threshold = target / (config.safety_margin * worst)
+    threshold = delivered_w / (config.safety_margin * worst)
     data_rate = shannon_capacity(config.bandwidth_hz, threshold / config.beta)
     # Consistency: required_sir(data_rate, W, beta) == threshold.
     assert math.isclose(
@@ -705,7 +746,7 @@ def _calibrate(
         interference_bounds=bounds,
         thermal_noise_w=thermal,
         processing_gain_db=processing_gain_db,
-        target_delivered_w=target,
+        target_delivered_w=config.target_delivered_w,
     )
 
 

@@ -71,18 +71,6 @@ class Instrumentation:
         for sink in self._sinks:
             sink.close()
 
-    # -- constructors --------------------------------------------------
-
-    @classmethod
-    def disabled(cls) -> "Instrumentation":
-        """A facade with no sinks: every emit guard short-circuits."""
-        return cls(())
-
-    @classmethod
-    def recording(cls, capacity: Optional[int] = None) -> "Instrumentation":
-        """A facade with one in-memory sink (``capacity`` bounds it)."""
-        return cls((MemorySink(capacity),))
-
     # -- queries -------------------------------------------------------
 
     @property

@@ -11,7 +11,7 @@ use) so CI can exercise the whole registry per commit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional
+from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.parallel.aggregate import failed_results, reports_in_order
 from repro.parallel.pool import ProgressCallback, run_tasks
@@ -120,7 +120,6 @@ def experiment_order() -> List[str]:
 
 def build_suite_tasks(
     quick: bool = False,
-    overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
 ) -> List[TaskSpec]:
@@ -128,21 +127,14 @@ def build_suite_tasks(
 
     Args:
         quick: apply the :data:`QUICK_PARAMS` parameterisations.
-        overrides: extra per-experiment parameter overrides, keyed by
-            experiment id (merged over the quick set).
         timeout_s: per-task timeout (pool-enforced).
         retries: crash/timeout retries per task.
     """
-    overrides = overrides or {}
-    unknown = set(overrides) - set(experiment_order())
-    if unknown:
-        raise ValueError(f"overrides for unknown experiments: {sorted(unknown)}")
     specs: List[TaskSpec] = []
     for experiment_id in experiment_order():
         params: Dict[str, Any] = {}
         if quick:
             params.update(QUICK_PARAMS.get(experiment_id, {}))
-        params.update(overrides.get(experiment_id, {}))
         specs.append(
             TaskSpec(
                 task_id=experiment_id,
@@ -228,7 +220,6 @@ class SuiteResult:
 def run_suite(
     jobs: int = 1,
     quick: bool = False,
-    overrides: Optional[Mapping[str, Mapping[str, Any]]] = None,
     timeout_s: Optional[float] = None,
     retries: int = 1,
     progress: Optional[ProgressCallback] = None,
@@ -241,8 +232,6 @@ def run_suite(
     as it completes, so rerunning a killed suite over the same cache
     resumes it with final digests bit-identical to an uninterrupted run.
     """
-    specs = build_suite_tasks(
-        quick=quick, overrides=overrides, timeout_s=timeout_s, retries=retries
-    )
+    specs = build_suite_tasks(quick=quick, timeout_s=timeout_s, retries=retries)
     results = run_tasks(specs, jobs=jobs, progress=progress, cache=cache)
     return SuiteResult(specs=specs, results=results, jobs=jobs, quick=quick)

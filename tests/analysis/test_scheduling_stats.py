@@ -24,6 +24,10 @@ class TestClosedForms:
     def test_overlap_021_at_p03(self):
         assert pairwise_overlap_fraction(0.3) == pytest.approx(0.21)
 
+    def test_overlap_fraction_bounds(self):
+        with pytest.raises(ValueError):
+            pairwise_overlap_fraction(0.0)
+
     def test_usable_15_percent(self):
         # "approximately 15% of all time" with quarter-slot packets.
         assert usable_fraction(0.3) == pytest.approx(0.1575)

@@ -15,9 +15,7 @@ from repro.core.access import (
     DEFAULT_SEARCH_SLOTS,
     NoTransmitWindowError,
     ScheduleView,
-    expected_wait_slots,
     find_transmit_window,
-    overlap_fraction,
 )
 from repro.core.intervals import (
     clip,
@@ -329,18 +327,6 @@ class TestFindTransmitWindow:
         for t in (start + 1e-9, (start + end) / 2, end - 1e-9):
             assert not sender.is_receiving_at(t)
             assert receiver_truth.is_receiving_at(t)
-
-
-class TestClosedForms:
-    def test_overlap_fraction_at_p03(self):
-        assert overlap_fraction(0.3) == pytest.approx(0.21)
-
-    def test_expected_wait_at_p03(self):
-        assert expected_wait_slots(0.3) == pytest.approx(4.7619, abs=1e-3)
-
-    def test_overlap_fraction_bounds(self):
-        with pytest.raises(ValueError):
-            overlap_fraction(0.0)
 
 
 # -- reference: the search as a per-query generator pipeline -----------------

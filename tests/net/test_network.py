@@ -159,6 +159,54 @@ class TestConfigVariants:
         with pytest.raises(ValueError):
             NetworkConfig(clock_offset_span_slots=1.0)
 
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "bandwidth_hz",
+            "beta",
+            "safety_margin",
+            "packet_size_bits",
+            "packet_slot_fraction",
+            "reach_factor",
+            "receive_fraction",
+            "schedule_key",
+            "clock_offset_span_slots",
+            "clock_rate_error_ppm",
+            "rendezvous_jitter",
+            "rendezvous_count",
+            "despreader_channels",
+            "target_delivered_w",
+            "thermal_fraction",
+            "rendezvous_refresh_slots",
+            "arq_max_retries",
+            "arq_timeout_slots",
+            "arq_backoff_slots",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, field, value):
+        # Each check is written so that NaN fails it.  A NaN bandwidth
+        # used to end in a bare AssertionError from the calibration, and
+        # an infinite despreader count built a network.
+        with pytest.raises(ValueError):
+            NetworkConfig(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("rendezvous_jitter", -1.0),
+            ("clock_rate_error_ppm", -1.0),
+            ("guard_fraction", math.inf),
+            ("guard_fraction", -math.inf),
+            ("guard_fraction", -0.01),
+        ],
+    )
+    def test_out_of_range_values_rejected(self, field, value):
+        # A negative guard starts bursts outside the receiver's window,
+        # and an infinite one leaves every packet unscheduled.
+        with pytest.raises(ValueError):
+            NetworkConfig(**{field: value})
+
     @pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="needs SIGALRM")
     def test_guard_fraction_must_be_finite(self):
         # A NaN guard used to be accepted, and the first window search

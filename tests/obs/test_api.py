@@ -32,19 +32,19 @@ class TestFacade:
         instr.emit(tx(1.0))
         assert len(first) == 1 and len(second) == 1
 
-    def test_recording_constructor_attaches_memory(self):
-        instr = Instrumentation.recording()
-        assert instr.memory is not None
-        assert not Instrumentation.disabled().active
+    def test_memory_is_the_first_memory_sink(self):
+        first, second = MemorySink(), MemorySink()
+        assert Instrumentation((first, second)).memory is first
+        assert Instrumentation().memory is None
 
 
 class TestAmbient:
     def test_context_installs_and_restores(self):
         assert ambient_instrumentation() is None
-        instr = Instrumentation.recording()
+        instr = Instrumentation((MemorySink(),))
         with use_instrumentation(instr):
             assert ambient_instrumentation() is instr
-            inner = Instrumentation.recording()
+            inner = Instrumentation((MemorySink(),))
             with use_instrumentation(inner):
                 assert ambient_instrumentation() is inner
             assert ambient_instrumentation() is instr

@@ -69,7 +69,7 @@ class TestDigestInvariance:
 
     def test_disabled_facade_matches_no_facade(self):
         bare = digest_of(5, 0.1, 60.0, None)
-        disabled = digest_of(5, 0.1, 60.0, Instrumentation.disabled())
+        disabled = digest_of(5, 0.1, 60.0, Instrumentation())
         assert disabled == bare
 
 

@@ -1,6 +1,4 @@
-"""run-all plumbing: canonical ordering, overrides, jobs-invariance."""
-
-import pytest
+"""run-all plumbing: canonical ordering, quick parameters, jobs-invariance."""
 
 from repro.experiments import all_experiments
 from repro.parallel.suite import (
@@ -27,20 +25,14 @@ class TestSuiteTasks:
     def test_quick_params_cover_only_known_experiments(self):
         assert set(QUICK_PARAMS) == set(all_experiments())
 
-    def test_build_applies_quick_and_overrides(self):
-        specs = build_suite_tasks(
-            quick=True, overrides={"T7": {"station_count": 8}}
-        )
-        by_id = {spec.task_id: spec for spec in specs}
-        assert by_id["T7"].params["station_count"] == 8
-        assert (
-            by_id["T7"].params["loads_packets_per_slot"]
-            == QUICK_PARAMS["T7"]["loads_packets_per_slot"]
-        )
-
-    def test_build_rejects_unknown_override(self):
-        with pytest.raises(ValueError):
-            build_suite_tasks(overrides={"Z9": {}})
+    def test_build_applies_quick_params(self):
+        quick = {spec.task_id: spec.params for spec in build_suite_tasks(quick=True)}
+        assert quick == {
+            experiment_id: QUICK_PARAMS[experiment_id]
+            for experiment_id in experiment_order()
+        }
+        full = build_suite_tasks()
+        assert all(spec.params == {} for spec in full)
 
 
 class TestSuiteJobsInvariance:
