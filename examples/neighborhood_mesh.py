@@ -25,6 +25,7 @@ import numpy as np
 
 import repro
 from repro.net import HotspotTraffic, NetworkConfig
+from repro.net.network import PACKET_SIZE_BITS
 from repro.obs.events import Delivered
 from repro.propagation import Placement, ObstructedUrban, jittered_grid
 from repro.routing import trace_route
@@ -74,7 +75,7 @@ def main() -> None:
                     hotspot=gateway,
                     hotspot_fraction=0.7,
                     destinations=list(range(count)),
-                    size_bits=config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     rng=rng,
                 )
             )

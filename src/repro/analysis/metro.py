@@ -22,11 +22,12 @@ the paper's hashed transmit/receive schedules and per-station clock
 offsets.  The link budget is calibrated against the sparse field's
 *culling-inclusive* interference bound, so the zero-collision outcome
 survives the approximation by construction.  The calibration is the
-network's own :func:`~repro.net.network.design_budget`, and every
-design value comes from a default
-:class:`~repro.net.network.NetworkConfig`, so a metro scene and a
-``Network`` design the same system.  Everything here is
-wall-clock-free; the benchmark under ``perf/`` owns the timing.
+network's own :func:`~repro.net.network.design_budget`; the scene
+reads the design constants of :mod:`repro.net.network` and a default
+:class:`~repro.net.network.NetworkConfig` for the values a caller may
+vary, so a metro scene and a ``Network`` design the same system.
+Everything here is wall-clock-free; the benchmark under ``perf/`` owns
+the timing.
 """
 
 from __future__ import annotations
@@ -46,7 +47,16 @@ from repro.core.access import (
 from repro.core.noise import snr_nearest_neighbor
 from repro.core.schedule import Schedule
 from repro.net.medium import Medium
-from repro.net.network import LinkBudget, NetworkConfig, design_budget
+from repro.net.network import (
+    CLOCK_OFFSET_SPAN_SLOTS,
+    PACKET_SIZE_BITS,
+    SCHEDULE_KEY,
+    TARGET_DELIVERED_W,
+    LinkBudget,
+    NetworkConfig,
+    design_budget,
+    power_cap_w,
+)
 from repro.net.packet import Packet
 from repro.propagation.geometry import Placement, uniform_disk
 from repro.propagation.horizon import (
@@ -76,8 +86,9 @@ __all__ = [
 #: the paper's fixed-rho scaling argument.
 LEGACY_SCENE_DENSITY = 500.0 / (math.pi * 1000.0**2)
 
-# The metro scene's design values: the same defaults a ``Network`` is
-# built with, so both drivers design the same system.
+# The four values a caller may vary that the metro scene reads (reach
+# factor, receive fraction, guard and despreader channels): the defaults
+# a ``Network`` is built with, so both drivers design the same system.
 _DESIGN = NetworkConfig()
 
 
@@ -215,7 +226,9 @@ class MetroScene:
     budget is calibrated against that field.  The exact culled account
     still costs Theta(M^2) pair work while the horizon covers the city.
     The scene's design values (bandwidth, margins, packet, schedule,
-    noise) are a default :class:`~repro.net.network.NetworkConfig`'s.
+    noise) are :mod:`repro.net.network`'s constants, and its reach,
+    receive fraction, guard and despreader channels a default
+    :class:`~repro.net.network.NetworkConfig`'s.
 
     Attributes:
         placement: station positions (fixed legacy density by default).
@@ -251,7 +264,7 @@ class MetroScene:
         return Schedule(
             slot_time=self.budget.slot_time,
             receive_fraction=_DESIGN.receive_fraction,
-            key=_DESIGN.schedule_key,
+            key=SCHEDULE_KEY,
         )
 
     def summary(self) -> Dict[str, float]:
@@ -370,23 +383,21 @@ def build_metro_scene(
     nearest = gain_field.rows[best].astype(np.intp)
     gain_to_nearest = gain_field.vals[best]
 
-    # Section 6 power control with the network builder's cap: nobody
-    # radiates more than twice the power the weakest usable link needs.
-    target = _DESIGN.target_delivered_w
+    # Section 6 power control under the network builder's cap.
     min_gain = float(model.power_gain(_DESIGN.reach_factor * characteristic))
-    max_power = 2.0 * target / min_gain
-    powers = np.minimum(target / gain_to_nearest, max_power)
+    max_power = power_cap_w(min_gain)
+    powers = np.minimum(TARGET_DELIVERED_W / gain_to_nearest, max_power)
 
     # Link budget against the culling-inclusive worst case: every
     # station radiating at once, culled gains charged at peak power,
     # and the weakest delivered power as the wanted signal.
     bounds = gain_field.interference_bound_w(powers)
     delivered = powers * gain_to_nearest
-    budget = design_budget(bounds, float(delivered.min()), min_gain, _DESIGN)
+    budget = design_budget(bounds, float(delivered.min()), min_gain)
 
     offsets_rng = RandomStreams(seed).stream("metro-clocks")
     clock_offsets = offsets_rng.uniform(
-        0.0, _DESIGN.clock_offset_span_slots * budget.slot_time, station_count
+        0.0, CLOCK_OFFSET_SPAN_SLOTS * budget.slot_time, station_count
     )
 
     return MetroScene(
@@ -471,10 +482,12 @@ def run_metro_scene(
         env: simulation environment (one is built when omitted; pass
             ``Environment(sanitize=True)`` to force the sanitizer).
     """
-    if load <= 0.0:
-        raise ValueError("load must be positive")
-    if duration_slots <= 0.0:
-        raise ValueError("duration must be positive")
+    # Written so that NaN and inf fail them, before the Poisson draw
+    # refuses them without naming the parameter.
+    if not 0.0 < load < math.inf:
+        raise ValueError("load must be positive and finite")
+    if not 0.0 < duration_slots < math.inf:
+        raise ValueError("duration_slots must be positive and finite")
     count = scene.station_count
     budget = scene.budget
     schedule = scene.schedule()
@@ -559,7 +572,7 @@ def run_metro_scene(
                 Packet(
                     source=source,
                     destination=destination,
-                    size_bits=_DESIGN.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     created_at=env.now,
                 ),
                 powers[source],

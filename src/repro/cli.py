@@ -113,7 +113,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if call is None:
         return 2
     run, overrides = call
-    print(run(**overrides).format())
+    try:
+        report = run(**overrides)
+    except ValueError as exc:  # the experiment refused a parameter
+        print(f"{args.experiment_id}: {exc}", file=sys.stderr)
+        return 2
+    print(report.format())
     return 0
 
 
@@ -454,9 +459,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     instrumentation = Instrumentation(tuple(sinks))
-    with use_instrumentation(instrumentation):
-        report = run(**overrides)
-    instrumentation.close()
+    try:
+        with use_instrumentation(instrumentation):
+            report = run(**overrides)
+    except ValueError as exc:  # the experiment refused a parameter
+        print(f"{args.experiment}: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        instrumentation.close()
     print(report.format())
     for path in ([args.jsonl] if args.jsonl else []) + (
         [args.binary] if args.binary else []

@@ -17,7 +17,7 @@ from typing import Sequence
 from repro.core.collisions import CollisionType
 from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import standard_network
-from repro.net.network import NetworkConfig
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig
 from repro.net.traffic import HotspotTraffic
 from repro.sim.streams import RandomStreams
 
@@ -59,7 +59,7 @@ def run(
                     hotspot=gateway,
                     hotspot_fraction=0.9,
                     destinations=list(range(station_count)),
-                    size_bits=config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     rng=rng,
                 )
             )

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.experiments.runner import ExperimentReport, register
 from repro.experiments.simsetup import run_loaded_network
-from repro.net.network import NetworkConfig
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig
 
 __all__ = ["run"]
 
@@ -55,11 +55,7 @@ def run(
                 config=config,
             )
             budget = network.budget
-            goodput = (
-                result.hop_deliveries
-                * config.packet_size_bits
-                / result.duration
-            )
+            goodput = result.hop_deliveries * PACKET_SIZE_BITS / result.duration
             rates[courtesy] = budget.data_rate_bps
             report.add_row(
                 count,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.power_control import ConstantDeliveredPolicy, TargetSirPolicy
 from repro.experiments.runner import ExperimentReport, register
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import TARGET_DELIVERED_W, NetworkConfig, build_network
 from repro.propagation.geometry import clustered
 
 __all__ = ["run"]
@@ -56,9 +56,7 @@ def run(
     budget = network.budget
     bounds = budget.interference_bounds + budget.thermal_noise_w
 
-    constant = ConstantDeliveredPolicy(
-        target_received_w=network.config.target_delivered_w
-    )
+    constant = ConstantDeliveredPolicy(target_received_w=TARGET_DELIVERED_W)
     adaptive = TargetSirPolicy(
         target_sir=budget.sir_threshold * headroom,
         fallback_noise_w=float(bounds.max()),

@@ -21,7 +21,14 @@ import numpy as np
 
 from repro.core.reception import max_rate
 from repro.experiments.runner import ExperimentReport, register
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import (
+    BANDWIDTH_HZ,
+    BETA,
+    SAFETY_MARGIN,
+    TARGET_DELIVERED_W,
+    NetworkConfig,
+    build_network,
+)
 from repro.propagation.geometry import clustered, uniform_disk
 
 __all__ = ["run"]
@@ -29,15 +36,14 @@ __all__ = ["run"]
 
 def _rates(network) -> tuple:
     """(fixed rate, per-receiver achievable rates) for a built network."""
-    config = network.config
     budget = network.budget
     bounds = budget.interference_bounds + budget.thermal_noise_w
     per_receiver = np.array(
         [
             max_rate(
-                config.bandwidth_hz,
-                config.target_delivered_w / (config.safety_margin * float(bound)),
-                config.beta,
+                BANDWIDTH_HZ,
+                TARGET_DELIVERED_W / (SAFETY_MARGIN * float(bound)),
+                BETA,
             )
             for bound in bounds
         ]

@@ -5,6 +5,7 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 from repro.net.network import (
+    PACKET_SIZE_BITS,
     MacFactory,
     Network,
     NetworkConfig,
@@ -57,14 +58,14 @@ def add_uniform_poisson(
         packets_per_slot: per-station arrival rate in packets per slot
             time (the natural load unit of the scheduling analysis).
         traffic_seed: seed for the shared traffic stream.
-        size_bits: packet size (defaults to the network's configured
-            size so that packets fill a quarter slot exactly).
+        size_bits: packet size (defaults to the design size so that
+            packets fill a quarter slot exactly).
     """
     if packets_per_slot <= 0.0:
         raise ValueError("load must be positive")
     rng = RandomStreams(traffic_seed).stream("traffic")
     rate = packets_per_slot / network.budget.slot_time
-    size = size_bits if size_bits is not None else network.config.packet_size_bits
+    size = size_bits if size_bits is not None else PACKET_SIZE_BITS
     destinations = list(range(network.station_count))
     for origin in range(network.station_count):
         network.add_traffic(

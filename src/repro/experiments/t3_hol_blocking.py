@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from repro.experiments.runner import ExperimentReport, register
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic
 from repro.propagation.geometry import Placement
 
@@ -66,7 +66,7 @@ def _run_star(
                 origin=0,
                 destination=spoke,
                 interval=slot / load_per_neighbor,
-                size_bits=config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 start_at=0.01 * slot * spoke,
             )
         )

@@ -6,7 +6,7 @@ scheme up by name.
 """
 
 from repro.mac.aloha import AlohaMac
-from repro.mac.arq import ArqConfig, ArqSublayer
+from repro.mac.arq import ArqSublayer
 from repro.mac.base import MacProtocol
 from repro.mac.csma import CsmaMac
 from repro.mac.maca import MacaMac
@@ -26,7 +26,6 @@ from repro.mac.tdma import TdmaMac, TdmaPlan, build_tdma_plan, greedy_coloring
 
 __all__ = [
     "AlohaMac",
-    "ArqConfig",
     "ArqSublayer",
     "CsmaMac",
     "MacBuildContext",

@@ -16,10 +16,9 @@ station-level link layer, pluggable under every ``MacFactory`` MAC
   it reports the attempt as *handled* to the MAC above (so contention
   MACs do not also retry — with ARQ installed every MAC becomes a
   single-attempt channel-access behaviour) and schedules a
-  retransmission after ``timeout + backoff_base * 2**(attempt-1)``
-  slots, capped, with a bounded number of retries.  The delay schedule
-  is fully deterministic — no RNG — so enabling ARQ perturbs nothing
-  but the packets it saves.
+  retransmission after :func:`retry_delay_slots`, with a bounded number
+  of retries.  The delay schedule is fully deterministic — no RNG — so
+  enabling ARQ perturbs nothing but the packets it saves.
 * A retransmission re-enters the transmit queue through a *fresh*
   routing-table lookup (:meth:`repro.net.station.Station.requeue`), so
   a retry after a reroute or a mobility re-convergence follows the new
@@ -36,7 +35,6 @@ entirely; their retry logic is the MAC protocol itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict
 
 from repro.obs.events import ArqGiveUp, ArqRetry
@@ -46,62 +44,46 @@ from repro.sim.process import ProcessGenerator
 if TYPE_CHECKING:  # pragma: no cover
     # Type-only: importing repro.net here would close an import cycle
     # (net.network imports this module to install the sublayer).
+    from repro.net.network import NetworkConfig
     from repro.net.packet import Packet
     from repro.net.station import Station
 
-__all__ = ["ArqConfig", "ArqSublayer"]
+__all__ = ["ArqSublayer", "retry_delay_slots", "TIMEOUT_SLOTS", "BACKOFF_CAP_SLOTS"]
+
+#: Fixed wait (slots) before every retransmission: the stop-and-wait
+#: acknowledgement timeout.
+TIMEOUT_SLOTS = 4.0
+#: Upper bound (slots) on the total per-retry delay.
+BACKOFF_CAP_SLOTS = 64.0
 
 
-@dataclass(frozen=True)
-class ArqConfig:
-    """Stop-and-wait retransmission policy.
-
-    Attributes:
-        max_retries: retransmissions per packet before giving up.
-        timeout_slots: fixed wait (slots) before every retransmission —
-            the stop-and-wait acknowledgement timeout.
-        backoff_slots: base of the exponential backoff added on top of
-            the timeout; attempt k waits ``backoff_slots * 2**(k-1)``
-            extra slots.
-        backoff_cap_slots: upper bound on the total per-retry delay.
-    """
-
-    max_retries: int = 3
-    timeout_slots: float = 4.0
-    backoff_slots: float = 2.0
-    backoff_cap_slots: float = 64.0
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 1:
-            raise ValueError("ARQ needs at least one retry")
-        if self.timeout_slots <= 0.0:
-            raise ValueError("ARQ timeout must be positive")
-        if self.backoff_slots < 0.0:
-            raise ValueError("ARQ backoff must be non-negative")
-        if self.backoff_cap_slots < self.timeout_slots:
-            raise ValueError("ARQ backoff cap must cover the timeout")
-
-    def retry_delay_slots(self, attempt: int) -> float:
-        """Slots to wait before retransmission number ``attempt``."""
-        delay = self.timeout_slots + self.backoff_slots * 2.0 ** (attempt - 1)
-        return min(delay, self.backoff_cap_slots)
+def retry_delay_slots(attempt: int, backoff_slots: float) -> float:
+    """Slots to wait before retransmission number ``attempt``: the
+    timeout plus ``backoff_slots * 2**(attempt-1)``, capped.
+    ``backoff_slots`` is ``NetworkConfig.arq_backoff_slots``."""
+    delay = TIMEOUT_SLOTS + backoff_slots * 2.0 ** (attempt - 1)
+    return min(delay, BACKOFF_CAP_SLOTS)
 
 
 class ArqSublayer:
     """Per-station stop-and-wait retransmission state.
 
     One instance is installed per station by ``build_network`` when
-    ``NetworkConfig.arq_max_retries`` is set; the station consults it
-    from :meth:`~repro.net.station.Station.transmit_packet`.
+    ``NetworkConfig.arq_max_retries`` is set, with that config's retry
+    budget and backoff base; the station consults it from
+    :meth:`~repro.net.station.Station.transmit_packet`.
     """
 
     def __init__(
-        self, station: "Station", config: ArqConfig, slot_time: float
+        self, station: "Station", config: "NetworkConfig", slot_time: float
     ) -> None:
         if slot_time <= 0.0:
             raise ValueError("slot time must be positive")
+        if config.arq_max_retries is None:
+            raise ValueError("the config sets no ARQ retry budget")
         self.station = station
-        self.config = config
+        self.max_retries = config.arq_max_retries
+        self.backoff_slots = config.arq_backoff_slots
         self.slot_time = slot_time
         self.retries = 0
         self.giveups = 0
@@ -120,7 +102,7 @@ class ArqSublayer:
         """
         station = self.station
         attempt = self._attempts.get(packet.packet_id, 0) + 1
-        if attempt > self.config.max_retries:
+        if attempt > self.max_retries:
             self._give_up(packet, next_hop, attempt)
             return True
         self._attempts[packet.packet_id] = attempt
@@ -136,7 +118,7 @@ class ArqSublayer:
                     attempt,
                 )
             )
-        delay = self.config.retry_delay_slots(attempt) * self.slot_time
+        delay = retry_delay_slots(attempt, self.backoff_slots) * self.slot_time
         station.env.process(self._redeliver(packet, delay))
         return True
 

@@ -406,8 +406,10 @@ class Medium:
         thresholds = np.asarray(sir_thresholds, dtype=float)
         if thresholds.shape != (stations,):
             raise ValueError("need one SIR threshold per station")
-        if thermal_noise_w < 0.0:
-            raise ValueError("thermal noise must be non-negative")
+        # Written so that NaN fails it; an infinite floor would fail
+        # every reception silently.
+        if not 0.0 <= thermal_noise_w < math.inf:
+            raise ValueError("thermal noise must be non-negative and finite")
         if resync_events < 1:
             raise ValueError("resync cadence must be at least 1 event")
         self.env = env

@@ -14,22 +14,26 @@ explicit *link-budget calibration*:
    station j's weakest used link — i.e. everyone transmitting at once
    at their highest power-controlled level.
 4. When the Section 7.3 courtesy is enabled, contributors above
-   ``avoid_fraction`` of that bound are barred from transmitting during
-   the victim's receive windows, so the *effective* bound caps each
-   contributor at the avoid threshold.
+   :data:`AVOID_FRACTION` of that bound are barred from transmitting
+   during the victim's receive windows, so the *effective* bound caps
+   each contributor at the avoid threshold.
 5. The system data rate is then fixed by design (Section 3.4): the SIR
-   threshold is set to ``T / (safety_margin * max_n I_eff[n])``, which
-   the Shannon form converts to a rate.  By construction, a delivery at
-   power ``T`` clears the threshold under any concurrent transmission
-   pattern the scheme permits — this is the precise sense in which the
-   scheme is collision-free, and the T4 experiment verifies it with
-   zero losses.
+   threshold is set to ``T / (SAFETY_MARGIN * max_n I_eff[n])``, which
+   the Shannon form under :data:`BETA` and :data:`BANDWIDTH_HZ`
+   converts to a rate, and :data:`PACKET_SIZE_BITS` over
+   :data:`PACKET_SLOT_FRACTION` to the slot.  By construction, a
+   delivery at power ``T`` (:data:`TARGET_DELIVERED_W`) clears the
+   threshold under any concurrent transmission pattern the scheme
+   permits — this is the precise sense in which the scheme is
+   collision-free, and the T4 experiment verifies it with zero losses.
 
 Step 5 is :func:`design_budget`, the one calibration both simulation
 drivers run.  Each passes its own bound and numerator: ``Network`` its
 effective bound and the target ``T``; the metro scene
 (:func:`repro.analysis.metro.build_metro_scene`) its culling-inclusive
 sparse bound and the weakest power its capped power control delivers.
+The design values of Section 6 are this module's constants; a
+:class:`NetworkConfig` holds only what a caller varies.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from repro.clock.clock import Clock, random_clock
 from repro.clock.sync import NeighborClockModel, exchange_readings
 from repro.core.reception import required_sir, shannon_capacity
 from repro.core.schedule import Schedule
-from repro.mac.arq import ArqConfig, ArqSublayer
+from repro.mac.arq import ArqSublayer
 from repro.mac.base import MacProtocol
 from repro.mac.registry import get_mac, mac_factory
 from repro.net.medium import Medium
@@ -75,36 +79,69 @@ __all__ = [
     "NetworkResult",
     "build_network",
     "design_budget",
+    "power_cap_w",
+    "BANDWIDTH_HZ",
+    "BETA",
+    "SAFETY_MARGIN",
+    "PACKET_SIZE_BITS",
+    "PACKET_SLOT_FRACTION",
+    "SCHEDULE_KEY",
+    "AVOID_FRACTION",
+    "CLOCK_OFFSET_SPAN_SLOTS",
+    "TARGET_DELIVERED_W",
+    "THERMAL_FRACTION",
 ]
 
 MacFactory = Callable[[int, "LinkBudget"], MacProtocol]
 
+# The Section 6 design: fixed once for every network and metro scene.
+
+#: Spread bandwidth ``W`` (Hz).
+BANDWIDTH_HZ = 1e6
+#: Detection margin above the Shannon bound (linear).
+BETA = 3.0
+#: Headroom factor on the interference bound when fixing the design
+#: rate (1.0 would size the rate exactly to the worst-case bound).
+SAFETY_MARGIN = 2.0
+#: Fixed packet size (bits); with the quarter-slot rule it fixes the
+#: slot time.
+PACKET_SIZE_BITS = 1000.0
+#: Packet airtime as a fraction of the slot (the thesis uses 1/4).
+PACKET_SLOT_FRACTION = 0.25
+#: Hash key of the shared schedule.
+SCHEDULE_KEY = 1
+#: Contribution threshold, as a fraction of the victim's interference
+#: bound, above which a transmission must respect the victim's receive
+#: windows (Section 7.3; ~0.25 is the paper's 1 dB rise).
+AVOID_FRACTION = 0.25
+#: Clock offsets are uniform over this many slots (two or more
+#: decorrelate the schedules w.h.p., Section 7.1).
+CLOCK_OFFSET_SPAN_SLOTS = 1000.0
+#: The constant delivered power ``T`` (W); its absolute value is
+#: immaterial, everything scales with it.
+TARGET_DELIVERED_W = 1.0
+#: Thermal noise as a fraction of the smallest receiver's interference
+#: bound (tiny, per Section 4).
+THERMAL_FRACTION = 1e-6
+
+
+def power_cap_w(min_gain: float) -> float:
+    """The Section 6 power cap: nobody radiates more than twice the
+    power the weakest usable link (gain ``min_gain``) needs."""
+    return 2.0 * TARGET_DELIVERED_W / min_gain
+
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    """Everything that parameterises a simulated network.
+    """What a caller varies between simulated networks; the Section 6
+    design values are this module's constants.
 
     Attributes:
-        bandwidth_hz: spread bandwidth ``W``.
-        beta: detection margin above the Shannon bound (linear).
-        safety_margin: headroom factor on the interference bound when
-            fixing the design rate (>= 1; 1.0 means the rate is sized
-            exactly to the worst-case bound).
-        packet_size_bits: fixed packet size; with the quarter-slot rule
-            this fixes the slot time.
-        packet_slot_fraction: packet airtime as a fraction of the slot
-            (the thesis uses 1/4).
         reach_factor: usable-link reach in units of ``1/sqrt(rho)``
             (Section 6 argues for 2).
         receive_fraction: schedule receive duty cycle ``p``.
-        schedule_key: hash key of the shared schedule.
         respect_neighbors: enable the Section 7.3 courtesy.
-        avoid_fraction: contribution threshold (fraction of the victim's
-            interference bound) above which a transmission must respect
-            the victim's receive windows (~0.25 = the paper's 1 dB rise).
         guard_fraction: scheduling guard as a fraction of the slot time.
-        clock_offset_span_slots: clock offsets are uniform over this
-            many slots (>= 2 guarantees decorrelated schedules w.h.p.).
         clock_rate_error_ppm: oscillator tolerance.
         rendezvous_jitter: measurement noise (time units) on exchanged
             clock readings; 0 gives exact clock models.
@@ -114,10 +151,6 @@ class NetworkConfig:
         fifo_queues: use a single FIFO (head-of-line blocking baseline)
             instead of per-neighbour queues.
         min_hop_routing: use min-hop routes instead of minimum-energy.
-        target_delivered_w: the constant delivered power ``T`` (its
-            absolute value is immaterial; everything scales with it).
-        thermal_fraction: thermal noise as a fraction of the smallest
-            receiver's interference bound (tiny, per Section 4).
         calibrate_all_links: size the interference bound for stations
             transmitting on *any* hearable link, not only their routing
             next hops.  Required when control protocols (e.g. the
@@ -139,67 +172,36 @@ class NetworkConfig:
             sublayer (:mod:`repro.mac.arq`) on every station with this
             retry budget; ``None`` (the default) keeps transmit
             outcomes untouched — bit-identical to pre-ARQ behaviour.
-        arq_timeout_slots: ARQ acknowledgement timeout, in slots.
         arq_backoff_slots: base of the ARQ exponential backoff, in
-            slots (attempt k adds ``arq_backoff_slots * 2**(k-1)``).
+            slots (:func:`repro.mac.arq.retry_delay_slots`).
         seed: master seed for clocks and any stochastic pieces.
     """
 
-    bandwidth_hz: float = 1e6
-    beta: float = 3.0
-    safety_margin: float = 2.0
-    packet_size_bits: float = 1000.0
-    packet_slot_fraction: float = 0.25
     reach_factor: float = 2.0
     receive_fraction: float = 0.3
-    schedule_key: int = 1
     respect_neighbors: bool = True
-    avoid_fraction: float = 0.25
     guard_fraction: float = 0.01
-    clock_offset_span_slots: float = 1000.0
     clock_rate_error_ppm: float = 1.0
     rendezvous_jitter: float = 0.0
     rendezvous_count: int = 2
     despreader_channels: int = 12
     fifo_queues: bool = False
     min_hop_routing: bool = False
-    target_delivered_w: float = 1.0
-    thermal_fraction: float = 1e-6
     calibrate_all_links: bool = False
     model_propagation_delay: bool = False
     rendezvous_refresh_slots: Optional[float] = None
     arq_max_retries: Optional[int] = None
-    arq_timeout_slots: float = 4.0
     arq_backoff_slots: float = 2.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         # Each check is written so that NaN and infinite values fail it.
-        if not 0.0 < self.bandwidth_hz < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
-        if not 1.0 <= self.beta < math.inf:
-            raise ValueError("beta must be finite and >= 1")
-        if not 1.0 <= self.safety_margin < math.inf:
-            raise ValueError("safety margin must be finite and >= 1")
-        if not 0.0 < self.packet_size_bits < math.inf:
-            raise ValueError("packet size must be positive and finite")
-        if not 0.0 < self.packet_slot_fraction <= 1.0:
-            raise ValueError("packet slot fraction must be in (0, 1]")
         if not 0.0 < self.reach_factor < math.inf:
             raise ValueError("reach factor must be positive and finite")
         if not 0.0 < self.receive_fraction < 1.0:
             raise ValueError("receive fraction must be in (0, 1)")
-        if not -math.inf < self.schedule_key < math.inf:
-            raise ValueError("schedule key must be finite")
-        if not 0.0 < self.avoid_fraction <= 1.0:
-            raise ValueError("avoid fraction must be in (0, 1]")
         if not 0.0 <= self.guard_fraction < math.inf:
             raise ValueError("guard fraction must be non-negative and finite")
-        if not 2.0 <= self.clock_offset_span_slots < math.inf:
-            raise ValueError(
-                "the clock offset span must be finite, and offsets under two "
-                "slots risk correlated schedules (Section 7.1)"
-            )
         if not 0.0 <= self.clock_rate_error_ppm < math.inf:
             raise ValueError("clock rate error must be non-negative and finite")
         if not 0.0 <= self.rendezvous_jitter < math.inf:
@@ -208,10 +210,6 @@ class NetworkConfig:
             raise ValueError("need a finite count of at least one rendezvous")
         if not 1 <= self.despreader_channels < math.inf:
             raise ValueError("need a finite count of at least one despreading channel")
-        if not 0.0 < self.target_delivered_w < math.inf:
-            raise ValueError("target delivered power must be positive and finite")
-        if not 0.0 <= self.thermal_fraction < math.inf:
-            raise ValueError("thermal fraction must be non-negative and finite")
         if self.rendezvous_refresh_slots is not None and not (
             0.0 < self.rendezvous_refresh_slots < math.inf
         ):
@@ -220,8 +218,6 @@ class NetworkConfig:
             1 <= self.arq_max_retries < math.inf
         ):
             raise ValueError("ARQ needs a finite budget of at least one retry")
-        if not 0.0 < self.arq_timeout_slots < math.inf:
-            raise ValueError("ARQ timeout must be positive and finite")
         if not 0.0 <= self.arq_backoff_slots < math.inf:
             raise ValueError("ARQ backoff must be non-negative and finite")
 
@@ -253,7 +249,7 @@ class LinkBudget:
     interference_bounds: np.ndarray
     thermal_noise_w: float
     processing_gain_db: float
-    target_delivered_w: float = 1.0
+    target_delivered_w: float = TARGET_DELIVERED_W
 
 
 @dataclass
@@ -606,14 +602,11 @@ class Network:
         # 2. Routes around the live geometry (and any dead stations).
         self.reroute()
         # 3. Power control re-aimed at observed gains.
-        max_power = 2.0 * self.config.target_delivered_w / self.budget.min_gain
+        max_power = power_cap_w(self.budget.min_gain)
         for station in self.stations:
             station.replace_power_lookup(
                 _make_power_lookup(
-                    matrix.gains,
-                    station.index,
-                    self.config.target_delivered_w,
-                    max_power,
+                    matrix.gains, station.index, TARGET_DELIVERED_W, max_power
                 )
             )
         # 4. Courtesy sets against the live geometry (needs step 1:
@@ -670,10 +663,9 @@ def _calibrate(
     against that bound for deliveries at the target power."""
     gains = matrix.gains
     count = matrix.count
-    target = config.target_delivered_w
 
     # g_hat[j]: station j's weakest link it may transmit on, i.e. its
-    # highest power-controlled level is target / g_hat[j].  By default
+    # highest power-controlled level is T / g_hat[j].  By default
     # only routing next hops count; with calibrate_all_links every
     # hearable link does (control protocols may unicast to any
     # neighbour).
@@ -683,60 +675,54 @@ def _calibrate(
             used = table.neighbors_in_use()
             if used:
                 g_hat[station] = min(gains[hop, station] for hop in used)
-    peak_power = target / g_hat  # per-station worst-case radiated power
+    peak_power = TARGET_DELIVERED_W / g_hat  # per-station worst-case radiated power
 
     # Worst-case aggregate interference bound at each receiver.
     raw_bounds = gains @ peak_power  # I_max[n] = sum_j G[n,j] * P_j
     if config.respect_neighbors:
         # Contributors above the avoid threshold must stay out of the
         # victim's receive windows, capping their in-window contribution.
-        cap = config.avoid_fraction * raw_bounds[:, None]
+        cap = AVOID_FRACTION * raw_bounds[:, None]
         contributions = gains * peak_power[None, :]
         bounds = np.minimum(contributions, cap).sum(axis=1)
     else:
         bounds = raw_bounds
-    return design_budget(bounds, target, min_gain, config)
+    return design_budget(bounds, TARGET_DELIVERED_W, min_gain)
 
 
 def design_budget(
-    bounds: np.ndarray,
-    delivered_w: float,
-    min_gain: float,
-    config: NetworkConfig,
+    bounds: np.ndarray, delivered_w: float, min_gain: float
 ) -> LinkBudget:
     """Fix the design rate against per-receiver interference bounds
     (step 5 of the module docstring).
 
-    Thermal noise is ``config.thermal_fraction`` of the smallest bound.
+    Thermal noise is :data:`THERMAL_FRACTION` of the smallest bound.
     The SIR threshold is ``delivered_w``, the weakest wanted power, over
-    ``config.safety_margin`` times the largest bound plus that noise;
-    the Shannon form under ``config.beta`` turns it into the rate, and
-    the packet size and slot fraction into the airtime and the slot.
+    :data:`SAFETY_MARGIN` times the largest bound plus that noise; the
+    Shannon form under :data:`BETA` turns it into the rate, and the
+    packet size and slot fraction into the airtime and the slot.
 
     Args:
         bounds: each receiver's worst-case aggregate interference.
         delivered_w: the weakest power a wanted signal arrives at.
         min_gain: the weakest usable link gain, kept in the budget.
-        config: the design values (bandwidth, margins, packet, noise).
     """
     if float(bounds.max()) <= 0.0:
         raise ValueError(
             "cannot calibrate the link budget: no receiver has a positive "
             "interference bound (a one-station placement has none)"
         )
-    thermal = config.thermal_fraction * float(bounds.min())
+    thermal = THERMAL_FRACTION * float(bounds.min())
     worst = float(bounds.max()) + thermal
-    threshold = delivered_w / (config.safety_margin * worst)
-    data_rate = shannon_capacity(config.bandwidth_hz, threshold / config.beta)
+    threshold = delivered_w / (SAFETY_MARGIN * worst)
+    data_rate = shannon_capacity(BANDWIDTH_HZ, threshold / BETA)
     # Consistency: required_sir(data_rate, W, beta) == threshold.
     assert math.isclose(
-        required_sir(data_rate, config.bandwidth_hz, config.beta),
-        threshold,
-        rel_tol=1e-9,
+        required_sir(data_rate, BANDWIDTH_HZ, BETA), threshold, rel_tol=1e-9
     )
-    airtime = config.packet_size_bits / data_rate
-    slot_time = airtime / config.packet_slot_fraction
-    processing_gain_db = 10.0 * math.log10(config.bandwidth_hz / data_rate)
+    airtime = PACKET_SIZE_BITS / data_rate
+    slot_time = airtime / PACKET_SLOT_FRACTION
+    processing_gain_db = 10.0 * math.log10(BANDWIDTH_HZ / data_rate)
     return LinkBudget(
         sir_threshold=threshold,
         data_rate_bps=data_rate,
@@ -746,7 +732,7 @@ def design_budget(
         interference_bounds=bounds,
         thermal_noise_w=thermal,
         processing_gain_db=processing_gain_db,
-        target_delivered_w=config.target_delivered_w,
+        target_delivered_w=TARGET_DELIVERED_W,
     )
 
 
@@ -800,14 +786,14 @@ def build_network(
     schedule = Schedule(
         slot_time=budget.slot_time,
         receive_fraction=config.receive_fraction,
-        key=config.schedule_key,
+        key=SCHEDULE_KEY,
     )
 
     clock_rng = streams.stream("clocks")
     clocks = [
         random_clock(
             clock_rng,
-            offset_span=config.clock_offset_span_slots * budget.slot_time,
+            offset_span=CLOCK_OFFSET_SPAN_SLOTS * budget.slot_time,
             rate_error_ppm=config.clock_rate_error_ppm,
         )
         for _ in range(placement.count)
@@ -826,7 +812,7 @@ def build_network(
         instrumentation=instr,
     )
 
-    max_power = 2.0 * config.target_delivered_w / min_gain
+    max_power = power_cap_w(min_gain)
 
     if isinstance(mac, str):
         factory = mac_factory(mac, streams, config)
@@ -841,9 +827,8 @@ def build_network(
         delays = placement.distances() / SPEED_OF_LIGHT
 
     for index in range(count):
-        gains_to_hops = matrix.gains
         power_lookup = _make_power_lookup(
-            gains_to_hops, index, config.target_delivered_w, max_power
+            matrix.gains, index, TARGET_DELIVERED_W, max_power
         )
         delay_lookup = None
         if delays is not None:
@@ -880,15 +865,8 @@ def build_network(
         _install_avoid_views(stations, matrix, censored, budget, config)
 
     if config.arq_max_retries is not None:
-        arq_policy = ArqConfig(
-            max_retries=config.arq_max_retries,
-            timeout_slots=config.arq_timeout_slots,
-            backoff_slots=config.arq_backoff_slots,
-        )
         for station in stations:
-            station.install_arq(
-                ArqSublayer(station, arq_policy, budget.slot_time)
-            )
+            station.install_arq(ArqSublayer(station, config, budget.slot_time))
 
     network = Network(
         env=env,
@@ -1054,7 +1032,7 @@ def _install_avoid_views(
     For each sender s and each routing next hop d, the transmission
     power is fixed by power control; any *other* hearable neighbour n
     whose received interference from that power would exceed
-    ``avoid_fraction`` of its interference bound gets its receive
+    :data:`AVOID_FRACTION` of its interference bound gets its receive
     windows subtracted from s's candidate intervals.
     """
     raw_bounds = budget.interference_bounds
@@ -1074,7 +1052,7 @@ def _install_avoid_views(
                 if neighbor == next_hop:
                     continue
                 contribution = power * matrix.gains[neighbor, sender]
-                if contribution > config.avoid_fraction * raw_bounds[neighbor]:
+                if contribution > AVOID_FRACTION * raw_bounds[neighbor]:
                     station.neighbor_view(neighbor)  # must have a model
                     protected.append(neighbor)
             station.set_avoid_neighbors(next_hop, protected)

@@ -10,7 +10,8 @@ sinks cover the usual needs:
   rotation, one event per line.
 * :class:`BinarySink` — a compact columnar file (NumPy ``.npz``) for
   million-event runs: per-kind column arrays with dictionary-encoded
-  strings, typically ~10x smaller than the JSONL form.
+  strings.  On a 16-station T7 trace of 23,717 events it is 2.5x
+  smaller than the JSONL form (1,040,146 against 2,619,960 bytes).
 
 ``read_jsonl`` and ``read_binary`` decode either format back into the
 identical typed event sequence (a property test asserts the two

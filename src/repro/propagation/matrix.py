@@ -7,8 +7,8 @@ reception criterion (Eq. 6) and minimum-energy routing (Section 6.2)
 consume.  This module builds the power-gain matrix from a placement and
 a propagation model, and models the paper's observation that "stations
 may observe the actual propagation between stations that are capable of
-direct communication": :meth:`PropagationMatrix.observed` returns a
-noisy, threshold-censored estimate such as real stations would have.
+direct communication": :meth:`PropagationMatrix.observed` returns the
+threshold-censored view such stations would have.
 """
 
 from __future__ import annotations
@@ -155,32 +155,16 @@ class PropagationMatrix:
             self._neighbor_cache[key] = cached
         return cached
 
-    def observed(
-        self,
-        measurement_sigma_db: float = 0.0,
-        min_gain: float = 0.0,
-        seed: Optional[int] = None,
-    ) -> "PropagationMatrix":
-        """A station's-eye view of the matrix: noisy and censored.
+    def observed(self, min_gain: float = 0.0) -> "PropagationMatrix":
+        """A station's-eye view of the matrix: censored.
 
         Args:
-            measurement_sigma_db: log-normal measurement error applied
-                symmetrically (a link is measured once, both ends agree).
             min_gain: gains below this are unobservable and reported as
                 zero (the stations cannot hear each other to measure).
-            seed: RNG seed for reproducible noise.
         """
-        if measurement_sigma_db < 0.0:
-            raise ValueError("measurement spread must be non-negative")
         if min_gain < 0.0:
             raise ValueError("minimum gain must be non-negative")
         gains = self.gains.copy()
-        if measurement_sigma_db > 0.0:
-            rng = np.random.default_rng(seed)
-            error_db = rng.normal(0.0, measurement_sigma_db, gains.shape)
-            error_db = np.triu(error_db, k=1)
-            error_db = error_db + error_db.T
-            gains = gains * 10.0 ** (error_db / 10.0)
         if min_gain > 0.0:
             gains[gains < min_gain] = 0.0
         np.fill_diagonal(gains, 0.0)

@@ -20,7 +20,7 @@ from repro.analysis.metro import (
 )
 from repro.core.schedule import Schedule
 from repro.net.medium import Medium
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import TrafficSource
 from repro.obs.events import RxOk, TxStart
 from repro.sim.engine import Environment
@@ -179,11 +179,13 @@ class TestMetroRun:
         assert first.digest == second.digest
         assert first.deliveries == second.deliveries
 
-    def test_rejects_bad_parameters(self, scene):
-        with pytest.raises(ValueError):
-            run_metro_scene(scene, load=0.0)
-        with pytest.raises(ValueError):
-            run_metro_scene(scene, duration_slots=0.0)
+    @pytest.mark.parametrize("field", ["load", "duration_slots"])
+    @pytest.mark.parametrize("value", [0.0, math.nan, math.inf])
+    def test_rejects_bad_parameters(self, scene, field, value):
+        # NaN and inf used to reach the Poisson draw, whose error did
+        # not name the parameter.
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            run_metro_scene(scene, **{field: value})
 
 
 class TestMetroRunPinned:
@@ -466,7 +468,7 @@ class TestDriversAgree:
             # sends each packet in one hop, as the metro driver does.
             assert network.tables[station].next_hop(destination) == destination
             network.add_traffic(
-                _Replay(station, destination, times, config.packet_size_bits)
+                _Replay(station, destination, times, PACKET_SIZE_BITS)
             )
         network_result = network.run(horizon + slot)
         assert network_result.losses_total == 0

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mac.aloha import AlohaMac
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic, PoissonTraffic
 from repro.obs.events import TxStart
 from repro.propagation.geometry import uniform_disk
@@ -41,7 +41,7 @@ class TestAlohaBehaviour:
                 origin=0,
                 destination=int(network.tables[0].neighbors_in_use()[0]),
                 interval=20 * network.budget.slot_time,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 limit=5,
             )
         )
@@ -58,7 +58,7 @@ class TestAlohaBehaviour:
                 origin=0,
                 destination=int(network.tables[0].neighbors_in_use()[0]),
                 interval=1000.0,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 start_at=7.0,
                 limit=1,
             )
@@ -76,7 +76,7 @@ class TestAlohaBehaviour:
                     origin=origin,
                     rate=0.15 / network.budget.slot_time,
                     destinations=list(range(20)),
-                    size_bits=network.config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     rng=rng,
                 )
             )
@@ -96,7 +96,7 @@ class TestAlohaBehaviour:
                     origin=origin,
                     destination=destination,
                     interval=1000 * slot,
-                    size_bits=network.config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     limit=1,
                 )
             )
@@ -113,7 +113,7 @@ class TestAlohaBehaviour:
                 origin=0,
                 destination=destination,
                 interval=17.3 * airtime,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 limit=8,
             )
         )

@@ -5,8 +5,9 @@ import math
 import pytest
 
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
-from repro.mac import ArqConfig
+from repro.mac import ArqSublayer
 from repro.mac.aloha import AlohaMac
+from repro.mac.arq import retry_delay_slots
 from repro.mobility import (
     ChannelSpec,
     FadingSpec,
@@ -20,36 +21,24 @@ STATIONS = 12
 SEED = 11
 
 
-class TestArqConfig:
+class TestArqPolicy:
     def test_delay_schedule_is_deterministic_and_capped(self):
-        config = ArqConfig(
-            max_retries=5,
-            timeout_slots=4.0,
-            backoff_slots=2.0,
-            backoff_cap_slots=12.0,
-        )
-        assert config.retry_delay_slots(1) == 6.0
-        assert config.retry_delay_slots(2) == 8.0
-        assert config.retry_delay_slots(3) == 12.0  # capped (4 + 8)
-        assert config.retry_delay_slots(4) == 12.0  # capped (4 + 16)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ArqConfig(max_retries=0)
-        with pytest.raises(ValueError):
-            ArqConfig(timeout_slots=0.0)
-        with pytest.raises(ValueError):
-            ArqConfig(backoff_slots=-1.0)
-        with pytest.raises(ValueError):
-            ArqConfig(timeout_slots=8.0, backoff_cap_slots=4.0)
+        # The 4-slot timeout plus 2 * 2**(k-1), then the 64-slot cap.
+        delays = [retry_delay_slots(attempt, 2.0) for attempt in (1, 2, 5, 6, 7)]
+        assert delays == [6.0, 8.0, 36.0, 64.0, 64.0]
 
     def test_network_config_validation(self):
         with pytest.raises(ValueError):
             NetworkConfig(arq_max_retries=0)
         with pytest.raises(ValueError):
-            NetworkConfig(arq_max_retries=3, arq_timeout_slots=0.0)
-        with pytest.raises(ValueError):
             NetworkConfig(arq_max_retries=3, arq_backoff_slots=-1.0)
+
+    def test_sublayer_needs_a_retry_budget(self):
+        network = standard_network(4, placement_seed=SEED)
+        with pytest.raises(ValueError, match="retry budget"):
+            ArqSublayer(
+                network.stations[0], network.config, network.budget.slot_time
+            )
 
 
 def lossy_network(arq_retries, load=0.1):

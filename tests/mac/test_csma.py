@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mac.csma import CsmaMac
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic
 from repro.obs.events import TxStart
 from repro.propagation.geometry import uniform_disk
@@ -32,7 +32,7 @@ class TestCsma:
                 origin=0,
                 destination=int(network.tables[0].neighbors_in_use()[0]),
                 interval=30 * network.budget.slot_time,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 limit=4,
             )
         )
@@ -53,7 +53,7 @@ class TestCsma:
             CbrTraffic(
                 origin=b, destination=b_target,
                 interval=1000 * slot,
-                size_bits=20 * network.config.packet_size_bits,
+                size_bits=20 * PACKET_SIZE_BITS,
                 start_at=0.0, limit=1,
             )
         )
@@ -61,7 +61,7 @@ class TestCsma:
             CbrTraffic(
                 origin=a, destination=b,
                 interval=1000 * slot,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 start_at=network.budget.packet_airtime,  # mid-burst
                 limit=1,
             )
@@ -108,7 +108,7 @@ class TestCsma:
                 origin=0,
                 destination=int(network.tables[0].neighbors_in_use()[0]),
                 interval=1000 * slot,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 start_at=slot,  # arrives once the hum is established
                 limit=1,
             )
@@ -120,7 +120,7 @@ class TestCsma:
             CbrTraffic(
                 origin=hummer, destination=hum_target,
                 interval=1e9,
-                size_bits=10_000 * network.config.packet_size_bits,
+                size_bits=10_000 * PACKET_SIZE_BITS,
                 limit=1,
             )
         )

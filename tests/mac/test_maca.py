@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mac.maca import MacaMac
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic, PoissonTraffic
 from repro.propagation.geometry import uniform_disk
 from repro.sim.streams import RandomStreams
@@ -29,7 +29,7 @@ class TestMaca:
             CbrTraffic(
                 origin=0, destination=destination,
                 interval=100 * network.budget.slot_time,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 limit=1,
             )
         )
@@ -48,7 +48,7 @@ class TestMaca:
             CbrTraffic(
                 origin=0, destination=destination,
                 interval=100 * network.budget.slot_time,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 limit=1,
             )
         )
@@ -66,7 +66,7 @@ class TestMaca:
                     origin=origin,
                     rate=0.02 / network.budget.slot_time,
                     destinations=list(range(15)),
-                    size_bits=network.config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     rng=rng,
                 )
             )
@@ -87,7 +87,7 @@ class TestMaca:
                     origin=origin,
                     rate=0.02 / network.budget.slot_time,
                     destinations=list(range(15)),
-                    size_bits=network.config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     rng=rng,
                 )
             )

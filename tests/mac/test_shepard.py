@@ -13,7 +13,7 @@ from repro.clock.sync import ClockSample
 from repro.core.access import NoTransmitWindowError, find_transmit_window
 from repro.core.schedule import Schedule
 from repro.mac.shepard import ShepardMac
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.packet import Packet
 from repro.net.queueing import NeighborQueues
 from repro.net.station import Station
@@ -36,7 +36,7 @@ def running_network(count=15, seed=13, load=0.08, duration_slots=250, **override
                 origin=origin,
                 rate=load / network.budget.slot_time,
                 destinations=list(range(count)),
-                size_bits=config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 rng=rng,
             )
         )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.sinr_adaptive import SinrAdaptiveMac
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import CbrTraffic
 from repro.propagation.geometry import uniform_disk
 from repro.sim.sanitizer import sanitized
@@ -72,7 +72,7 @@ class TestBehaviour:
                 origin=0,
                 destination=int(network.tables[0].neighbors_in_use()[0]),
                 interval=20 * network.budget.slot_time,
-                size_bits=network.config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 limit=5,
             )
         )

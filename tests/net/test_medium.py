@@ -179,6 +179,13 @@ class TestBookkeeping:
             medium.transmit(0, 1, packet(0, 1), power, duration)
         assert not medium.active_transmissions
 
+    @pytest.mark.parametrize("thermal", [math.nan, math.inf, -1e-12])
+    def test_bad_noise_floor_refused(self, thermal):
+        # A NaN floor used to be kept until the first lock refused it,
+        # and an infinite one failed every reception silently.
+        with pytest.raises(ValueError, match="thermal noise"):
+            line_medium([0.0, 10.0], thermal=thermal)
+
     def test_total_received_power(self):
         env, medium, world = line_medium([0.0, 10.0, 20.0])
         send(env, medium, 0, 1, power=100.0, duration=5.0)

@@ -9,7 +9,16 @@ import pytest
 from repro.core.reception import required_sir
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.shepard import ShepardMac
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import (
+    BANDWIDTH_HZ,
+    BETA,
+    PACKET_SIZE_BITS,
+    SAFETY_MARGIN,
+    TARGET_DELIVERED_W,
+    NetworkConfig,
+    build_network,
+    power_cap_w,
+)
 from repro.net.traffic import PoissonTraffic
 from repro.propagation.geometry import uniform_disk
 from repro.propagation.models import FreeSpace
@@ -29,7 +38,7 @@ def loaded_network(count=20, seed=3, load=0.05, **config_overrides):
                 origin=origin,
                 rate=load / network.budget.slot_time,
                 destinations=list(range(count)),
-                size_bits=config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 rng=rng,
             )
         )
@@ -45,9 +54,9 @@ class TestCalibration:
     def test_threshold_consistent_with_rate(self):
         network = loaded_network()
         budget = network.budget
-        assert required_sir(
-            budget.data_rate_bps, network.config.bandwidth_hz, network.config.beta
-        ) == pytest.approx(budget.sir_threshold)
+        assert required_sir(budget.data_rate_bps, BANDWIDTH_HZ, BETA) == (
+            pytest.approx(budget.sir_threshold)
+        )
 
     def test_delivery_at_target_clears_threshold_under_bound(self):
         # The zero-loss argument: target power over the worst
@@ -55,8 +64,8 @@ class TestCalibration:
         network = loaded_network()
         budget = network.budget
         worst = float(budget.interference_bounds.max()) + budget.thermal_noise_w
-        sir = network.config.target_delivered_w / worst
-        assert sir >= budget.sir_threshold * network.config.safety_margin * 0.999
+        sir = TARGET_DELIVERED_W / worst
+        assert sir >= budget.sir_threshold * SAFETY_MARGIN * 0.999
 
     def test_respecting_neighbors_raises_rate(self):
         with_courtesy = loaded_network(respect_neighbors=True)
@@ -72,10 +81,8 @@ class TestCalibration:
                 power = station.power_for(hop)
                 delivered = power * network.matrix.gain(hop, station.index)
                 assert delivered == pytest.approx(
-                    network.config.target_delivered_w, rel=1e-6
-                ) or power == pytest.approx(
-                    2.0 * network.config.target_delivered_w / network.budget.min_gain
-                )
+                    TARGET_DELIVERED_W, rel=1e-6
+                ) or power == pytest.approx(power_cap_w(network.budget.min_gain))
 
     def test_one_station_is_refused_by_name(self):
         # No receiver has an interference bound to calibrate against;
@@ -88,7 +95,7 @@ class TestCalibration:
         network = loaded_network()
         budget = network.budget
         assert budget.processing_gain_db == pytest.approx(
-            10.0 * math.log10(network.config.bandwidth_hz / budget.data_rate_bps)
+            10.0 * math.log10(BANDWIDTH_HZ / budget.data_rate_bps)
         )
 
 
@@ -154,40 +161,25 @@ class TestConfigVariants:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             NetworkConfig(receive_fraction=0.0)
-        with pytest.raises(ValueError):
-            NetworkConfig(safety_margin=0.5)
-        with pytest.raises(ValueError):
-            NetworkConfig(clock_offset_span_slots=1.0)
 
     @pytest.mark.parametrize(
         "field",
         [
-            "bandwidth_hz",
-            "beta",
-            "safety_margin",
-            "packet_size_bits",
-            "packet_slot_fraction",
             "reach_factor",
             "receive_fraction",
-            "schedule_key",
-            "clock_offset_span_slots",
             "clock_rate_error_ppm",
             "rendezvous_jitter",
             "rendezvous_count",
             "despreader_channels",
-            "target_delivered_w",
-            "thermal_fraction",
             "rendezvous_refresh_slots",
             "arq_max_retries",
-            "arq_timeout_slots",
             "arq_backoff_slots",
         ],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_values_rejected(self, field, value):
-        # Each check is written so that NaN fails it.  A NaN bandwidth
-        # used to end in a bare AssertionError from the calibration, and
-        # an infinite despreader count built a network.
+        # Each check is written so that NaN fails it.  An infinite
+        # despreader count used to build a network.
         with pytest.raises(ValueError):
             NetworkConfig(**{field: value})
 

@@ -85,17 +85,6 @@ class TestObserved:
         weak = (matrix.gains > 0) & (matrix.gains < threshold)
         assert np.all(observed.gains[weak] == 0.0)
 
-    def test_measurement_noise_is_reciprocal(self):
-        matrix = make_matrix(count=8, seed=5)
-        observed = matrix.observed(measurement_sigma_db=3.0, seed=11)
-        assert np.allclose(observed.gains, observed.gains.T)
-
-    def test_measurement_noise_reproducible(self):
-        matrix = make_matrix(count=8, seed=5)
-        a = matrix.observed(measurement_sigma_db=3.0, seed=11)
-        b = matrix.observed(measurement_sigma_db=3.0, seed=11)
-        assert np.array_equal(a.gains, b.gains)
-
     def test_noise_free_observation_is_identity(self):
         matrix = make_matrix(count=6, seed=6)
         assert np.array_equal(matrix.observed().gains, matrix.gains)

@@ -5,7 +5,7 @@ import copy
 import pytest
 
 from repro.experiments.simsetup import standard_network
-from repro.net.network import NetworkConfig
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig
 from repro.routing.overlay import DistanceVectorOverlay
 
 
@@ -56,7 +56,7 @@ class TestValidation:
         network = standard_network(8, 29, NetworkConfig(seed=29), trace=False)
         with pytest.raises(ValueError, match="quarter-slot"):
             DistanceVectorOverlay(
-                network, control_size_bits=10 * network.config.packet_size_bits
+                network, control_size_bits=10 * PACKET_SIZE_BITS
             )
 
     def test_bad_interval_rejected(self):

@@ -1,10 +1,16 @@
 """API quality gates: docstrings and export hygiene across the package."""
 
+import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import repro
+from repro.net.network import NetworkConfig
+
+REPO = Path(__file__).resolve().parents[1]
 
 PACKAGES = [
     "repro",
@@ -81,6 +87,29 @@ class TestExports:
             assert getattr(module, "__all__", None), (
                 f"{package_name} lacks __all__"
             )
+
+
+class TestNetworkConfigKnobs:
+    def test_every_field_is_set_by_some_caller(self):
+        # A field that no experiment, tool or example passes to
+        # NetworkConfig is a fixed design value: it belongs in
+        # repro.net.network as a constant, not among the knobs.
+        passed = set()
+        for directory in ("src", "examples"):
+            for path in sorted((REPO / directory).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    # NetworkConfig(...) or a dotted repro.NetworkConfig(...)
+                    name = getattr(node.func, "attr", getattr(node.func, "id", None))
+                    if name == "NetworkConfig":
+                        passed.update(kw.arg for kw in node.keywords if kw.arg)
+        unset = [
+            field.name
+            for field in dataclasses.fields(NetworkConfig)
+            if field.name not in passed
+        ]
+        assert unset == []
 
 
 #: Analytic experiments with no stochastic component and hence no seed.

@@ -81,6 +81,31 @@ class TestCommands:
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["A1", "--set", "jitter_slot_fraction=1e999",
+                 "--set", "rendezvous_counts=(2,)",
+                 "--set", "guard_fractions=(0.0,)",
+                 "--set", "station_count=16", "--set", "duration_slots=50"],
+                "A1: rendezvous jitter must be non-negative and finite",
+            ),
+            (
+                ["T7", "--set", "loads_packets_per_slot=(-1.0,)",
+                 "--set", "station_count=8"],
+                "T7: load must be positive",
+            ),
+        ],
+        ids=["config", "load"],
+    )
+    def test_refused_parameter_is_a_usage_error(self, capsys, argv, message):
+        # Both used to end in a traceback and exit 1.
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == message
+        assert captured.out == ""
+
     def test_design_command(self, capsys):
         assert main(["design", "--stations", "1e9", "--duty", "1.0"]) == 0
         out = capsys.readouterr().out
@@ -466,6 +491,21 @@ class TestTraceCommand:
         ) == 0
         traced = capsys.readouterr().out
         assert traced == ran + f"wrote {jsonl}\n"
+
+    def test_refused_parameter_is_a_usage_error(self, capsys, tmp_path):
+        binary = str(tmp_path / "t7.npz")
+        argv = [
+            "trace", "--experiment", "T7",
+            "--set", "loads_packets_per_slot=(-1.0,)",
+            "--set", "station_count=8", "--binary", binary,
+        ]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.strip() == "T7: load must be positive"
+        assert captured.out == ""
+        # The sinks are closed on the way out, so the file reads back.
+        assert main(["trace", "--read", binary, "--summary"]) == 0
+        assert "events across" in capsys.readouterr().err
 
     def test_requires_a_sink(self, capsys):
         assert main(["trace", "--experiment", "T7"]) == 2

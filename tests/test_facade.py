@@ -6,6 +6,7 @@ import repro
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.faults import StationCrash
 from repro.net import HotspotTraffic, NetworkConfig
+from repro.net.network import PACKET_SIZE_BITS
 from repro.obs import Instrumentation, MetricTimelines
 from repro.obs.events import Delivered, FaultInject, StationDown, TxStart
 from repro.propagation import uniform_disk
@@ -110,7 +111,7 @@ class TestSimulate:
                         hotspot=0,
                         hotspot_fraction=1.0,
                         destinations=list(range(network.station_count)),
-                        size_bits=network.config.packet_size_bits,
+                        size_bits=PACKET_SIZE_BITS,
                         rng=repro.sim.RandomStreams(seed).stream("traffic"),
                     )
                 )

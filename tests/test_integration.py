@@ -9,7 +9,7 @@ from collections import Counter
 
 import pytest
 
-from repro.net.network import NetworkConfig, build_network
+from repro.net.network import PACKET_SIZE_BITS, NetworkConfig, build_network
 from repro.net.traffic import PoissonTraffic
 from repro.obs.events import Delivered, TxStart
 from repro.propagation.geometry import clustered, uniform_disk
@@ -48,7 +48,7 @@ def build_loaded(
                 origin=origin,
                 rate=load / network.budget.slot_time,
                 destinations=list(range(placement.count)),
-                size_bits=config.packet_size_bits,
+                size_bits=PACKET_SIZE_BITS,
                 rng=rng,
             )
         )
@@ -140,7 +140,7 @@ class TestDeterminism:
                     origin=origin,
                     rate=0.06 / other.budget.slot_time,
                     destinations=list(range(15)),
-                    size_bits=config.packet_size_bits,
+                    size_bits=PACKET_SIZE_BITS,
                     rng=rng,
                 )
             )
