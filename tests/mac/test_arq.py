@@ -7,7 +7,7 @@ import pytest
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac import ArqSublayer
 from repro.mac.aloha import AlohaMac
-from repro.mac.arq import retry_delay_slots
+from repro.mac.arq import BACKOFF_CAP_SLOTS, TIMEOUT_SLOTS, retry_delay_slots
 from repro.mobility import (
     ChannelSpec,
     FadingSpec,
@@ -21,11 +21,20 @@ STATIONS = 12
 SEED = 11
 
 
-class TestArqPolicy:
+class TestArqConfig:
     def test_delay_schedule_is_deterministic_and_capped(self):
         # The 4-slot timeout plus 2 * 2**(k-1), then the 64-slot cap.
         delays = [retry_delay_slots(attempt, 2.0) for attempt in (1, 2, 5, 6, 7)]
         assert delays == [6.0, 8.0, 36.0, 64.0, 64.0]
+
+    def test_zero_backoff_waits_only_the_timeout(self):
+        delays = [retry_delay_slots(attempt, 0.0) for attempt in range(1, 8)]
+        assert delays == [TIMEOUT_SLOTS] * 7
+
+    def test_cap_leaves_room_for_the_timeout(self):
+        # A cap under the timeout would shorten every retry below the
+        # acknowledgement wait.
+        assert 0.0 < TIMEOUT_SLOTS <= BACKOFF_CAP_SLOTS < math.inf
 
     def test_network_config_validation(self):
         with pytest.raises(ValueError):
@@ -39,6 +48,14 @@ class TestArqPolicy:
             ArqSublayer(
                 network.stations[0], network.config, network.budget.slot_time
             )
+
+    def test_network_installs_the_config_policy(self):
+        config = NetworkConfig(seed=SEED, arq_max_retries=3, arq_backoff_slots=1.5)
+        network = standard_network(4, placement_seed=SEED, config=config)
+        for station in network.stations:
+            assert station.arq.max_retries == 3
+            assert station.arq.backoff_slots == 1.5
+            assert station.arq.slot_time == network.budget.slot_time
 
 
 def lossy_network(arq_retries, load=0.1):

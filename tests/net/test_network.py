@@ -10,13 +10,19 @@ from repro.core.reception import required_sir
 from repro.experiments.simsetup import add_uniform_poisson, standard_network
 from repro.mac.shepard import ShepardMac
 from repro.net.network import (
+    AVOID_FRACTION,
     BANDWIDTH_HZ,
     BETA,
+    CLOCK_OFFSET_SPAN_SLOTS,
     PACKET_SIZE_BITS,
+    PACKET_SLOT_FRACTION,
     SAFETY_MARGIN,
+    SCHEDULE_KEY,
     TARGET_DELIVERED_W,
+    THERMAL_FRACTION,
     NetworkConfig,
     build_network,
+    design_budget,
     power_cap_w,
 )
 from repro.net.traffic import PoissonTraffic
@@ -97,6 +103,88 @@ class TestCalibration:
         assert budget.processing_gain_db == pytest.approx(
             10.0 * math.log10(BANDWIDTH_HZ / budget.data_rate_bps)
         )
+
+    def test_budget_is_the_design_budget_of_its_bounds(self):
+        budget = loaded_network().budget
+        again = design_budget(
+            budget.interference_bounds, TARGET_DELIVERED_W, budget.min_gain
+        )
+        assert again.sir_threshold == budget.sir_threshold
+        assert again.data_rate_bps == budget.data_rate_bps
+        assert again.slot_time == budget.slot_time
+        assert again.thermal_noise_w == budget.thermal_noise_w
+
+    def test_courtesy_bound_lies_between_avoid_share_and_raw_bound(self):
+        # Each contributor is capped at AVOID_FRACTION of the raw bound,
+        # so the effective bound keeps at least that share of it.  The
+        # two sums run in different orders, hence the rounding slack.
+        raw = loaded_network(respect_neighbors=False).budget.interference_bounds
+        effective = loaded_network().budget.interference_bounds
+        assert np.all(effective <= raw * (1.0 + 1e-12))
+        assert np.all(effective >= AVOID_FRACTION * raw * (1.0 - 1e-12))
+        assert np.any(effective < raw)
+
+    def test_schedule_uses_the_design_key(self):
+        network = loaded_network()
+        assert network.schedule.key == SCHEDULE_KEY
+        assert all(s.schedule is network.schedule for s in network.stations)
+
+    def test_clock_offsets_lie_within_the_design_span(self):
+        network = loaded_network()
+        span = CLOCK_OFFSET_SPAN_SLOTS * network.budget.slot_time
+        offsets = [clock.offset for clock in network.clocks]
+        assert all(0.0 <= offset < span for offset in offsets)
+        # Offsets at least two slots apart decorrelate the schedules.
+        assert max(offsets) - min(offsets) > 2.0 * network.budget.slot_time
+
+    def test_every_transmitter_is_held_to_the_power_cap(self):
+        network = loaded_network()
+        cap = power_cap_w(network.budget.min_gain)
+        assert cap == 2.0 * TARGET_DELIVERED_W / network.budget.min_gain
+        for station in network.stations:
+            assert station.transmitter.max_power_w == cap
+
+
+class TestDesignBudget:
+    BOUNDS = np.array([2.0, 5.0, 8.0])
+
+    def test_thermal_floor_is_a_fraction_of_the_smallest_bound(self):
+        budget = design_budget(self.BOUNDS, 1.0, 1e-3)
+        assert budget.thermal_noise_w == THERMAL_FRACTION * 2.0
+
+    def test_threshold_leaves_the_safety_margin_over_the_worst_bound(self):
+        budget = design_budget(self.BOUNDS, 3.0, 1e-3)
+        worst = 8.0 + budget.thermal_noise_w
+        assert budget.sir_threshold == pytest.approx(3.0 / (SAFETY_MARGIN * worst))
+        assert required_sir(budget.data_rate_bps, BANDWIDTH_HZ, BETA) == (
+            pytest.approx(budget.sir_threshold)
+        )
+
+    def test_airtime_and_slot_follow_the_packet_design(self):
+        budget = design_budget(self.BOUNDS, 1.0, 1e-3)
+        assert budget.packet_airtime == pytest.approx(
+            PACKET_SIZE_BITS / budget.data_rate_bps
+        )
+        assert budget.slot_time == pytest.approx(
+            budget.packet_airtime / PACKET_SLOT_FRACTION
+        )
+
+    def test_keeps_what_it_is_handed(self):
+        budget = design_budget(self.BOUNDS, 1.0, 1e-3)
+        assert budget.min_gain == 1e-3
+        assert budget.interference_bounds is self.BOUNDS
+        assert budget.target_delivered_w == TARGET_DELIVERED_W
+
+    def test_rate_falls_as_the_bounds_grow(self):
+        quiet = design_budget(self.BOUNDS, 1.0, 1e-3)
+        loud = design_budget(4.0 * self.BOUNDS, 1.0, 1e-3)
+        assert loud.sir_threshold < quiet.sir_threshold
+        assert loud.data_rate_bps < quiet.data_rate_bps
+        assert loud.slot_time > quiet.slot_time
+
+    def test_all_zero_bounds_refused(self):
+        with pytest.raises(ValueError, match="interference bound"):
+            design_budget(np.zeros(3), 1.0, 1e-3)
 
 
 class TestRun:
